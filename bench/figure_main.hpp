@@ -1,7 +1,7 @@
 // Shared driver for the figure-reproduction benches (fig1_high_avail,
 // fig2_low_avail, unreported_configs): applies env overrides, builds the
 // figure's cell matrix, runs it through one ExperimentRunner — so runner
-// features like multi-cell replay and the shared world cache land in every
+// features like pipelined hand-out and the opt-in world cache land in every
 // figure binary at once — prints the panel tables plus runner/cache
 // statistics, and writes a CSV next to the binary's working directory.
 #pragma once
@@ -34,13 +34,12 @@ inline int run_figure_main(exp::FigureSpec spec, const std::string& csv_name) {
             << "  runner: queue=" << des::to_string(backend)
             << ", pipeline=" << (options.pipeline ? "on" : "off")
             << ", speculate=" << options.speculate
-            << ", multi_cell_replay=" << (options.multi_cell_replay ? "on" : "off")
             << ", workspaces=" << (options.reuse_workspaces ? "on" : "off")
             << ", batch=" << options.batch_size << " (0=auto)"
             << ", world_cache=" << (options.world_cache_bytes >> 20) << " MiB\n"
             << "  (env: DGSCHED_BOTS, DGSCHED_MIN_REPS, DGSCHED_MAX_REPS, DGSCHED_TRE,"
             << " DGSCHED_THREADS, DGSCHED_SEED, DGSCHED_WORKSPACES, DGSCHED_BATCH,"
-            << " DGSCHED_WORLD_CACHE, DGSCHED_MULTI_CELL, DGSCHED_QUEUE,"
+            << " DGSCHED_WORLD_CACHE, DGSCHED_QUEUE,"
             << " DGSCHED_PIPELINE, DGSCHED_SPECULATE;"
             << " paper fidelity: DGSCHED_TRE=0.025)\n\n";
 

@@ -67,20 +67,16 @@ void fill_exec_stats(PerfRecord& record, const dg::exp::ExecutionStats& stats) {
 
 /// One timed runner sweep: fixed replication count per cell (no CI loop, so
 /// every path does identical work), returns (replications/s, allocs/rep).
-/// `name` distinguishes the hand-out shape in the record:
-///   baseline   fresh construction, cost-major hand-out
-///   workspace  reusable workspaces, cost-major hand-out
-///   multicell  reusable workspaces, replication-major hand-out (each worker
-///              replays one realized world across every policy cell; PR 7)
+/// `name` distinguishes the replication path in the record:
+///   baseline   fresh construction per replication
+///   workspace  reusable workspaces
 PerfRecord timed_sweep(const std::vector<dg::exp::NamedConfig>& cells, std::size_t threads,
-                       std::size_t reps, bool reuse_workspaces, bool multi_cell,
-                       const char* name) {
+                       std::size_t reps, bool reuse_workspaces, const char* name) {
   dg::exp::RunOptions options;
   options.min_replications = reps;
   options.max_replications = reps;
   options.threads = threads;
   options.reuse_workspaces = reuse_workspaces;
-  options.multi_cell_replay = multi_cell;
 
   const std::uint64_t allocs_before = allocs_now();
   Stopwatch timer;
@@ -130,6 +126,8 @@ PerfRecord timed_rounds(const std::vector<dg::exp::NamedConfig>& cells, std::siz
   options.target_relative_error = 1e-9;  // unreachable: identical work per shape
   options.threads = procs == 0 ? threads : 1;
   options.pipeline = pipeline;
+  // Sharded records run with the pool; the opt-in cache is what uses it.
+  if (procs > 0) options.world_cache_bytes = dg::grid::WorldCache::kDefaultBudgetBytes;
 
   std::size_t replications = 0;
   std::uint64_t events = 0;
@@ -192,11 +190,9 @@ PerfRecord timed_sharded_sweep(const std::vector<dg::exp::NamedConfig>& cells, s
   options.min_replications = reps;
   options.max_replications = reps;
   options.threads = 1;
-  // Cost-major hand-out: replication-major grouping would hand each world's
-  // entire cell set to one worker (a replication group is never split), so no
-  // world would ever cross a process boundary and pool_hit_rate would read 0
-  // by construction. Results are bit-identical either way.
-  options.multi_cell_replay = false;
+  // The world cache is opt-in; turn it on so the workers share worlds
+  // through the pool and pool_hit_rate measures that sharing.
+  options.world_cache_bytes = dg::grid::WorldCache::kDefaultBudgetBytes;
 
   dg::exp::ShardOptions shard;
   shard.procs = procs;
@@ -312,12 +308,8 @@ int main(int argc, char** argv) {
 
   std::vector<PerfRecord> records;
   for (const std::size_t threads : thread_counts) {
-    records.push_back(timed_sweep(cells, threads, reps, /*reuse_workspaces=*/false,
-                                  /*multi_cell=*/false, "baseline"));
-    records.push_back(timed_sweep(cells, threads, reps, /*reuse_workspaces=*/true,
-                                  /*multi_cell=*/false, "workspace"));
-    records.push_back(timed_sweep(cells, threads, reps, /*reuse_workspaces=*/true,
-                                  /*multi_cell=*/true, "multicell"));
+    records.push_back(timed_sweep(cells, threads, reps, /*reuse_workspaces=*/false, "baseline"));
+    records.push_back(timed_sweep(cells, threads, reps, /*reuse_workspaces=*/true, "workspace"));
   }
 
   // Process-count axis (PR 9): the same campaign sharded across forked

@@ -19,13 +19,14 @@
 //                              stddev / cv / max-over-min.
 //
 // Every output is bit-identical across DGSCHED_THREADS / DGSCHED_BATCH /
-// DGSCHED_MULTI_CELL / DGSCHED_WORLD_CACHE — CI runs the smoke grid twice
-// under different shapes and diffs the files byte for byte.
+// DGSCHED_WORLD_CACHE — CI runs the smoke grid twice under different shapes
+// and diffs the files byte for byte.
 //
 // With DGSCHED_PROCS set, the risk-cliff grid runs through the
 // multi-process ShardedRunner instead of the in-process ExperimentRunner:
-// cells shard across forked workers that share synthesized worlds through
-// an mmap pool, and every completed replication is journaled so a killed
+// cells shard across forked workers (which, with DGSCHED_WORLD_CACHE set,
+// share synthesized worlds through an mmap pool), and every completed
+// replication is journaled so a killed
 // campaign resumes from the journal (exp/shard.hpp). Output stays
 // byte-identical to the single-process run — CI's shard-smoke job kills a
 // 2-worker campaign mid-flight, resumes it, and diffs against the

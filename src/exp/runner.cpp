@@ -72,7 +72,6 @@ RunOptions RunOptions::from_env(RunOptions defaults) {
   if (auto v = env_size("DGSCHED_WORKSPACES")) defaults.reuse_workspaces = *v != 0;
   if (auto v = env_size("DGSCHED_BATCH")) defaults.batch_size = *v;
   if (auto v = env_size("DGSCHED_WORLD_CACHE")) defaults.world_cache_bytes = *v;
-  if (auto v = env_size("DGSCHED_MULTI_CELL")) defaults.multi_cell_replay = *v != 0;
   if (auto v = env_size("DGSCHED_PIPELINE")) defaults.pipeline = *v != 0;
   if (auto v = env_size("DGSCHED_SPECULATE")) defaults.speculate = *v;
   if (auto text = env_string("DGSCHED_QUEUE")) {
@@ -170,8 +169,7 @@ std::vector<CellResult> ExperimentRunner::run(const std::vector<NamedConfig>& ce
         local.stall_s += seconds_since(wait_start);
       }
       if (error || state.finished()) break;
-      // Pipelined hand-out takes one scheduling unit at a time (a whole
-      // replication group under multi-cell replay) — workers return for more
+      // Pipelined hand-out takes one job at a time — workers return for more
       // the moment they finish, so there is nothing to balance. The barrier
       // shape keeps the historical round batching.
       std::size_t target = 1;
@@ -180,7 +178,7 @@ std::vector<CellResult> ExperimentRunner::run(const std::vector<NamedConfig>& ce
       } else if (!options_.pipeline) {
         target = std::max<std::size_t>(1, state.round_size() / (pool.size() * 4));
       }
-      std::vector<PipelineJob> chunk = state.pop_chunk(target, options_.multi_cell_replay);
+      std::vector<PipelineJob> chunk = state.pop_chunk(target);
       if (chunk.empty()) continue;
       lock.unlock();
       std::exception_ptr failure;

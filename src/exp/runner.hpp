@@ -43,16 +43,10 @@ struct RunOptions {
   /// Budget (bytes) of the shared world-realization cache: each replication
   /// seed's availability / server-fault timelines are synthesized once and
   /// replayed in every policy cell sharing that seed (bit-identical; see
-  /// grid/world_cache.hpp). 0 disables the cache — every replication samples
-  /// its processes live.
-  std::size_t world_cache_bytes = grid::WorldCache::kDefaultBudgetBytes;
-  /// Walk one realized world across every policy cell in a single pass: jobs
-  /// of a round are handed out grouped by replication index (= world-cache
-  /// key), so a worker replays a realization through all its cells while it
-  /// is hot instead of revisiting it once per cell. Results are bit-identical
-  /// either way — the fold happens after the round barrier in build order.
-  /// Off = historical largest-expected-cost-first hand-out.
-  bool multi_cell_replay = true;
+  /// grid/world_cache.hpp). 0 (the default) disables the cache — every
+  /// replication samples its processes live, which measured no slower and
+  /// holds no worlds in memory.
+  std::size_t world_cache_bytes = 0;
   /// DES event-queue backend forced on every cell; nullopt keeps each cell's
   /// own setting (usually the DGSCHED_QUEUE CMake/env default). Backends are
   /// bit-identical (see des/queue_policy.hpp).
@@ -71,7 +65,7 @@ struct RunOptions {
   std::size_t speculate = 1;
 
   /// Reads DGSCHED_{MIN_REPS,MAX_REPS,TRE,THREADS,SEED,WORKSPACES,BATCH,
-  /// WORLD_CACHE,MULTI_CELL,QUEUE,PIPELINE,SPECULATE} overrides. Malformed
+  /// WORLD_CACHE,QUEUE,PIPELINE,SPECULATE} overrides. Malformed
   /// values raise std::invalid_argument naming the offending variable.
   [[nodiscard]] static RunOptions from_env(RunOptions defaults);
   [[nodiscard]] static RunOptions from_env() { return from_env(RunOptions{}); }

@@ -63,7 +63,7 @@ enum MsgType : std::uint32_t {
 
 constexpr std::size_t kStatsWords = 10;
 /// Upper bound on adaptive chunk size (jobs per kAssign); the ring is sized
-/// so two chunks of this size plus a whole replication group always fit.
+/// so a worker's two outstanding chunks of this size always fit.
 constexpr std::size_t kChunkCap = 32;
 
 struct MsgHeader {
@@ -334,9 +334,10 @@ std::vector<CellResult> ShardedRunner::run(const std::vector<NamedConfig>& cells
   // Per-worker shared-memory rings (created lazily at first spawn — always
   // before that worker's fork, so every incarnation inherits the mapping)
   // and their coordinator-side free-slot lists. Sized for two max-size
-  // chunks plus a whole replication group; an exhausted free list just
-  // degrades that job to inline socket transport.
-  const std::size_t ring_slots = 2 * (kChunkCap + cells.size());
+  // chunks (a worker holds at most two); an exhausted free list (a fixed
+  // batch_size or a barrier-round batch above the cap) just degrades that
+  // job to inline socket transport.
+  const std::size_t ring_slots = 2 * kChunkCap;
   const std::size_t ring_capacity = ring_payload_capacity();
   std::vector<std::unique_ptr<util::ShmRing>> rings(procs);
   std::vector<std::vector<std::uint32_t>> free_slots(procs);
@@ -447,7 +448,7 @@ std::vector<CellResult> ShardedRunner::run(const std::vector<NamedConfig>& cells
         if (!workers[w].alive) spawn(w);
         Chunk chunk;
         chunk.id = next_chunk_id++;
-        chunk.jobs = state.pop_chunk(chunk_target(), options_.multi_cell_replay);
+        chunk.jobs = state.pop_chunk(chunk_target());
         if (chunk.jobs.empty()) break;
         chunk.slots.reserve(chunk.jobs.size());
         wire.clear();

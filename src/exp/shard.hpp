@@ -3,10 +3,11 @@
 // ShardedRunner is ExperimentRunner's process-level sibling: it draws the
 // same (cell, replication) jobs from the shared PipelineState
 // (exp/pipeline.hpp), but instead of fanning them out over an in-process
-// thread pool it forks N worker processes and hands out replication-group-
-// aligned chunks over per-worker UNIX socket pairs. Each worker runs its
-// jobs sequentially through a private SimulationWorkspace and a private
-// WorldCache, reduces every replication to a ReplicationSummary, and ships
+// thread pool it forks N worker processes and hands out cost-major chunks
+// over per-worker UNIX socket pairs. Each worker runs its jobs sequentially
+// through a private SimulationWorkspace (and, when
+// RunOptions::world_cache_bytes > 0, a private WorldCache), reduces every
+// replication to a ReplicationSummary, and ships
 // the summaries back; the coordinator feeds them through the pipeline's
 // ordered per-cell commit — the exact fold sequence of the threaded runner —
 // so the merged CellResults are bit-identical to a single-process run for
@@ -19,18 +20,19 @@
 //
 // Result transport: summaries carry multiple 768-bucket u64 quantile
 // sketches — tens of KB each — so they travel through a per-worker
-// shared-memory ring (util/shm_ring.hpp, created before fork) and the
-// socketpair carries only small control messages; a summary that outgrows
-// its slot falls back to inline bytes on the socket.
+// shared-memory ring (util/shm_ring.hpp, created before fork) of two
+// max-size chunks' worth of slots, and the socketpair carries only small
+// control messages; a summary that outgrows its slot, or finds no free
+// slot, falls back to inline bytes on the socket.
 //
 // Why processes at all: address-space isolation (one crashed replication
 // loses a chunk, not the campaign — the coordinator re-queues it and forks
 // a replacement worker) and the path past one process's allocator/thread
-// scaling. What makes it affordable is the mmap world pool
-// (grid/world_pool.hpp): workers attach their caches to a shared pool
-// directory, so each replication's world is synthesized by exactly one
-// process and mapped by its siblings, the cross-process analogue of the
-// threaded runner's shared WorldCache.
+// scaling. By default workers sample their worlds live. With the world
+// cache on, the mmap world pool (grid/world_pool.hpp) lets workers attach
+// their caches to a shared pool directory, so each replication's world is
+// synthesized by exactly one process and mapped by its siblings, the
+// cross-process analogue of the threaded runner's shared WorldCache.
 //
 // Fault tolerance is layered:
 //   worker death   — the coordinator detects EOF, reaps the child, re-queues
@@ -63,8 +65,8 @@ struct ShardOptions {
   std::size_t procs = 1;
   /// Completion-journal path; empty = no journal (no resume).
   std::string journal_path;
-  /// mmap world-pool directory shared by the workers; empty = no pool (each
-  /// worker synthesizes its own worlds).
+  /// mmap world-pool directory shared by the workers' world caches (unused
+  /// while RunOptions::world_cache_bytes is 0); empty = no pool.
   std::string pool_dir;
   /// fsync the journal after every received chunk (the durability the resume
   /// contract assumes). Off trades crash-window durability for speed.

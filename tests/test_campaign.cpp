@@ -1,7 +1,7 @@
 // Robustness campaign (exp/campaign.hpp): grid expansion, risk-cliff rows,
 // seed-sensitivity spread, and the determinism contracts — campaign rows and
 // spread statistics must be bit-identical across execution shapes (threads,
-// batching, multi-cell replay, world cache on/off).
+// batching, world cache on/off).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -116,7 +116,7 @@ TEST(Campaign, RiskCliffRowsComputeDegradationAgainstMildestCorner) {
 
 TEST(Campaign, RowsAreBitIdenticalAcrossExecutionShapes) {
   // Satellite 3: the same campaign folded under different thread counts,
-  // batch shapes, multi-cell replay, and world-cache settings must produce
+  // batch shapes, and world-cache settings must produce
   // bitwise-equal heatmap rows.
   const std::vector<CampaignCell> cells = expand_campaign(tiny_axes());
   std::vector<NamedConfig> named;
@@ -143,12 +143,7 @@ TEST(Campaign, RowsAreBitIdenticalAcrossExecutionShapes) {
   }
   {
     RunOptions o = tiny_options();
-    o.multi_cell_replay = false;
-    shapes.push_back(o);
-  }
-  {
-    RunOptions o = tiny_options();
-    o.world_cache_bytes = 0;  // live sampling
+    o.world_cache_bytes = grid::WorldCache::kDefaultBudgetBytes;  // cached worlds
     shapes.push_back(o);
   }
   {

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "exp/paper.hpp"
+#include "exp/pipeline.hpp"
 #include "exp/runner.hpp"
 
 namespace dg::exp {
@@ -292,7 +293,6 @@ TEST(RunOptions, MalformedEnvFailsWithClearMessage) {
   expect_env_rejected("DGSCHED_SEED", "0xzz");
   expect_env_rejected("DGSCHED_QUEUE", "ladder");
   expect_env_rejected("DGSCHED_QUEUE", "Heap4");
-  expect_env_rejected("DGSCHED_MULTI_CELL", "yes");
 }
 
 TEST(RunOptions, QueueBackendEnvOverride) {
@@ -304,85 +304,15 @@ TEST(RunOptions, QueueBackendEnvOverride) {
   ::unsetenv("DGSCHED_QUEUE");
 }
 
-TEST(RunOptions, MultiCellReplayEnvOverride) {
-  EXPECT_TRUE(RunOptions::from_env().multi_cell_replay);  // default on
-  ::setenv("DGSCHED_MULTI_CELL", "0", 1);
-  EXPECT_FALSE(RunOptions::from_env().multi_cell_replay);
-  ::setenv("DGSCHED_MULTI_CELL", "1", 1);
-  EXPECT_TRUE(RunOptions::from_env().multi_cell_replay);
-  ::unsetenv("DGSCHED_MULTI_CELL");
-}
-
-TEST(ExperimentRunner, MultiCellReplayBitIdenticalAcrossShapes) {
-  // The multi-cell hand-out (jobs grouped by replication so one worker walks
-  // one realized world across every cell) must be cell-for-cell identical to
-  // the classic expected-cost hand-out, across thread counts and batch
-  // shapes — the fold happens after the round barrier in build order either
-  // way. Volatile grid so worlds are actually realized and replayed, plus an
-  // adaptive round (max > min) so singleton replication groups occur.
-  sim::SimulationConfig volatile_config = tiny_config(sched::PolicyKind::kRoundRobin, 6);
-  volatile_config.grid =
-      grid::GridConfig::preset(grid::Heterogeneity::kHet, grid::AvailabilityLevel::kLow);
-  volatile_config.workload = sim::make_paper_workload(volatile_config.grid, 25000.0,
-                                                      workload::Intensity::kLow, 6);
-  sim::SimulationConfig stable_config = volatile_config;
-  stable_config.policy = sched::PolicyKind::kFcfsShare;
-  sim::SimulationConfig third_config = volatile_config;
-  third_config.policy = sched::PolicyKind::kLongIdle;
-  const std::vector<NamedConfig> cells = {
-      {"rr", volatile_config}, {"fcfs", stable_config}, {"li", third_config}};
-
-  struct Variant {
-    bool multi_cell;
-    std::size_t threads;
-    std::size_t batch;
-  };
-  const Variant variants[] = {{false, 1, 1}, {true, 1, 1},  {true, 3, 1},
-                              {true, 3, 5},  {true, 2, 0},  {false, 4, 2}};
-
-  std::vector<std::vector<CellResult>> runs;
-  for (const Variant& variant : variants) {
-    RunOptions options;
-    options.min_replications = 2;
-    options.max_replications = 4;
-    options.target_relative_error = 0.08;
-    options.multi_cell_replay = variant.multi_cell;
-    options.threads = variant.threads;
-    options.batch_size = variant.batch;
-    runs.push_back(ExperimentRunner(options).run(cells));
-  }
-
-  const std::vector<CellResult>& reference = runs.front();
-  for (std::size_t v = 1; v < runs.size(); ++v) {
-    ASSERT_EQ(runs[v].size(), reference.size());
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      const CellResult& got = runs[v][i];
-      const CellResult& want = reference[i];
-      EXPECT_EQ(got.replications, want.replications) << "variant " << v << " cell " << i;
-      EXPECT_EQ(got.turnaround.stats().mean(), want.turnaround.stats().mean())
-          << "variant " << v << " cell " << i;
-      EXPECT_EQ(got.waiting.mean(), want.waiting.mean()) << "variant " << v << " cell " << i;
-      EXPECT_EQ(got.events_executed, want.events_executed) << "variant " << v << " cell " << i;
-      for (double q : {0.5, 0.95, 0.99}) {
-        EXPECT_EQ(got.turnaround_tail.quantile(q), want.turnaround_tail.quantile(q))
-            << "variant " << v << " cell " << i << " q " << q;
-        EXPECT_EQ(got.slowdown_tail.quantile(q), want.slowdown_tail.quantile(q))
-            << "variant " << v << " cell " << i << " q " << q;
-        EXPECT_EQ(got.completion_gap_tail.quantile(q), want.completion_gap_tail.quantile(q))
-            << "variant " << v << " cell " << i << " q " << q;
-      }
-      EXPECT_EQ(got.turnaround_tail.sum(), want.turnaround_tail.sum())
-          << "variant " << v << " cell " << i;
-    }
-  }
-}
-
 TEST(ExperimentRunner, PipelinedAndBarrierShapesAreBitIdentical) {
   // The barrier-free scheduler's core contract (PR 10): pipelined hand-out
   // with any speculation window must be cell-for-cell bit-identical to the
   // historical barrier rounds — including the adaptive round structure
   // (max > min with a reachable precision target, so cells stop at
-  // different replication counts and speculative summaries get discarded).
+  // different replication counts and speculative summaries get discarded)
+  // — across thread counts, batch shapes, and the world cache on or off.
+  // Volatile grid so worlds are actually realized and replayed when the
+  // cache is on.
   sim::SimulationConfig volatile_config = tiny_config(sched::PolicyKind::kRoundRobin, 6);
   volatile_config.grid =
       grid::GridConfig::preset(grid::Heterogeneity::kHet, grid::AvailabilityLevel::kLow);
@@ -395,21 +325,27 @@ TEST(ExperimentRunner, PipelinedAndBarrierShapesAreBitIdentical) {
   const std::vector<NamedConfig> cells = {
       {"rr", volatile_config}, {"fcfs", stable_config}, {"li", third_config}};
 
+  constexpr std::size_t kCache = grid::WorldCache::kDefaultBudgetBytes;
   struct Variant {
     bool pipeline;
     std::size_t speculate;
     std::size_t threads;
     std::size_t batch;
-    bool multi_cell;
+    std::size_t cache_bytes;
   };
   const Variant variants[] = {
-      {false, 0, 1, 0, true},   // barrier reference, single worker
-      {false, 0, 4, 0, true},   // barrier, parallel
-      {true, 0, 3, 0, true},    // pipelined, no speculation
-      {true, 1, 3, 0, true},    // default shape
-      {true, 4, 3, 0, true},    // deep speculation: discards must be silent
-      {true, 4, 1, 1, false},   // speculation + cost-major singleton chunks
-      {true, 4, 4, 3, true},    // speculation + batching + parallelism
+      {false, 0, 1, 0, 0},       // barrier reference, single worker, live worlds
+      {false, 0, 4, 0, kCache},  // barrier, parallel, cached worlds
+      {false, 0, 4, 2, 0},       // barrier, parallel, fixed batches
+      {true, 0, 3, 0, 0},        // pipelined, no speculation
+      {true, 1, 3, 0, 0},        // default shape
+      {true, 1, 3, 0, kCache},   // default shape, cached worlds
+      {true, 1, 1, 1, kCache},   // single worker, singleton batches, cached worlds
+      {true, 1, 3, 5, 0},        // batches larger than a cell's window
+      {true, 1, 2, 0, kCache},   // two workers, cached worlds
+      {true, 4, 3, 0, 0},        // deep speculation: discards must be silent
+      {true, 4, 1, 1, 0},        // speculation + singleton chunks
+      {true, 4, 4, 3, kCache},   // speculation + batching + parallelism + cache
   };
 
   std::vector<std::vector<CellResult>> runs;
@@ -422,7 +358,7 @@ TEST(ExperimentRunner, PipelinedAndBarrierShapesAreBitIdentical) {
     options.speculate = variant.speculate;
     options.threads = variant.threads;
     options.batch_size = variant.batch;
-    options.multi_cell_replay = variant.multi_cell;
+    options.world_cache_bytes = variant.cache_bytes;
     runs.push_back(ExperimentRunner(options).run(cells));
   }
 
@@ -444,11 +380,38 @@ TEST(ExperimentRunner, PipelinedAndBarrierShapesAreBitIdentical) {
             << "variant " << v << " cell " << i << " q " << q;
         EXPECT_EQ(got.slowdown_tail.quantile(q), want.slowdown_tail.quantile(q))
             << "variant " << v << " cell " << i << " q " << q;
+        EXPECT_EQ(got.completion_gap_tail.quantile(q), want.completion_gap_tail.quantile(q))
+            << "variant " << v << " cell " << i << " q " << q;
       }
       EXPECT_EQ(got.turnaround_tail.sum(), want.turnaround_tail.sum())
           << "variant " << v << " cell " << i;
     }
   }
+}
+
+TEST(PipelineState, PopChunkNeverExceedsTarget) {
+  // A hand-out chunk is at most the requested size: the cost-major queue is
+  // never extended to keep a replication group together, which used to hand
+  // one worker every cell of a replication while its siblings idled.
+  std::vector<CellResult> results(3);
+  for (std::size_t c = 0; c < results.size(); ++c) {
+    results[c].config = tiny_config(sched::PolicyKind::kFcfsShare, 4 + c);
+  }
+  RunOptions options;
+  options.min_replications = 3;
+  options.max_replications = 3;
+  PipelineState state(options, results, nullptr);
+  state.start();
+  std::size_t popped = 0;
+  for (const std::size_t target : {std::size_t{1}, std::size_t{2}, std::size_t{1},
+                                   std::size_t{4}, std::size_t{3}}) {
+    const std::vector<PipelineJob> chunk = state.pop_chunk(target);
+    EXPECT_LE(chunk.size(), target);
+    popped += chunk.size();
+  }
+  EXPECT_EQ(popped, 9u);  // 3 cells x 3 replications, all handed out
+  EXPECT_FALSE(state.has_ready());
+  EXPECT_EQ(state.in_flight(), 9u);
 }
 
 TEST(ExperimentRunner, ExecStatsAccountForEveryReplication) {

@@ -101,13 +101,15 @@ std::vector<std::uint8_t> file_bytes(const std::string& path) {
 
 TEST(ShardedRunner, BitIdenticalToThreadedRunnerAcrossProcessCounts) {
   // Satellite: byte-identical campaign output at 1, 2, and 4 workers. The
-  // threaded runner is the reference; pool and journal are both on, so the
-  // full transport path (mmap load + socket summaries + journal append) is
-  // what's being held to the contract.
+  // threaded runner (live worlds) is the reference; world cache, pool and
+  // journal are all on, so the full transport path (mmap load + socket
+  // summaries + journal append) is what's being held to the contract.
   ShardDir dir("procs");
   const std::vector<NamedConfig> cells = tiny_cells();
   const RunOptions options = tiny_options();
   const std::vector<CellResult> reference = ExperimentRunner(options).run(cells);
+  RunOptions cached = options;
+  cached.world_cache_bytes = grid::WorldCache::kDefaultBudgetBytes;
 
   for (const std::size_t procs : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     SCOPED_TRACE(procs);
@@ -115,7 +117,7 @@ TEST(ShardedRunner, BitIdenticalToThreadedRunnerAcrossProcessCounts) {
     shard.procs = procs;
     shard.pool_dir = dir.file("pool");
     shard.journal_path = dir.file(("j" + std::to_string(procs) + ".journal").c_str());
-    ShardedRunner runner(options, shard);
+    ShardedRunner runner(cached, shard);
     expect_cells_bitwise(runner.run(cells), reference);
     EXPECT_EQ(runner.recovered_replications(), 0u);
   }
@@ -126,19 +128,18 @@ TEST(ShardedRunner, BitIdenticalAcrossChunkShapesAndHandOutOrders) {
   const RunOptions options = tiny_options();
   const std::vector<CellResult> reference = ExperimentRunner(options).run(cells);
 
-  // One-job chunks, classic cost-major hand-out, no pool, no journal.
+  // One-job chunks, no pool, no journal.
   {
     RunOptions o = options;
     o.batch_size = 1;
-    o.multi_cell_replay = false;
     ShardOptions shard;
     shard.procs = 2;
     expect_cells_bitwise(ShardedRunner(o, shard).run(cells), reference);
   }
-  // No world cache at all: workers sample live.
+  // Per-worker world caches (no pool): workers replay cached worlds.
   {
     RunOptions o = options;
-    o.world_cache_bytes = 0;
+    o.world_cache_bytes = grid::WorldCache::kDefaultBudgetBytes;
     ShardOptions shard;
     shard.procs = 2;
     expect_cells_bitwise(ShardedRunner(o, shard).run(cells), reference);
@@ -173,7 +174,8 @@ TEST(ShardedRunner, MultiRoundPrecisionLoopMatchesThreadedRunner) {
 TEST(ShardedRunner, SecondRunOverTheSamePoolLoadsInsteadOfSynthesizing) {
   ShardDir dir("pool_warm");
   const std::vector<NamedConfig> cells = tiny_cells();
-  const RunOptions options = tiny_options();
+  RunOptions options = tiny_options();
+  options.world_cache_bytes = grid::WorldCache::kDefaultBudgetBytes;  // the pool backs the cache
   ShardOptions shard;
   shard.procs = 2;
   shard.pool_dir = dir.file("pool");
@@ -282,15 +284,14 @@ TEST(ShardedRunner, JournalBytesIdenticalAcrossExecutionShapes) {
     std::size_t speculate;
     std::size_t procs;
     std::size_t batch;
-    bool multi_cell;
   };
   const Variant variants[] = {
-      {"p1_default", true, 1, 1, 0, true},
-      {"p1_barrier", false, 0, 1, 0, true},
-      {"p2_spec0", true, 0, 2, 0, true},
-      {"p2_spec4", true, 4, 2, 0, true},
-      {"p2_costmajor", true, 4, 2, 1, false},
-      {"p4_barrier", false, 0, 4, 0, true},
+      {"p1_default", true, 1, 1, 0},
+      {"p1_barrier", false, 0, 1, 0},
+      {"p2_spec0", true, 0, 2, 0},
+      {"p2_spec4", true, 4, 2, 0},
+      {"p2_batch1", true, 4, 2, 1},
+      {"p4_barrier", false, 0, 4, 0},
   };
   for (const Variant& variant : variants) {
     SCOPED_TRACE(variant.name);
@@ -298,7 +299,6 @@ TEST(ShardedRunner, JournalBytesIdenticalAcrossExecutionShapes) {
     options.pipeline = variant.pipeline;
     options.speculate = variant.speculate;
     options.batch_size = variant.batch;
-    options.multi_cell_replay = variant.multi_cell;
     ShardOptions shard;
     shard.procs = variant.procs;
     shard.journal_path = dir.file((std::string(variant.name) + ".journal").c_str());
@@ -413,6 +413,22 @@ TEST(ShardedRunner, ExecStatsReportWorkerLanes) {
   for (const WorkerLaneStats& lane : exec.lanes) {
     EXPECT_GE(lane.stall_s, 0.0);
     EXPECT_LE(lane.busy_s, exec.wall_s);
+  }
+}
+
+TEST(ShardedRunner, EveryWorkerGetsWork) {
+  // Six jobs across three workers: cost-major single-job chunks reach every
+  // lane. Handing out whole replication groups (one chunk per replication
+  // index, two chunks in flight per worker) left the third worker idle.
+  const std::vector<NamedConfig> cells = tiny_cells();
+  ShardOptions shard;
+  shard.procs = 3;
+  ShardedRunner runner(tiny_options(), shard);
+  (void)runner.run(cells);
+  const ExecutionStats& exec = runner.exec_stats();
+  ASSERT_EQ(exec.lanes.size(), 3u);
+  for (std::size_t w = 0; w < exec.lanes.size(); ++w) {
+    EXPECT_GT(exec.lanes[w].jobs, 0u) << "worker " << w;
   }
 }
 

@@ -400,6 +400,7 @@ TEST(ExperimentRunnerWorldCache, CacheOnMatchesCacheOffCellForCell) {
   options.min_replications = 3;
   options.max_replications = 3;
   options.threads = 2;
+  options.world_cache_bytes = grid::WorldCache::kDefaultBudgetBytes;
 
   exp::RunOptions off = options;
   off.world_cache_bytes = 0;
@@ -727,6 +728,8 @@ TEST(WorldCache, SignatureDistinguishesOutageModels) {
 }
 
 TEST(RunOptions, WorldCacheEnvOverride) {
+  // Live sampling is the default; the cache is opt-in.
+  EXPECT_EQ(exp::RunOptions{}.world_cache_bytes, 0u);
   ASSERT_EQ(setenv("DGSCHED_WORLD_CACHE", "12345", 1), 0);
   EXPECT_EQ(exp::RunOptions::from_env().world_cache_bytes, 12345u);
   ASSERT_EQ(setenv("DGSCHED_WORLD_CACHE", "0", 1), 0);
@@ -734,8 +737,7 @@ TEST(RunOptions, WorldCacheEnvOverride) {
   ASSERT_EQ(setenv("DGSCHED_WORLD_CACHE", "nope", 1), 0);
   EXPECT_THROW((void)exp::RunOptions::from_env(), std::invalid_argument);
   ASSERT_EQ(unsetenv("DGSCHED_WORLD_CACHE"), 0);
-  EXPECT_EQ(exp::RunOptions::from_env().world_cache_bytes,
-            grid::WorldCache::kDefaultBudgetBytes);
+  EXPECT_EQ(exp::RunOptions::from_env().world_cache_bytes, 0u);
 }
 
 }  // namespace
