@@ -1,7 +1,7 @@
 // Shared driver for the figure-reproduction benches (fig1_high_avail,
 // fig2_low_avail, unreported_configs): applies env overrides, builds the
 // figure's cell matrix, runs it through one ExperimentRunner — so runner
-// features like pipelined hand-out and the opt-in world cache land in every
+// features like speculation and the opt-in world cache land in every
 // figure binary at once — prints the panel tables plus runner/cache
 // statistics, and writes a CSV next to the binary's working directory.
 #pragma once
@@ -24,23 +24,15 @@ inline int run_figure_main(exp::FigureSpec spec, const std::string& csv_name) {
   // (cache budget, hand-out mode), which legitimately differs between runs
   // whose *results* are bit-identical — and the CI world-cache job diffs
   // captured stdout across exactly such runs.
-  const des::QueueBackend backend =
-      options.queue_backend.value_or(des::default_queue_backend());
   std::cerr << "dgsched figure reproduction\n"
             << "  bags/cell: " << spec.num_bots << " (warmup " << spec.warmup_bots << ")"
             << ", replications: " << options.min_replications << ".."
             << options.max_replications << ", CI target: "
             << options.target_relative_error * 100.0 << "%\n"
-            << "  runner: queue=" << des::to_string(backend)
-            << ", pipeline=" << (options.pipeline ? "on" : "off")
-            << ", speculate=" << options.speculate
-            << ", workspaces=" << (options.reuse_workspaces ? "on" : "off")
-            << ", batch=" << options.batch_size << " (0=auto)"
+            << "  runner: speculate=" << options.speculate
             << ", world_cache=" << (options.world_cache_bytes >> 20) << " MiB\n"
             << "  (env: DGSCHED_BOTS, DGSCHED_MIN_REPS, DGSCHED_MAX_REPS, DGSCHED_TRE,"
-            << " DGSCHED_THREADS, DGSCHED_SEED, DGSCHED_WORKSPACES, DGSCHED_BATCH,"
-            << " DGSCHED_WORLD_CACHE, DGSCHED_QUEUE,"
-            << " DGSCHED_PIPELINE, DGSCHED_SPECULATE;"
+            << " DGSCHED_THREADS, DGSCHED_SEED, DGSCHED_WORLD_CACHE, DGSCHED_SPECULATE;"
             << " paper fidelity: DGSCHED_TRE=0.025)\n\n";
 
   exp::ExperimentRunner runner(options);

@@ -102,13 +102,11 @@ void BM_ArenaWarmStart(benchmark::State& state) {
 }
 BENCHMARK(BM_ArenaWarmStart);
 
-template <typename Q>
 void BM_QueueHold(benchmark::State& state) {
   // Classic hold model at fixed depth: pop the minimum, push a successor a
   // pseudo-random offset past it. Steady-state queue population stays at
-  // range(0), so the depth sweep isolates how each backend's per-operation
-  // cost scales with pending-entry count (the 4-ary heap pays log4(depth)
-  // per pop; the calendar queue amortizes sorted-run refills).
+  // range(0), so the depth sweep isolates how the per-operation cost scales
+  // with pending-entry count (the 4-ary heap pays log4(depth) per pop).
   const auto depth = static_cast<std::size_t>(state.range(0));
   std::uint64_t mix = 0x9e3779b97f4a7c15ULL;
   auto next_offset = [&mix] {
@@ -118,7 +116,7 @@ void BM_QueueHold(benchmark::State& state) {
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return static_cast<double>((z ^ (z >> 31)) % 100000) / 10.0;
   };
-  Q queue;
+  dg::des::FourAryHeapQueue queue;
   std::uint64_t seq = 0;
   double now = 0.0;
   for (std::size_t i = 0; i < depth; ++i) {
@@ -135,10 +133,7 @@ void BM_QueueHold(benchmark::State& state) {
   benchmark::DoNotOptimize(queue.size());
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK_TEMPLATE(BM_QueueHold, dg::des::FourAryHeapQueue)
-    ->Arg(256)->Arg(4096)->Arg(65536);
-BENCHMARK_TEMPLATE(BM_QueueHold, dg::des::CalendarQueue)
-    ->Arg(256)->Arg(4096)->Arg(65536);
+BENCHMARK(BM_QueueHold)->Arg(256)->Arg(4096)->Arg(65536);
 
 void BM_Xoshiro256(benchmark::State& state) {
   dg::rng::Xoshiro256 gen(42);

@@ -68,11 +68,11 @@ struct PerfRecord {
   /// Execution-shape accounting (exp::ExecutionStats) for the runner suites;
   /// zero elsewhere. Summed across lanes (pool workers / worker processes):
   /// busy is time executing replications, stall is time waiting for
-  /// launchable work — the straggler/barrier penalty the pipelined hand-out
-  /// removes. Wall-clock derived, so not deterministic.
+  /// launchable work (straggler penalty). Wall-clock derived, so not
+  /// deterministic.
   double worker_busy_s = 0;
   double worker_stall_s = 0;
-  /// Speculation economics of the pipelined scheduler (deterministic for a
+  /// Speculation economics of the scheduler (deterministic for a
   /// given config): replications launched beyond commits, summaries folded,
   /// and speculative summaries discarded at a precision stop.
   std::uint64_t spec_launched = 0;

@@ -113,14 +113,13 @@ std::uint64_t kernel_handle_churn(std::size_t n) {
   return n;
 }
 
-std::uint64_t kernel_deep_hold(dg::des::QueueBackend backend, std::size_t depth,
-                               std::uint64_t rescheduling) {
+std::uint64_t kernel_deep_hold(std::size_t depth, std::uint64_t rescheduling) {
   // Hold model through the full kernel at a sustained queue depth: `depth`
   // self-rescheduling events, each firing schedules one successor a
   // pseudo-random delay ahead until `rescheduling` fires have happened, then
-  // the queue drains. This is the workload where backend choice matters —
-  // the shallow-queue suites above barely exercise heap ordering.
-  dg::des::Simulator sim(backend);
+  // the queue drains. The shallow-queue suites above barely exercise heap
+  // ordering; this one pays log4(depth) per pop.
+  dg::des::Simulator sim;
   std::uint64_t count = 0;
   std::uint64_t mix = 0x9e3779b97f4a7c15ULL;
   auto next_delay = [&mix] {
@@ -149,20 +148,14 @@ std::vector<PerfRecord> run_kernel_suite() {
                             kKernelReps, [] { return kernel_cancel_heavy(200000); }));
   records.push_back(best_of("kernel/handle_churn_500k", "500k schedule+cancel, 64-live window", 0,
                             kKernelReps, [] { return kernel_handle_churn(500000); }));
-  // Queue-backend sweep (PR 7): the same hold workload per backend at two
-  // sustained depths. Record names carry the backend so the perf gate diffs
-  // each backend against its own baseline.
-  for (const auto backend : {dg::des::QueueBackend::kHeap4, dg::des::QueueBackend::kCalendar}) {
-    const std::string suffix(dg::des::to_string(backend));
-    records.push_back(best_of("kernel/hold_4k/" + suffix,
-                              "1M fires at sustained depth 4096, backend " + suffix, 0,
-                              kKernelReps,
-                              [backend] { return kernel_deep_hold(backend, 4096, 1000000); }));
-    records.push_back(best_of("kernel/hold_64k/" + suffix,
-                              "1M fires at sustained depth 65536, backend " + suffix, 0,
-                              kKernelReps,
-                              [backend] { return kernel_deep_hold(backend, 65536, 1000000); }));
-  }
+  // The same hold workload at two sustained depths. The "/heap4" suffix
+  // keeps the record names matching their committed baselines.
+  records.push_back(best_of("kernel/hold_4k/heap4",
+                            "1M fires at sustained depth 4096", 0, kKernelReps,
+                            [] { return kernel_deep_hold(4096, 1000000); }));
+  records.push_back(best_of("kernel/hold_64k/heap4",
+                            "1M fires at sustained depth 65536", 0, kKernelReps,
+                            [] { return kernel_deep_hold(65536, 1000000); }));
   return records;
 }
 

@@ -1,14 +1,10 @@
 // Replication-throughput suite: emits BENCH_replications.json.
 //
-// Measures what the per-worker SimulationWorkspace path buys the experiment
-// runner: completed replications per wall-clock second over the Figure 1
-// cell matrix (scaled down via DGSCHED_BOTS), swept across pool thread
-// counts from 1 to hardware concurrency, for both runner paths —
-//
-//   baseline:  reuse_workspaces = false (historical fresh construction
-//              of arena/grid/bags every replication), and
-//   workspace: reuse_workspaces = true (per-worker reusable workspaces,
-//              batched job hand-out).
+// Measures the experiment runner end to end: completed replications per
+// wall-clock second over the Figure 1 cell matrix (scaled down via
+// DGSCHED_BOTS), swept across pool thread counts from 1 to hardware
+// concurrency (replication/throughput/workspace) and across worker-process
+// counts (replication/throughput/sharded).
 //
 // It also meters global operator-new calls per replication (this binary
 // installs the allocation interposer), both across each full sweep and for
@@ -66,17 +62,14 @@ void fill_exec_stats(PerfRecord& record, const dg::exp::ExecutionStats& stats) {
 }
 
 /// One timed runner sweep: fixed replication count per cell (no CI loop, so
-/// every path does identical work), returns (replications/s, allocs/rep).
-/// `name` distinguishes the replication path in the record:
-///   baseline   fresh construction per replication
-///   workspace  reusable workspaces
+/// every thread count does identical work), returns (replications/s,
+/// allocs/rep).
 PerfRecord timed_sweep(const std::vector<dg::exp::NamedConfig>& cells, std::size_t threads,
-                       std::size_t reps, bool reuse_workspaces, const char* name) {
+                       std::size_t reps) {
   dg::exp::RunOptions options;
   options.min_replications = reps;
   options.max_replications = reps;
   options.threads = threads;
-  options.reuse_workspaces = reuse_workspaces;
 
   const std::uint64_t allocs_before = allocs_now();
   Stopwatch timer;
@@ -93,7 +86,7 @@ PerfRecord timed_sweep(const std::vector<dg::exp::NamedConfig>& cells, std::size
   }
 
   PerfRecord record;
-  record.benchmark = std::string("replication/throughput/") + name;
+  record.benchmark = "replication/throughput/workspace";
   record.config = "fig1 cells x" + std::to_string(cells.size()) + ", bots=" +
                   std::to_string(cells.front().config.workload.num_bots) + ", reps=" +
                   std::to_string(reps);
@@ -113,19 +106,18 @@ PerfRecord timed_sweep(const std::vector<dg::exp::NamedConfig>& cells, std::size
 }
 
 /// The multi-round precision loop (min 2, max 4, unreachable CI target, so
-/// every cell runs to the cap and the barrier scheduler takes three rounds):
-/// the shape where barrier-synchronized hand-out pays its straggler tax and
-/// the pipelined scheduler doesn't. Threaded when `procs` == 0, sharded
-/// (each worker single-threaded) otherwise; results are bit-identical across
-/// all four combinations — only the wall clock moves.
+/// every cell runs to the cap): replications past the minimum are launched
+/// one commit at a time, so this is the shape where hand-out latency and
+/// straggler stall show. Threaded when `procs` == 0, sharded (each worker
+/// single-threaded) otherwise; results are bit-identical either way — only
+/// the wall clock moves.
 PerfRecord timed_rounds(const std::vector<dg::exp::NamedConfig>& cells, std::size_t threads,
-                        std::size_t procs, bool pipeline, const std::string& out_dir) {
+                        std::size_t procs, const std::string& out_dir) {
   dg::exp::RunOptions options;
   options.min_replications = 2;
   options.max_replications = 4;
   options.target_relative_error = 1e-9;  // unreachable: identical work per shape
   options.threads = procs == 0 ? threads : 1;
-  options.pipeline = pipeline;
   // Sharded records run with the pool; the opt-in cache is what uses it.
   if (procs > 0) options.world_cache_bytes = dg::grid::WorldCache::kDefaultBudgetBytes;
 
@@ -142,7 +134,7 @@ PerfRecord timed_rounds(const std::vector<dg::exp::NamedConfig>& cells, std::siz
       events += cell.events_executed;
     }
     fill_exec_stats(record, runner.exec_stats());
-    record.benchmark = std::string("replication/rounds/") + (pipeline ? "pipelined" : "barrier");
+    record.benchmark = "replication/rounds/pipelined";
     record.threads = threads;
   } else {
     dg::exp::ShardOptions shard;
@@ -158,8 +150,7 @@ PerfRecord timed_rounds(const std::vector<dg::exp::NamedConfig>& cells, std::siz
       events += cell.events_executed;
     }
     fill_exec_stats(record, runner.exec_stats());
-    record.benchmark =
-        std::string("replication/campaign/") + (pipeline ? "pipelined" : "barrier");
+    record.benchmark = "replication/campaign/pipelined";
     record.threads = 1;
     record.procs = procs;
     record.pool_hit_rate = runner.worker_cache_stats().pool_hit_rate();
@@ -234,9 +225,9 @@ PerfRecord timed_sharded_sweep(const std::vector<dg::exp::NamedConfig>& cells, s
   return record;
 }
 
-/// Steady-state allocations per replication through one warmed workspace
-/// (and, for contrast, fresh construction) on a single mid-size cell.
-std::vector<PerfRecord> steady_state_allocs() {
+/// Steady-state allocations per replication through one warmed workspace on
+/// a single mid-size cell.
+PerfRecord steady_state_allocs() {
   dg::sim::SimulationConfig config;
   config.grid = dg::grid::GridConfig::preset(dg::grid::Heterogeneity::kHom,
                                              dg::grid::AvailabilityLevel::kHigh);
@@ -246,44 +237,23 @@ std::vector<PerfRecord> steady_state_allocs() {
   config.seed = 7;
   constexpr int kMeasured = 5;
 
-  std::vector<PerfRecord> records;
-  {
-    dg::sim::SimulationWorkspace workspace;
-    (void)dg::sim::Simulation(config).run(workspace);  // warm
-    const std::uint64_t before = allocs_now();
-    Stopwatch timer;
-    for (int i = 0; i < kMeasured; ++i) (void)dg::sim::Simulation(config).run(workspace);
-    PerfRecord record;
-    record.benchmark = "replication/steady_allocs/workspace";
-    record.config = "HomHigh g=25000 bots=10, warmed, 5 reps";
-    record.seed = config.seed;
-    record.threads = 1;
-    record.wall_s = timer.seconds();
-    record.replications_per_sec = kMeasured / record.wall_s;
-    record.allocs_per_replication = static_cast<double>(allocs_now() - before) / kMeasured;
-    record.peak_rss_kb = dg::bench::peak_rss_kb();
-    records.push_back(record);
-  }
-  {
-    const std::uint64_t before = allocs_now();
-    Stopwatch timer;
-    for (int i = 0; i < kMeasured; ++i) (void)dg::sim::Simulation(config).run();
-    PerfRecord record;
-    record.benchmark = "replication/steady_allocs/baseline";
-    record.config = "HomHigh g=25000 bots=10, fresh construction, 5 reps";
-    record.seed = config.seed;
-    record.threads = 1;
-    record.wall_s = timer.seconds();
-    record.replications_per_sec = kMeasured / record.wall_s;
-    record.allocs_per_replication = static_cast<double>(allocs_now() - before) / kMeasured;
-    record.peak_rss_kb = dg::bench::peak_rss_kb();
-    records.push_back(record);
-  }
-  for (const PerfRecord& record : records) {
-    std::printf("  %-34s %10.1f allocs/rep  (%.2f s)\n", record.benchmark.c_str(),
-                record.allocs_per_replication, record.wall_s);
-  }
-  return records;
+  dg::sim::SimulationWorkspace workspace;
+  (void)dg::sim::Simulation(config).run(workspace);  // warm
+  const std::uint64_t before = allocs_now();
+  Stopwatch timer;
+  for (int i = 0; i < kMeasured; ++i) (void)dg::sim::Simulation(config).run(workspace);
+  PerfRecord record;
+  record.benchmark = "replication/steady_allocs/workspace";
+  record.config = "HomHigh g=25000 bots=10, warmed, 5 reps";
+  record.seed = config.seed;
+  record.threads = 1;
+  record.wall_s = timer.seconds();
+  record.replications_per_sec = kMeasured / record.wall_s;
+  record.allocs_per_replication = static_cast<double>(allocs_now() - before) / kMeasured;
+  record.peak_rss_kb = dg::bench::peak_rss_kb();
+  std::printf("  %-34s %10.1f allocs/rep  (%.2f s)\n", record.benchmark.c_str(),
+              record.allocs_per_replication, record.wall_s);
+  return record;
 }
 
 }  // namespace
@@ -308,8 +278,7 @@ int main(int argc, char** argv) {
 
   std::vector<PerfRecord> records;
   for (const std::size_t threads : thread_counts) {
-    records.push_back(timed_sweep(cells, threads, reps, /*reuse_workspaces=*/false, "baseline"));
-    records.push_back(timed_sweep(cells, threads, reps, /*reuse_workspaces=*/true, "workspace"));
+    records.push_back(timed_sweep(cells, threads, reps));
   }
 
   // Process-count axis (PR 9): the same campaign sharded across forked
@@ -327,19 +296,15 @@ int main(int argc, char** argv) {
     records.push_back(timed_sharded_sweep(cells, procs, reps, out_dir));
   }
 
-  // Pipelined-vs-barrier axis (PR 10): the multi-round precision loop where
-  // the barrier scheduler drains at every round boundary. Threaded at the
-  // top thread count, sharded across the process ladder; CI asserts the
-  // pipelined 4-process campaign is at least as fast as the barrier one.
-  std::cout << "pipelined vs barrier (multi-round precision loop):\n";
-  records.push_back(timed_rounds(cells, top, 0, /*pipeline=*/false, out_dir));
-  records.push_back(timed_rounds(cells, top, 0, /*pipeline=*/true, out_dir));
+  // The multi-round precision loop: threaded at the top thread count,
+  // sharded across the process ladder.
+  std::cout << "multi-round precision loop:\n";
+  records.push_back(timed_rounds(cells, top, 0, out_dir));
   for (const std::size_t procs : proc_counts) {
-    records.push_back(timed_rounds(cells, 1, procs, /*pipeline=*/false, out_dir));
-    records.push_back(timed_rounds(cells, 1, procs, /*pipeline=*/true, out_dir));
+    records.push_back(timed_rounds(cells, 1, procs, out_dir));
   }
 
-  for (PerfRecord& record : steady_state_allocs()) records.push_back(record);
+  records.push_back(steady_state_allocs());
 
   const std::string path = out_dir + "/BENCH_replications.json";
   std::ofstream os(path);

@@ -18,7 +18,7 @@
 //                              utilization): min / median / max / mean /
 //                              stddev / cv / max-over-min.
 //
-// Every output is bit-identical across DGSCHED_THREADS / DGSCHED_BATCH /
+// Every output is bit-identical across DGSCHED_THREADS / DGSCHED_PROCS /
 // DGSCHED_WORLD_CACHE — CI runs the smoke grid twice under different shapes
 // and diffs the files byte for byte.
 //

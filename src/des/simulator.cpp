@@ -13,23 +13,18 @@ EventHandle Simulator::schedule_at(SimTime time, std::function<void()> action) {
   DG_ASSERT(action != nullptr);
   const std::uint32_t slot = arena_->acquire(time, std::move(action));
   const std::uint32_t generation = arena_->generation(slot);
-  queue_push(QueueEntry{time, next_sequence_++, slot, generation});
+  queue_.push(QueueEntry{time, next_sequence_++, slot, generation});
   KernelStats& stats = arena_->stats_mut();
   ++stats.events_scheduled;
-  if (queue_size() > stats.heap_peak) stats.heap_peak = queue_size();
+  if (queue_.size() > stats.heap_peak) stats.heap_peak = queue_.size();
   return EventHandle{arena_, slot, generation};
 }
 
-void Simulator::set_queue_backend(QueueBackend backend) {
-  DG_ASSERT_MSG(queue_size() == 0, "queue backend can only change while the queue is empty");
-  backend_ = backend;
-}
-
 bool Simulator::queue_skip_stale() {
-  while (queue_size() != 0) {
-    const QueueEntry& entry = queue_top();
+  while (!queue_.empty()) {
+    const QueueEntry& entry = queue_.top();
     if (arena_->is_current(entry.slot, entry.generation)) return true;
-    queue_pop();
+    queue_.pop();
   }
   return false;
 }
@@ -37,8 +32,8 @@ bool Simulator::queue_skip_stale() {
 bool Simulator::step() {
   if (stopped_) return false;
   if (!queue_skip_stale()) return false;
-  const QueueEntry entry = queue_top();
-  queue_pop();
+  const QueueEntry entry = queue_.top();
+  queue_.pop();
   DG_ASSERT(entry.time >= now_);
   now_ = entry.time;
   ++arena_->stats_mut().events_fired;
@@ -56,7 +51,7 @@ void Simulator::run() {
 void Simulator::run_until(SimTime horizon) {
   DG_ASSERT(horizon >= now_);
   while (!stopped_ && queue_skip_stale()) {
-    if (queue_top().time > horizon) break;
+    if (queue_.top().time > horizon) break;
     step();
   }
   if (!stopped_ && now_ < horizon) now_ = horizon;

@@ -1,16 +1,12 @@
 // Sequential discrete-event simulation kernel.
 //
-// The pending-event set lives behind the EventQueuePolicy seam
-// (des/queue_policy.hpp): a cache-friendly 4-ary implicit heap by default,
-// or a calendar/ladder queue tuned for near-future-heavy event mixes —
-// selected per Simulator at construction (DGSCHED_QUEUE CMake/env knob) or
-// via set_queue_backend(). Entries are 24-byte PODs ordered by
-// (time, sequence) — ties break in scheduling order so runs are bitwise
-// deterministic on every backend — referencing recycled slots in a slab
-// arena (des/event.hpp), so the steady-state hot path — schedule, fire,
-// cancel — performs no heap allocation. The kernel is deliberately
-// single-threaded; parallelism in dgsched lives one level up, across
-// independent replications (see exp::ExperimentRunner).
+// The pending-event set is a cache-friendly 4-ary implicit heap
+// (des/queue_policy.hpp) of 24-byte PODs ordered by (time, sequence) — ties
+// break in scheduling order so runs are bitwise deterministic — referencing
+// recycled slots in a slab arena (des/event.hpp), so the steady-state hot
+// path — schedule, fire, cancel — performs no heap allocation. The kernel is
+// deliberately single-threaded; parallelism in dgsched lives one level up,
+// across independent replications (see exp::ExperimentRunner).
 #pragma once
 
 #include <cstdint>
@@ -26,15 +22,12 @@ namespace dg::des {
 ///
 /// Invariants: events fire in ascending (time, sequence) order; now() never
 /// goes backwards; an action may schedule/cancel freely, including at the
-/// current time (it runs after all already-queued same-time events). These
-/// hold identically on every queue backend — switching backends never
-/// changes a run's event sequence, only the cost of maintaining it.
+/// current time (it runs after all already-queued same-time events).
 /// Thread-safety: none — one Simulator per thread (replications each own a
 /// private Simulator; see util::ThreadPool).
 class Simulator {
  public:
-  explicit Simulator(QueueBackend backend = default_queue_backend())
-      : arena_(std::make_shared<detail::EventArena>()), backend_(backend) {}
+  Simulator() : arena_(std::make_shared<detail::EventArena>()) {}
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -69,13 +62,6 @@ class Simulator {
   /// Re-arms a stopped simulator so run()/run_until() can continue.
   void clear_stop() noexcept { stopped_ = false; }
 
-  /// The queue backend this simulator drives.
-  [[nodiscard]] QueueBackend queue_backend() const noexcept { return backend_; }
-  /// Switches the queue backend. Only valid while the queue is empty — on a
-  /// fresh simulator or right after reset() (sim::Simulation applies a
-  /// per-config backend override there).
-  void set_queue_backend(QueueBackend backend);
-
   /// Number of events executed so far (cancelled events are not counted).
   [[nodiscard]] std::uint64_t executed_events() const noexcept {
     return arena_->stats().events_fired;
@@ -99,49 +85,20 @@ class Simulator {
   /// after reset() is bit-identical to one on a fresh Simulator.
   void reset() noexcept {
     arena_->reset();
-    heap4_.clear();
-    calendar_.clear();
+    queue_.clear();
     now_ = 0.0;
     next_sequence_ = 0;
     stopped_ = false;
   }
 
  private:
-  // Backend dispatch: a predictable two-way branch per queue operation, kept
-  // inline so the run loop pays no indirect call. Both backends are members
-  // (the inactive one stays empty) so the equivalence suite can flip between
-  // them on one simulator across reset() boundaries.
-  void queue_push(const QueueEntry& entry) {
-    if (backend_ == QueueBackend::kCalendar) {
-      calendar_.push(entry);
-    } else {
-      heap4_.push(entry);
-    }
-  }
-  [[nodiscard]] const QueueEntry& queue_top() {
-    if (backend_ == QueueBackend::kCalendar) return calendar_.top();
-    return heap4_.top();
-  }
-  void queue_pop() {
-    if (backend_ == QueueBackend::kCalendar) {
-      calendar_.pop();
-    } else {
-      heap4_.pop();
-    }
-  }
-  /// Physical entry count (stale entries included — heap_peak is defined
-  /// over this).
-  [[nodiscard]] std::size_t queue_size() const noexcept {
-    return backend_ == QueueBackend::kCalendar ? calendar_.size() : heap4_.size();
-  }
-
   /// Drops stale entries from the front; returns false when the queue empties.
   bool queue_skip_stale();
 
   std::shared_ptr<detail::EventArena> arena_;
-  FourAryHeapQueue heap4_;
-  CalendarQueue calendar_;
-  QueueBackend backend_;
+  /// Physical entry count includes stale entries — heap_peak is defined
+  /// over it.
+  FourAryHeapQueue queue_;
   SimTime now_ = 0.0;
   std::uint64_t next_sequence_ = 0;
   bool stopped_ = false;

@@ -179,6 +179,8 @@ SeedSpreadReport seed_sensitivity(const sim::SimulationConfig& config, const Run
   // Per-seed slots are preallocated and each worker writes only its own, so
   // the fold below (ascending seed index) is bit-identical for any thread
   // count or completion order — the PR 6 five-shape pattern.
+  // Workspaces before the pool: jobs reference them, so the pool's
+  // destructor (which joins the workers) must run first.
   std::vector<std::unique_ptr<sim::SimulationWorkspace>> workspaces;
   util::ThreadPool pool(options.threads);
   workspaces.resize(pool.size());
@@ -186,25 +188,14 @@ SeedSpreadReport seed_sensitivity(const sim::SimulationConfig& config, const Run
   auto run_seed = [&](std::size_t index) {
     sim::SimulationConfig seed_config = config;
     seed_config.seed = rng::mix_seed(options.base_seed, index);
-    sim::Simulation simulation(std::move(seed_config));
-    sim::SimulationWorkspace* workspace = nullptr;
-    if (options.reuse_workspaces) {
-      const std::size_t worker = util::ThreadPool::current_worker_index();
-      if (worker < workspaces.size()) {
-        if (!workspaces[worker]) workspaces[worker] = std::make_unique<sim::SimulationWorkspace>();
-        workspace = workspaces[worker].get();
-      }
-    }
-    const auto record = [&](const sim::SimulationResult& result) {
-      report.p95[index] = result.turnaround_tail.quantile(0.95);
-      report.mean_turnaround[index] = result.turnaround.mean();
-      saturated[index] = result.saturated ? 1 : 0;
-    };
-    if (workspace != nullptr) {
-      record(simulation.run(*workspace));
-    } else {
-      record(simulation.run());
-    }
+    // Jobs only ever run on pool workers, so the index is in range.
+    std::unique_ptr<sim::SimulationWorkspace>& workspace =
+        workspaces[util::ThreadPool::current_worker_index()];
+    if (!workspace) workspace = std::make_unique<sim::SimulationWorkspace>();
+    const sim::SimulationResult& result = sim::Simulation(std::move(seed_config)).run(*workspace);
+    report.p95[index] = result.turnaround_tail.quantile(0.95);
+    report.mean_turnaround[index] = result.turnaround.mean();
+    saturated[index] = result.saturated ? 1 : 0;
   };
 
   std::vector<std::future<void>> futures;
@@ -261,7 +252,10 @@ CampaignOptions CampaignOptions::from_env(CampaignOptions defaults) {
       bad_env("DGSCHED_CAMPAIGN_GRID", *text, "\"full\" or \"smoke\"");
     }
   }
-  if (auto v = env_size("DGSCHED_ADVERSARY")) defaults.adversary = *v != 0;
+  if (auto text = env_string("DGSCHED_ADVERSARY")) {
+    if (*text != "0" && *text != "1") bad_env("DGSCHED_ADVERSARY", *text, "0 or 1");
+    defaults.adversary = *text == "1";
+  }
   return defaults;
 }
 

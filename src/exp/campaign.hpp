@@ -12,10 +12,10 @@
 // much of an observed "cliff" is stochastic luck.
 //
 // Everything here is deterministic: cell expansion order is fixed, the sweep
-// reuses exp::ExperimentRunner (post-barrier build-order folds), and the
+// reuses exp::ExperimentRunner (ordered per-cell commits), and the
 // seed-sensitivity fan-out writes into preallocated per-seed slots folded in
 // ascending seed index — results are bit-identical across DGSCHED_THREADS /
-// DGSCHED_BATCH / world-cache on-off.
+// DGSCHED_PROCS / world-cache on-off.
 #pragma once
 
 #include <cstdint>

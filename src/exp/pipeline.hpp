@@ -1,40 +1,35 @@
-// Barrier-free campaign scheduling: continuous hand-out + ordered commit.
+// Campaign scheduling: continuous hand-out + ordered commit.
 //
-// Both runners used to execute campaigns in barrier-synchronized rounds:
-// build every job of a round, run them all, fold after the barrier, decide
-// which cells continue. Every round's wall clock was its slowest straggler.
-// PipelineState replaces the round structure with a single state machine
-// shared by the threaded and sharded runners:
+// PipelineState is the single state machine shared by the threaded and
+// sharded runners. Jobs are handed out continuously, so no lane ever waits
+// at a round boundary for a straggler:
 //
 //  * A ready queue of launchable (cell, replication) jobs, largest expected
-//    cost first (FIFO ties) — the historical round hand-out order.
+//    cost first (FIFO ties).
 //  * A per-cell reorder buffer: completed summaries may arrive in any order,
 //    but each is folded only when every lower replication of ITS cell has
 //    committed. A CellResult's accumulators see exactly the sequential
 //    cell-major / ascending-replication fold sequence, so every mean, CI,
-//    and sketch stays bitwise-equal to the historical barrier fold — cells
-//    are independent accumulators, so cross-cell commit interleaving cannot
+//    and sketch is bitwise-equal to a sequential run — cells are
+//    independent accumulators, so cross-cell commit interleaving cannot
 //    change bits.
 //  * The precision decision (saturated / precise_enough / cap) runs at each
-//    per-cell commit k >= min_replications — the same k-sequence the round
-//    barrier evaluated, so replication counts are reproduced exactly.
+//    per-cell commit k >= min_replications, so replication counts do not
+//    depend on completion order.
 //  * Speculation: common-random-numbers seeding makes replication (c, k)
 //    deterministic regardless of execution shape, so up to
 //    RunOptions::speculate replications beyond the justified frontier are
 //    launched eagerly; a summary arriving for a cell that already stopped is
 //    discarded, and a discard cannot perturb results because it never folds.
-//  * RunOptions::pipeline = false keeps the historical barrier shape (jobs
-//    are extended only when the queue drains and nothing is in flight) for
-//    A/B comparison — results are bit-identical either way.
 //
 // Journaling: when a CampaignJournal is attached, records are appended in a
 // canonical round-structured order — round 0 is cell-major x ascending
 // replication over the first min_replications, round t >= 1 is replication
-// min+t-1 for every cell whose final count exceeds it — which is exactly the
-// order the historical barrier runner produced. A cursor walks that order
-// and emits each record the moment it is available, so journal bytes are
-// identical across barrier/pipelined execution, any speculation window, and
-// any worker/process count; a resumed journal is always a canonical prefix.
+// min+t-1 for every cell whose final count exceeds it. The order is a
+// persisted format (the one round-synchronized execution wrote). A cursor
+// walks it and emits each record the moment it is available, so journal
+// bytes are identical across any speculation window and any worker/process
+// count; a resumed journal is always a canonical prefix.
 #pragma once
 
 #include <cstdint>
@@ -107,8 +102,6 @@ class PipelineState {
   [[nodiscard]] std::size_t remaining_estimate() const noexcept {
     return ready_.size() + in_flight_;
   }
-  /// Jobs pushed by the latest barrier-mode refill (batch sizing).
-  [[nodiscard]] std::size_t round_size() const noexcept { return round_size_; }
 
   [[nodiscard]] std::uint64_t launched() const noexcept { return launched_; }
   [[nodiscard]] std::uint64_t committed() const noexcept { return committed_; }
@@ -123,8 +116,7 @@ class PipelineState {
     std::uint64_t seq = 0;
   };
   struct ReadyOrder {
-    // Max-heap on expected cost, FIFO ties — the historical cost-major round
-    // order.
+    // Max-heap on expected cost, FIFO ties: cost-major hand-out.
     bool operator()(const ReadyEntry& a, const ReadyEntry& b) const {
       if (a.cost != b.cost) return a.cost < b.cost;
       return a.seq > b.seq;
@@ -140,13 +132,11 @@ class PipelineState {
     std::map<std::size_t, ReplicationSummary> buffer;
   };
 
-  void push_range(std::size_t c, std::size_t to);
   void extend(std::size_t c);
   void decide(std::size_t c);
   void cascade(std::size_t c);
   void deliver_impl(std::size_t cell, std::size_t replication, ReplicationSummary&& summary,
                     bool from_recovery);
-  void maybe_refill();
   void prune_stale();
   [[nodiscard]] bool is_recovered(std::size_t c, std::size_t r) const {
     return recovered_set_.count({c, r}) != 0;
@@ -162,8 +152,6 @@ class PipelineState {
   std::set<std::pair<std::size_t, std::size_t>> recovered_set_;
   std::size_t stopped_cells_ = 0;
   std::size_t in_flight_ = 0;
-  std::size_t round_size_ = 0;
-  bool first_round_ = true;
   std::uint64_t seq_ = 0;
   std::uint64_t launched_ = 0;
   std::uint64_t committed_ = 0;

@@ -4,9 +4,9 @@
 // ShardedRunner — reduce one finished replication to this summary (scalars
 // plus copies of the tail sketches, so the worker never retains the full
 // SimulationResult whose buffers belong to a reused workspace), then fold
-// summaries into CellResults after the round barrier, in build order. The
-// fold sequence, not the execution schedule, is what makes results
-// bit-identical across threads, batch shapes, process counts, and
+// summaries into CellResults in per-cell replication order. The fold
+// sequence, not the execution schedule, is what makes results
+// bit-identical across threads, chunk shapes, process counts, and
 // kill/resume schedules — so the fold lives here, in exactly one place.
 //
 // serialize()/deserialize() move a summary across a process boundary (shard

@@ -1,12 +1,12 @@
 #include "exp/runner.hpp"
 
-#include <algorithm>
+#include <cctype>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdlib>
 #include <exception>
 #include <future>
-#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -35,13 +35,18 @@ void bad_env(const char* name, const std::string& text, const char* expected) {
 std::optional<double> env_double(const char* name) {
   const auto text = env_string(name);
   if (!text) return std::nullopt;
+  // std::stod skips leading whitespace and parses "nan"/"inf"; neither is a
+  // usable knob value.
+  if (std::isspace(static_cast<unsigned char>(text->front())) != 0) {
+    bad_env(name, *text, "a finite number");
+  }
   try {
     std::size_t consumed = 0;
     const double value = std::stod(*text, &consumed);
-    if (consumed != text->size()) bad_env(name, *text, "a number");
+    if (consumed != text->size() || !std::isfinite(value)) bad_env(name, *text, "a finite number");
     return value;
   } catch (const std::invalid_argument&) {
-    bad_env(name, *text, "a number");
+    bad_env(name, *text, "a finite number");
   } catch (const std::out_of_range&) {
     bad_env(name, *text, "a number in double range");
   }
@@ -50,14 +55,13 @@ std::optional<double> env_double(const char* name) {
 std::optional<std::size_t> env_size(const char* name) {
   const auto text = env_string(name);
   if (!text) return std::nullopt;
-  if (text->front() == '-') bad_env(name, *text, "a non-negative integer");
-  try {
-    std::size_t consumed = 0;
-    const unsigned long long value = std::stoull(*text, &consumed);
-    if (consumed != text->size()) bad_env(name, *text, "a non-negative integer");
-    return static_cast<std::size_t>(value);
-  } catch (const std::invalid_argument&) {
+  // Digits only: std::stoull would also skip whitespace and accept a sign
+  // (" -3" wraps to 2^64 - 3).
+  if (text->find_first_not_of("0123456789") != std::string::npos) {
     bad_env(name, *text, "a non-negative integer");
+  }
+  try {
+    return static_cast<std::size_t>(std::stoull(*text));
   } catch (const std::out_of_range&) {
     bad_env(name, *text, "a non-negative integer in range");
   }
@@ -69,16 +73,8 @@ RunOptions RunOptions::from_env(RunOptions defaults) {
   if (auto v = env_double("DGSCHED_TRE")) defaults.target_relative_error = *v;
   if (auto v = env_size("DGSCHED_THREADS")) defaults.threads = *v;
   if (auto v = env_size("DGSCHED_SEED")) defaults.base_seed = *v;
-  if (auto v = env_size("DGSCHED_WORKSPACES")) defaults.reuse_workspaces = *v != 0;
-  if (auto v = env_size("DGSCHED_BATCH")) defaults.batch_size = *v;
   if (auto v = env_size("DGSCHED_WORLD_CACHE")) defaults.world_cache_bytes = *v;
-  if (auto v = env_size("DGSCHED_PIPELINE")) defaults.pipeline = *v != 0;
   if (auto v = env_size("DGSCHED_SPECULATE")) defaults.speculate = *v;
-  if (auto text = env_string("DGSCHED_QUEUE")) {
-    const auto backend = des::parse_queue_backend(*text);
-    if (!backend.has_value()) bad_env("DGSCHED_QUEUE", *text, "\"heap4\" or \"calendar\"");
-    defaults.queue_backend = *backend;
-  }
   if (defaults.max_replications < defaults.min_replications) {
     defaults.max_replications = defaults.min_replications;
   }
@@ -103,17 +99,10 @@ std::vector<CellResult> ExperimentRunner::run(const std::vector<NamedConfig>& ce
   exec_stats_ = ExecutionStats{};
   if (cells.empty()) return results;
 
-  // Workspaces before the pool: jobs reference them, and the pool's
-  // destructor (which drains any still-queued jobs on an exceptional unwind)
-  // must run first.
-  std::vector<std::unique_ptr<sim::SimulationWorkspace>> workspaces;
   util::ThreadPool pool(options_.threads);
-  workspaces.resize(pool.size());
 
-  // Runs one replication on the calling pool worker, through that worker's
-  // lazily-created workspace (or fresh construction when reuse is off / the
-  // caller is not a pool thread), and writes its summary into `slot`.
-  auto run_one = [&](const PipelineJob& job, ReplicationSummary& slot) {
+  // Runs one replication through the calling lane's workspace.
+  auto run_one = [&](const PipelineJob& job, sim::SimulationWorkspace& workspace) {
     sim::SimulationConfig config = results[job.cell].config;
     // Seeds depend only on (base_seed, replication): common random numbers
     // across cells that differ only in scheduling policy.
@@ -121,31 +110,15 @@ std::vector<CellResult> ExperimentRunner::run(const std::vector<NamedConfig>& ce
     // Cells sharing a replication seed replay one cached world realization
     // (bit-identical to live sampling; null cache = live processes).
     config.world_cache = world_cache_;
-    if (options_.queue_backend.has_value()) config.queue_backend = options_.queue_backend;
-    sim::Simulation simulation(std::move(config));
-    sim::SimulationWorkspace* workspace = nullptr;
-    if (options_.reuse_workspaces) {
-      const std::size_t worker = util::ThreadPool::current_worker_index();
-      if (worker < workspaces.size()) {
-        if (!workspaces[worker]) {
-          workspaces[worker] = std::make_unique<sim::SimulationWorkspace>();
-        }
-        workspace = workspaces[worker].get();
-      }
-    }
-    slot = workspace != nullptr ? summarize(simulation.run(*workspace))
-                                : summarize(simulation.run());
+    return summarize(sim::Simulation(std::move(config)).run(workspace));
   };
 
-  // Barrier-free execution (exp/pipeline.hpp): PipelineState owns the ready
-  // queue, the per-cell reorder/commit buffers, the precision decisions, and
-  // the speculation window. pool.size() long-lived worker loops pull jobs
-  // and deliver summaries under one mutex; the fold itself happens inside
-  // deliver() in canonical per-cell order, so accumulator sequences are
-  // bitwise-equal to the historical round-barrier fold no matter which
-  // worker finishes when. With options_.pipeline off the state only grants
-  // new jobs once the queue drains and nothing is in flight — the historical
-  // round shape, kept for A/B comparison.
+  // PipelineState (exp/pipeline.hpp) owns the ready queue, the per-cell
+  // reorder/commit buffers, the precision decisions, and the speculation
+  // window. pool.size() long-lived worker loops pull jobs and deliver
+  // summaries under one mutex; the fold itself happens inside deliver() in
+  // canonical per-cell order, so accumulator sequences are bitwise-equal to
+  // a sequential run no matter which worker finishes when.
   PipelineState state(options_, results, nullptr);
   state.start();
 
@@ -160,6 +133,7 @@ std::vector<CellResult> ExperimentRunner::run(const std::vector<NamedConfig>& ce
 
   auto worker_loop = [&] {
     const std::size_t lane = util::ThreadPool::current_worker_index();
+    sim::SimulationWorkspace workspace;
     WorkerLaneStats local;
     std::unique_lock<std::mutex> lock(mutex);
     for (;;) {
@@ -169,41 +143,27 @@ std::vector<CellResult> ExperimentRunner::run(const std::vector<NamedConfig>& ce
         local.stall_s += seconds_since(wait_start);
       }
       if (error || state.finished()) break;
-      // Pipelined hand-out takes one job at a time — workers return for more
-      // the moment they finish, so there is nothing to balance. The barrier
-      // shape keeps the historical round batching.
-      std::size_t target = 1;
-      if (options_.batch_size > 0) {
-        target = options_.batch_size;
-      } else if (!options_.pipeline) {
-        target = std::max<std::size_t>(1, state.round_size() / (pool.size() * 4));
-      }
-      std::vector<PipelineJob> chunk = state.pop_chunk(target);
-      if (chunk.empty()) continue;
+      // One job at a time: a lane returns for more the moment it finishes,
+      // so there is nothing to balance.
+      const std::vector<PipelineJob> popped = state.pop_chunk(1);
+      if (popped.empty()) continue;
+      const PipelineJob job = popped.front();
       lock.unlock();
-      std::exception_ptr failure;
-      for (const PipelineJob& job : chunk) {
-        ReplicationSummary summary;
-        try {
-          const auto job_start = std::chrono::steady_clock::now();
-          run_one(job, summary);
-          local.busy_s += seconds_since(job_start);
-          ++local.jobs;
-        } catch (...) {
-          failure = std::current_exception();
-          break;
-        }
+      ReplicationSummary summary;
+      try {
+        const auto job_start = std::chrono::steady_clock::now();
+        summary = run_one(job, workspace);
+        local.busy_s += seconds_since(job_start);
+        ++local.jobs;
+      } catch (...) {
         lock.lock();
-        state.deliver(job.cell, job.replication, std::move(summary));
-        if (state.has_ready() || state.finished()) ready_cv.notify_all();
-        lock.unlock();
-      }
-      lock.lock();
-      if (failure) {
-        if (!error) error = failure;
+        if (!error) error = std::current_exception();
         ready_cv.notify_all();
         break;
       }
+      lock.lock();
+      state.deliver(job.cell, job.replication, std::move(summary));
+      if (state.has_ready() || state.finished()) ready_cv.notify_all();
     }
     lanes[lane] = local;  // lock is held on every break path
   };

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "des/queue_policy.hpp"
 #include "grid/world_cache.hpp"
 #include "sim/simulation.hpp"
 #include "stats/confidence.hpp"
@@ -31,15 +30,6 @@ struct RunOptions {
   std::uint64_t base_seed = 0x5eedULL;
   /// 0 = hardware concurrency.
   std::size_t threads = 0;
-  /// Run replications through one reusable sim::SimulationWorkspace per pool
-  /// worker (the zero-allocation path; see sim/workspace.hpp). Off =
-  /// historical fresh-construction per replication. Either way the results
-  /// are bit-identical.
-  bool reuse_workspaces = true;
-  /// Replications per submitted pool job; 0 = auto (about four jobs per
-  /// worker per round). Batching amortizes queue/future overhead without
-  /// hurting balance — jobs are handed out largest-expected-cost first.
-  std::size_t batch_size = 0;
   /// Budget (bytes) of the shared world-realization cache: each replication
   /// seed's availability / server-fault timelines are synthesized once and
   /// replayed in every policy cell sharing that seed (bit-identical; see
@@ -47,26 +37,17 @@ struct RunOptions {
   /// replication samples its processes live, which measured no slower and
   /// holds no worlds in memory.
   std::size_t world_cache_bytes = 0;
-  /// DES event-queue backend forced on every cell; nullopt keeps each cell's
-  /// own setting (usually the DGSCHED_QUEUE CMake/env default). Backends are
-  /// bit-identical (see des/queue_policy.hpp).
-  std::optional<des::QueueBackend> queue_backend;
-  /// Barrier-free execution (see exp/pipeline.hpp): jobs are handed out
-  /// continuously and each summary folds the moment its per-cell
-  /// predecessors have committed, so workers never drain-and-wait at a
-  /// round boundary. Off = the historical barrier-synchronized rounds.
-  /// Results, artifacts, and journal bytes are bit-identical either way.
-  bool pipeline = true;
   /// Replications launched beyond each cell's justified precision frontier
-  /// (pipelined mode only; 0 disables). Common-random-numbers seeding makes
-  /// replication (cell, k) deterministic regardless of execution shape, so
-  /// summaries for cells that prove precise first are simply discarded —
-  /// speculation trades wasted work for never idling at a precision check.
+  /// (0 disables). Common-random-numbers seeding makes replication (cell, k)
+  /// deterministic regardless of execution shape, so summaries for cells
+  /// that prove precise first are simply discarded — speculation trades
+  /// wasted work for never idling at a precision check.
   std::size_t speculate = 1;
 
-  /// Reads DGSCHED_{MIN_REPS,MAX_REPS,TRE,THREADS,SEED,WORKSPACES,BATCH,
-  /// WORLD_CACHE,QUEUE,PIPELINE,SPECULATE} overrides. Malformed
-  /// values raise std::invalid_argument naming the offending variable.
+  /// Reads DGSCHED_{MIN_REPS,MAX_REPS,TRE,THREADS,SEED,WORLD_CACHE,SPECULATE}
+  /// overrides. Integers must be plain decimal digits and the TRE a finite
+  /// number; malformed values raise std::invalid_argument naming the
+  /// offending variable.
   [[nodiscard]] static RunOptions from_env(RunOptions defaults);
   [[nodiscard]] static RunOptions from_env() { return from_env(RunOptions{}); }
 };
@@ -91,8 +72,8 @@ struct NamedConfig {
 
 /// Wall-clock accounting for one execution lane (a pool worker thread, or a
 /// sharded worker process). busy_s is time spent executing replications;
-/// stall_s is time spent waiting for launchable work (the straggler/barrier
-/// penalty the pipelined scheduler removes). For sharded workers busy_s is
+/// stall_s is time spent waiting for launchable work (the straggler
+/// penalty). For sharded workers busy_s is
 /// self-reported and stall_s is derived as wall - busy (it includes protocol
 /// overhead, not just idleness).
 struct WorkerLaneStats {
@@ -136,7 +117,7 @@ struct CellResult {
   stats::OnlineStats lost_work;
   /// Merged tail sketches across the cell's replications (exact bucket-count
   /// addition, so the merged p50/p95/p99 are bit-identical regardless of
-  /// thread count or batch shape — see docs/METRICS.md). The turnaround /
+  /// execution shape — see docs/METRICS.md). The turnaround /
   /// slowdown sketches pool every measured bag of every replication; the gap
   /// sketch pools every completion gap.
   stats::QuantileSketch turnaround_tail;
@@ -165,13 +146,13 @@ struct CellResult {
 /// Thread-safety: run() is internally parallel (replications fan out over a
 /// util::ThreadPool of options().threads workers, each running jobs through
 /// its private SimulationWorkspace) but the runner itself is not re-entrant
-/// — one run() at a time per instance. Scheduling is barrier-free (see
-/// exp/pipeline.hpp): workers pull jobs from a shared PipelineState and
+/// — one run() at a time per instance. Workers pull one job at a time from
+/// a shared PipelineState (exp/pipeline.hpp) and
 /// deliver summaries into its per-cell reorder buffers under one mutex; each
 /// summary folds the moment its per-cell predecessors have committed, in
 /// cell order / ascending replication order — the exact accumulator
 /// sequences of a sequential run, regardless of worker completion order,
-/// speculation window, batch shape, or thread count.
+/// speculation window, or thread count.
 class ExperimentRunner {
  public:
   explicit ExperimentRunner(RunOptions options)

@@ -142,7 +142,7 @@ struct MsgHeader {
         world_cache->attach_pool(std::make_shared<grid::WorldPool>(pool_dir));
       }
     }
-    std::unique_ptr<sim::SimulationWorkspace> workspace;
+    sim::SimulationWorkspace workspace;
     std::size_t jobs_run = 0;
     std::uint64_t busy_ns = 0;
 
@@ -190,16 +190,9 @@ struct MsgHeader {
         // numbers across cells — identical to the threaded runner.
         config.seed = rng::mix_seed(options.base_seed, replication);
         config.world_cache = world_cache;
-        if (options.queue_backend.has_value()) config.queue_backend = options.queue_backend;
-        sim::Simulation simulation(std::move(config));
-        ReplicationSummary summary;
         const auto job_start = std::chrono::steady_clock::now();
-        if (options.reuse_workspaces) {
-          if (!workspace) workspace = std::make_unique<sim::SimulationWorkspace>();
-          summary = summarize(simulation.run(*workspace));
-        } else {
-          summary = summarize(simulation.run());
-        }
+        const ReplicationSummary summary =
+            summarize(sim::Simulation(std::move(config)).run(workspace));
         busy_ns += static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                                   std::chrono::steady_clock::now() - job_start)
                                                   .count());
@@ -239,11 +232,13 @@ ShardOptions ShardOptions::from_env(ShardOptions defaults) {
   if (auto v = env_size("DGSCHED_PROCS")) defaults.procs = *v;
   if (auto v = env_string("DGSCHED_JOURNAL")) defaults.journal_path = *v;
   if (auto v = env_string("DGSCHED_POOL")) defaults.pool_dir = *v;
-  if (auto v = env_size("DGSCHED_JOURNAL_FSYNC")) defaults.fsync_journal = *v != 0;
   if (auto v = env_size("DGSCHED_SHARD_ABORT_AFTER")) defaults.abort_after_appends = *v;
   if (auto text = env_string("DGSCHED_SHARD_SELF_KILL")) {
     const std::size_t colon = text->find(':');
-    bool ok = colon != std::string::npos && colon > 0 && colon + 1 < text->size();
+    // Digits and one colon only: std::stoull would also skip whitespace and
+    // accept a sign.
+    bool ok = colon != std::string::npos && colon > 0 && colon + 1 < text->size() &&
+              text->find_first_not_of("0123456789:") == std::string::npos;
     if (ok) {
       try {
         std::size_t used_a = 0;
@@ -334,9 +329,8 @@ std::vector<CellResult> ShardedRunner::run(const std::vector<NamedConfig>& cells
   // Per-worker shared-memory rings (created lazily at first spawn — always
   // before that worker's fork, so every incarnation inherits the mapping)
   // and their coordinator-side free-slot lists. Sized for two max-size
-  // chunks (a worker holds at most two); an exhausted free list (a fixed
-  // batch_size or a barrier-round batch above the cap) just degrades that
-  // job to inline socket transport.
+  // chunks (a worker holds at most two), so every job gets a slot; were the
+  // free list ever empty, the job would fall back to inline socket bytes.
   const std::size_t ring_slots = 2 * kChunkCap;
   const std::size_t ring_capacity = ring_payload_capacity();
   std::vector<std::unique_ptr<util::ShmRing>> rings(procs);
@@ -410,23 +404,17 @@ std::vector<CellResult> ShardedRunner::run(const std::vector<NamedConfig>& cells
     }
   };
 
-  // Chunk size: fixed when requested; in barrier mode the historical
-  // round-proportional batch; pipelined, proportional to remaining work so
-  // chunks shrink toward the campaign drain and the last stragglers are
-  // single replications (no worker holds a queue of jobs another could run).
+  // Chunk size is proportional to remaining work, so chunks shrink toward
+  // the campaign drain and the last stragglers are single replications (no
+  // worker holds a queue of jobs another could run).
   const auto chunk_target = [&]() -> std::size_t {
-    if (options_.batch_size > 0) return options_.batch_size;
-    if (!options_.pipeline) {
-      return std::max<std::size_t>(1, state.round_size() / (procs * 4));
-    }
     return std::min(kChunkCap,
                     std::max<std::size_t>(1, state.remaining_estimate() / (procs * 4)));
   };
-  // Pipelined workers are double-buffered: the next chunk is already queued
-  // on the socket while the current one runs, so finishing a chunk never
-  // leaves a worker idle waiting on coordinator latency. Barrier mode keeps
-  // the historical one-chunk-at-a-time shape.
-  const std::size_t max_outstanding = options_.pipeline ? 2 : 1;
+  // Workers are double-buffered: the next chunk is already queued on the
+  // socket while the current one runs, so finishing a chunk never leaves a
+  // worker idle waiting on coordinator latency.
+  constexpr std::size_t max_outstanding = 2;
   std::uint64_t next_chunk_id = 0;
 
   std::vector<std::uint8_t> wire;
@@ -524,7 +512,7 @@ std::vector<CellResult> ShardedRunner::run(const std::vector<NamedConfig>& cells
       }
       state.deliver(cell, replication, std::move(summary));
     }
-    if (journal && shard_.fsync_journal) journal->sync();
+    if (journal) journal->sync();
   };
 
   while (!state.finished() || any_outstanding()) {

@@ -12,11 +12,9 @@
 // ordered per-cell commit — the exact fold sequence of the threaded runner —
 // so the merged CellResults are bit-identical to a single-process run for
 // ANY worker count, chunk shape, speculation window, worker-death schedule,
-// or kill/resume point. With RunOptions::pipeline on (the default), chunks
-// are double-buffered per worker (a new chunk is assigned while the previous
-// one runs) and chunk sizes shrink toward the campaign drain so the final
-// stragglers are single replications; pipeline off reproduces the historical
-// barrier rounds.
+// or kill/resume point. Chunks are double-buffered per worker (a new chunk
+// is assigned while the previous one runs) and chunk sizes shrink toward the
+// campaign drain so the final stragglers are single replications.
 //
 // Result transport: summaries carry multiple 768-bucket u64 quantile
 // sketches — tens of KB each — so they travel through a per-worker
@@ -68,9 +66,6 @@ struct ShardOptions {
   /// mmap world-pool directory shared by the workers' world caches (unused
   /// while RunOptions::world_cache_bytes is 0); empty = no pool.
   std::string pool_dir;
-  /// fsync the journal after every received chunk (the durability the resume
-  /// contract assumes). Off trades crash-window durability for speed.
-  bool fsync_journal = true;
 
   // Failure-injection hooks for the kill/resume tests and the shard-smoke CI
   // job. Both default off.
@@ -84,9 +79,8 @@ struct ShardOptions {
   std::size_t self_kill_jobs = 0;
 
   /// Reads DGSCHED_PROCS, DGSCHED_JOURNAL (path), DGSCHED_POOL (directory),
-  /// DGSCHED_JOURNAL_FSYNC (0 disables), DGSCHED_SHARD_ABORT_AFTER (count),
-  /// and DGSCHED_SHARD_SELF_KILL ("worker:jobs"). Same conventions as
-  /// RunOptions::from_env.
+  /// DGSCHED_SHARD_ABORT_AFTER (count), and DGSCHED_SHARD_SELF_KILL
+  /// ("worker:jobs"). Same conventions as RunOptions::from_env.
   [[nodiscard]] static ShardOptions from_env(ShardOptions defaults);
   [[nodiscard]] static ShardOptions from_env() { return from_env(ShardOptions{}); }
 };

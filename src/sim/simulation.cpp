@@ -96,10 +96,6 @@ const SimulationResult& Simulation::run(SimulationWorkspace& workspace,
                                         SimulationObserver* observer) {
   workspace.begin_replication();
   des::Simulator& sim = workspace.simulator();
-  // The queue is empty right after begin_replication(), so a per-config
-  // backend override can be applied here; results are bit-identical either
-  // way (see des/queue_policy.hpp).
-  if (config_.queue_backend.has_value()) sim.set_queue_backend(*config_.queue_backend);
   std::pmr::memory_resource* const mem = workspace.resource();
   // Results are assembled in place in the workspace (monitor samples and
   // tail-sketch columns stream into it during the run); begin_replication()

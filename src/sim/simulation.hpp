@@ -11,12 +11,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "des/event.hpp"
-#include "des/queue_policy.hpp"
 #include "grid/desktop_grid.hpp"
 #include "grid/trace.hpp"
 #include "grid/world_cache.hpp"
@@ -81,12 +79,6 @@ struct SimulationConfig {
   /// Sampling period of the queue monitor (active bags / busy machines time
   /// series); 0 = auto (~512 samples across the horizon).
   double monitor_interval = 0.0;
-
-  /// DES event-queue backend for this run; nullopt keeps whatever the
-  /// simulator (or workspace) was constructed with — the DGSCHED_QUEUE
-  /// CMake/env default. Backends are bit-identical (see
-  /// des/queue_policy.hpp); this only trades queue-maintenance cost.
-  std::optional<des::QueueBackend> queue_backend;
 
   /// Test hook: wraps the freshly constructed bag-selection policy before
   /// the scheduler takes ownership — e.g. in a decorator asserting select()

@@ -91,7 +91,8 @@ class ByteReader {
  private:
   void copy(void* dest, std::size_t bytes) {
     if (remaining() < bytes) throw std::runtime_error("ByteReader: truncated input");
-    std::memcpy(dest, cur_, bytes);
+    // An empty array's dest may be null, and memcpy's pointers must not be.
+    if (bytes != 0) std::memcpy(dest, cur_, bytes);
     cur_ += bytes;
   }
 

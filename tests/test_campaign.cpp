@@ -138,7 +138,6 @@ TEST(Campaign, RowsAreBitIdenticalAcrossExecutionShapes) {
   {
     RunOptions o = tiny_options();
     o.threads = 4;
-    o.batch_size = 1;
     shapes.push_back(o);
   }
   {
@@ -148,7 +147,8 @@ TEST(Campaign, RowsAreBitIdenticalAcrossExecutionShapes) {
   }
   {
     RunOptions o = tiny_options();
-    o.reuse_workspaces = false;
+    o.threads = 1;
+    o.speculate = 0;
     shapes.push_back(o);
   }
   for (std::size_t s = 0; s < shapes.size(); ++s) {
@@ -193,11 +193,6 @@ TEST(Campaign, SeedSpreadIsDeterministicAcrossThreadCounts) {
     EXPECT_EQ(report.p95_stddev, reference.p95_stddev);
     EXPECT_EQ(report.saturated_seeds, reference.saturated_seeds);
   }
-  // Fresh-construction path agrees with the reusable-workspace path.
-  RunOptions fresh = options;
-  fresh.reuse_workspaces = false;
-  EXPECT_EQ(seed_sensitivity(config, fresh, 5).p95, reference.p95);
-
   EXPECT_THROW((void)seed_sensitivity(config, options, 1), std::invalid_argument);
 }
 
@@ -230,8 +225,19 @@ TEST(CampaignOptions, FromEnvParsesAndValidates) {
   ASSERT_EQ(setenv("DGSCHED_CAMPAIGN_GRID", "banana", 1), 0);
   EXPECT_THROW((void)CampaignOptions::from_env(), std::invalid_argument);
   ASSERT_EQ(setenv("DGSCHED_CAMPAIGN_GRID", "smoke", 1), 0);
-  ASSERT_EQ(setenv("DGSCHED_ADVERSARY", "nope", 1), 0);
-  EXPECT_THROW((void)CampaignOptions::from_env(), std::invalid_argument);
+  // The adversary switch is exactly 0 or 1; anything else is a typo, not "on".
+  for (const char* bad : {"nope", "7", "2", " 1", "01"}) {
+    SCOPED_TRACE(bad);
+    ASSERT_EQ(setenv("DGSCHED_ADVERSARY", bad, 1), 0);
+    EXPECT_THROW((void)CampaignOptions::from_env(), std::invalid_argument);
+  }
+  // Seed counts are plain digits: no sign, no whitespace.
+  ASSERT_EQ(setenv("DGSCHED_ADVERSARY", "1", 1), 0);
+  for (const char* bad : {"+8", " 8", "8 ", "-8"}) {
+    SCOPED_TRACE(bad);
+    ASSERT_EQ(setenv("DGSCHED_CAMPAIGN_SEEDS", bad, 1), 0);
+    EXPECT_THROW((void)CampaignOptions::from_env(), std::invalid_argument);
+  }
 
   ASSERT_EQ(unsetenv("DGSCHED_CAMPAIGN_SEEDS"), 0);
   ASSERT_EQ(unsetenv("DGSCHED_CAMPAIGN_GRID"), 0);

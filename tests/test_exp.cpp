@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -10,6 +11,8 @@
 #include "exp/paper.hpp"
 #include "exp/pipeline.hpp"
 #include "exp/runner.hpp"
+#include "rng/splitmix64.hpp"
+#include "sim/workspace.hpp"
 
 namespace dg::exp {
 namespace {
@@ -22,6 +25,47 @@ sim::SimulationConfig tiny_config(sched::PolicyKind policy, std::size_t num_bots
       sim::make_paper_workload(config.grid, 25000.0, workload::Intensity::kLow, num_bots);
   config.policy = policy;
   return config;
+}
+
+// Drives PipelineState the way the sharded coordinator does: jobs are handed
+// out in batches of up to `batch`, run on one lane, and each batch's
+// summaries are delivered in reverse, so completion order differs from
+// hand-out order.
+std::vector<CellResult> run_batched(const RunOptions& options,
+                                    const std::vector<NamedConfig>& cells, std::size_t batch) {
+  std::vector<CellResult> results;
+  for (const NamedConfig& cell : cells) {
+    CellResult result;
+    result.label = cell.label;
+    result.config = cell.config;
+    result.turnaround = stats::ReplicationAnalyzer(options.ci_level, options.target_relative_error,
+                                                   options.min_replications);
+    results.push_back(std::move(result));
+  }
+  const auto world_cache = options.world_cache_bytes > 0
+                               ? std::make_shared<grid::WorldCache>(options.world_cache_bytes)
+                               : nullptr;
+  PipelineState state(options, results, nullptr);
+  state.start();
+  sim::SimulationWorkspace workspace;
+  while (!state.finished()) {
+    const std::vector<PipelineJob> jobs = state.pop_chunk(batch);
+    if (jobs.empty()) {
+      ADD_FAILURE() << "pipeline stalled with nothing in flight";
+      break;
+    }
+    std::vector<ReplicationSummary> summaries;
+    for (const PipelineJob& job : jobs) {
+      sim::SimulationConfig config = results[job.cell].config;
+      config.seed = rng::mix_seed(options.base_seed, job.replication);
+      config.world_cache = world_cache;
+      summaries.push_back(summarize(sim::Simulation(std::move(config)).run(workspace)));
+    }
+    for (std::size_t i = jobs.size(); i-- > 0;) {
+      state.deliver(jobs[i].cell, jobs[i].replication, std::move(summaries[i]));
+    }
+  }
+  return results;
 }
 
 TEST(ExperimentRunner, RunsMinimumReplications) {
@@ -108,53 +152,27 @@ TEST(ExperimentRunner, SaturatedCellStopsAtMinimumAndIsCounted) {
   EXPECT_TRUE(results[0].saturated());
 }
 
-TEST(ExperimentRunner, WorkspacePathMatchesFreshPath) {
-  const std::vector<NamedConfig> cells = {{"a", tiny_config(sched::PolicyKind::kFcfsShare)},
-                                          {"b", tiny_config(sched::PolicyKind::kLongIdle, 6)}};
-  RunOptions options;
-  options.min_replications = 3;
-  options.max_replications = 6;
-  options.target_relative_error = 0.2;
-  options.threads = 2;
-
-  options.reuse_workspaces = true;
-  const auto reused = ExperimentRunner(options).run(cells);
-  options.reuse_workspaces = false;
-  const auto fresh = ExperimentRunner(options).run(cells);
-
-  ASSERT_EQ(reused.size(), fresh.size());
-  for (std::size_t i = 0; i < reused.size(); ++i) {
-    EXPECT_EQ(reused[i].replications, fresh[i].replications);
-    EXPECT_EQ(reused[i].turnaround.stats().mean(), fresh[i].turnaround.stats().mean());
-    EXPECT_EQ(reused[i].turnaround.stats().variance(), fresh[i].turnaround.stats().variance());
-    EXPECT_EQ(reused[i].waiting.mean(), fresh[i].waiting.mean());
-    EXPECT_EQ(reused[i].makespan.mean(), fresh[i].makespan.mean());
-    EXPECT_EQ(reused[i].utilization.mean(), fresh[i].utilization.mean());
-    EXPECT_EQ(reused[i].decayed_utilization.mean(), fresh[i].decayed_utilization.mean());
-    EXPECT_EQ(reused[i].wasted_fraction.mean(), fresh[i].wasted_fraction.mean());
-    EXPECT_EQ(reused[i].saturated_replications, fresh[i].saturated_replications);
-    EXPECT_EQ(reused[i].turnaround_tail.quantile(0.99), fresh[i].turnaround_tail.quantile(0.99));
-    EXPECT_EQ(reused[i].slowdown_tail.quantile(0.99), fresh[i].slowdown_tail.quantile(0.99));
-  }
-}
-
 TEST(ExperimentRunner, BatchShapeDoesNotChangeResults) {
+  // The hand-out batch (the sharded coordinator's chunk) must not change
+  // results: one-job batches and batches bigger than a cell's whole minimum
+  // fold exactly what the threaded runner's one-job pops fold.
   const std::vector<NamedConfig> cells = {{"a", tiny_config(sched::PolicyKind::kFcfsShare)},
                                           {"b", tiny_config(sched::PolicyKind::kRoundRobin)}};
   RunOptions options;
   options.min_replications = 4;
   options.max_replications = 4;
   options.threads = 3;
+  const auto threaded = ExperimentRunner(options).run(cells);
 
-  options.batch_size = 1;
-  const auto fine = ExperimentRunner(options).run(cells);
-  options.batch_size = 7;  // bigger than a whole round
-  const auto coarse = ExperimentRunner(options).run(cells);
-
-  ASSERT_EQ(fine.size(), coarse.size());
-  for (std::size_t i = 0; i < fine.size(); ++i) {
-    EXPECT_EQ(fine[i].turnaround.stats().mean(), coarse[i].turnaround.stats().mean());
-    EXPECT_EQ(fine[i].replications, coarse[i].replications);
+  for (const std::size_t batch : {std::size_t{1}, std::size_t{7}}) {
+    const auto batched = run_batched(options, cells, batch);
+    ASSERT_EQ(batched.size(), threaded.size());
+    for (std::size_t i = 0; i < threaded.size(); ++i) {
+      EXPECT_EQ(batched[i].turnaround.stats().mean(), threaded[i].turnaround.stats().mean())
+          << "batch " << batch << " cell " << i;
+      EXPECT_EQ(batched[i].replications, threaded[i].replications)
+          << "batch " << batch << " cell " << i;
+    }
   }
 }
 
@@ -181,8 +199,8 @@ TEST(ExperimentRunner, CellTailSketchesPoolEveryMeasuredBag) {
 TEST(ExperimentRunner, MergedTailsBitIdenticalAcrossThreadsBatchAndWorldCache) {
   // The fold-in-build-order contract extended to the tail sketches: exact
   // integer bucket merges make the cell-level p50/p95/p99 identical across
-  // thread counts, batch shapes, and the world cache on/off — on a volatile
-  // grid where the cache actually replays realizations.
+  // thread counts, hand-out batch sizes, and the world cache on/off — on a
+  // volatile grid where the cache actually replays realizations.
   sim::SimulationConfig volatile_config = tiny_config(sched::PolicyKind::kRoundRobin);
   volatile_config.grid =
       grid::GridConfig::preset(grid::Heterogeneity::kHom, grid::AvailabilityLevel::kLow);
@@ -193,14 +211,16 @@ TEST(ExperimentRunner, MergedTailsBitIdenticalAcrossThreadsBatchAndWorldCache) {
 
   struct Variant {
     std::size_t threads;
-    std::size_t batch;
+    std::size_t batch;  ///< 0: threaded runner; otherwise run_batched's batch size
     std::size_t cache_bytes;
   };
-  const Variant variants[] = {{1, 1, 0},
-                              {3, 1, 0},
-                              {3, 5, 0},
-                              {1, 1, grid::WorldCache::kDefaultBudgetBytes},
-                              {4, 2, grid::WorldCache::kDefaultBudgetBytes}};
+  const Variant variants[] = {{1, 0, 0},
+                              {2, 0, 0},
+                              {3, 0, 0},
+                              {1, 5, 0},
+                              {1, 0, grid::WorldCache::kDefaultBudgetBytes},
+                              {4, 0, grid::WorldCache::kDefaultBudgetBytes},
+                              {1, 2, grid::WorldCache::kDefaultBudgetBytes}};
 
   std::vector<std::vector<CellResult>> runs;
   for (const Variant& variant : variants) {
@@ -208,9 +228,9 @@ TEST(ExperimentRunner, MergedTailsBitIdenticalAcrossThreadsBatchAndWorldCache) {
     options.min_replications = 3;
     options.max_replications = 3;
     options.threads = variant.threads;
-    options.batch_size = variant.batch;
     options.world_cache_bytes = variant.cache_bytes;
-    runs.push_back(ExperimentRunner(options).run(cells));
+    runs.push_back(variant.batch == 0 ? ExperimentRunner(options).run(cells)
+                                      : run_batched(options, cells, variant.batch));
   }
 
   const std::vector<CellResult>& reference = runs.front();
@@ -259,17 +279,6 @@ TEST(RunOptions, MaxClampedToMin) {
   ::unsetenv("DGSCHED_MAX_REPS");
 }
 
-TEST(RunOptions, WorkspaceAndBatchEnvOverrides) {
-  ::setenv("DGSCHED_WORKSPACES", "0", 1);
-  ::setenv("DGSCHED_BATCH", "16", 1);
-  const RunOptions options = RunOptions::from_env();
-  EXPECT_FALSE(options.reuse_workspaces);
-  EXPECT_EQ(options.batch_size, 16u);
-  ::unsetenv("DGSCHED_WORKSPACES");
-  ::unsetenv("DGSCHED_BATCH");
-  EXPECT_TRUE(RunOptions::from_env().reuse_workspaces);
-}
-
 void expect_env_rejected(const char* name, const char* value) {
   ::setenv(name, value, 1);
   try {
@@ -286,33 +295,29 @@ void expect_env_rejected(const char* name, const char* value) {
 TEST(RunOptions, MalformedEnvFailsWithClearMessage) {
   expect_env_rejected("DGSCHED_TRE", "abc");
   expect_env_rejected("DGSCHED_TRE", "1.5x");
+  // A non-finite target would mean no cell is ever precise.
+  expect_env_rejected("DGSCHED_TRE", "nan");
+  expect_env_rejected("DGSCHED_TRE", "inf");
+  expect_env_rejected("DGSCHED_TRE", " 0.1");
   expect_env_rejected("DGSCHED_MAX_REPS", "-3");
+  // std::stoull skips whitespace and accepts a sign: " -3" would wrap.
+  expect_env_rejected("DGSCHED_MAX_REPS", " -3");
+  expect_env_rejected("DGSCHED_MAX_REPS", "+5");
+  expect_env_rejected("DGSCHED_MAX_REPS", "5 ");
   expect_env_rejected("DGSCHED_MAX_REPS", "twelve");
+  expect_env_rejected("DGSCHED_MAX_REPS", "99999999999999999999999");
   expect_env_rejected("DGSCHED_MIN_REPS", "3.5");
-  expect_env_rejected("DGSCHED_BATCH", "12x");
+  expect_env_rejected("DGSCHED_THREADS", "12x");
   expect_env_rejected("DGSCHED_SEED", "0xzz");
-  expect_env_rejected("DGSCHED_QUEUE", "ladder");
-  expect_env_rejected("DGSCHED_QUEUE", "Heap4");
 }
 
-TEST(RunOptions, QueueBackendEnvOverride) {
-  EXPECT_FALSE(RunOptions::from_env().queue_backend.has_value());
-  ::setenv("DGSCHED_QUEUE", "calendar", 1);
-  EXPECT_EQ(RunOptions::from_env().queue_backend, des::QueueBackend::kCalendar);
-  ::setenv("DGSCHED_QUEUE", "heap4", 1);
-  EXPECT_EQ(RunOptions::from_env().queue_backend, des::QueueBackend::kHeap4);
-  ::unsetenv("DGSCHED_QUEUE");
-}
-
-TEST(ExperimentRunner, PipelinedAndBarrierShapesAreBitIdentical) {
-  // The barrier-free scheduler's core contract (PR 10): pipelined hand-out
-  // with any speculation window must be cell-for-cell bit-identical to the
-  // historical barrier rounds — including the adaptive round structure
-  // (max > min with a reachable precision target, so cells stop at
-  // different replication counts and speculative summaries get discarded)
-  // — across thread counts, batch shapes, and the world cache on or off.
-  // Volatile grid so worlds are actually realized and replayed when the
-  // cache is on.
+TEST(ExperimentRunner, ExecutionShapesAreBitIdentical) {
+  // The scheduler's core contract: any thread count and speculation window
+  // must be cell-for-cell bit-identical to one worker without speculation —
+  // including the adaptive stop rule (max > min with a reachable precision
+  // target, so cells stop at different replication counts and speculative
+  // summaries get discarded) — with the world cache on or off. Volatile
+  // grid so worlds are actually realized and replayed when the cache is on.
   sim::SimulationConfig volatile_config = tiny_config(sched::PolicyKind::kRoundRobin, 6);
   volatile_config.grid =
       grid::GridConfig::preset(grid::Heterogeneity::kHet, grid::AvailabilityLevel::kLow);
@@ -325,41 +330,22 @@ TEST(ExperimentRunner, PipelinedAndBarrierShapesAreBitIdentical) {
   const std::vector<NamedConfig> cells = {
       {"rr", volatile_config}, {"fcfs", stable_config}, {"li", third_config}};
 
-  constexpr std::size_t kCache = grid::WorldCache::kDefaultBudgetBytes;
-  struct Variant {
-    bool pipeline;
-    std::size_t speculate;
-    std::size_t threads;
-    std::size_t batch;
-    std::size_t cache_bytes;
-  };
-  const Variant variants[] = {
-      {false, 0, 1, 0, 0},       // barrier reference, single worker, live worlds
-      {false, 0, 4, 0, kCache},  // barrier, parallel, cached worlds
-      {false, 0, 4, 2, 0},       // barrier, parallel, fixed batches
-      {true, 0, 3, 0, 0},        // pipelined, no speculation
-      {true, 1, 3, 0, 0},        // default shape
-      {true, 1, 3, 0, kCache},   // default shape, cached worlds
-      {true, 1, 1, 1, kCache},   // single worker, singleton batches, cached worlds
-      {true, 1, 3, 5, 0},        // batches larger than a cell's window
-      {true, 1, 2, 0, kCache},   // two workers, cached worlds
-      {true, 4, 3, 0, 0},        // deep speculation: discards must be silent
-      {true, 4, 1, 1, 0},        // speculation + singleton chunks
-      {true, 4, 4, 3, kCache},   // speculation + batching + parallelism + cache
-  };
-
+  // threads x speculate x cache; the first shape (1 worker, no speculation,
+  // live worlds) is the reference. Speculation 4 makes discards routine.
   std::vector<std::vector<CellResult>> runs;
-  for (const Variant& variant : variants) {
-    RunOptions options;
-    options.min_replications = 2;
-    options.max_replications = 4;
-    options.target_relative_error = 0.08;
-    options.pipeline = variant.pipeline;
-    options.speculate = variant.speculate;
-    options.threads = variant.threads;
-    options.batch_size = variant.batch;
-    options.world_cache_bytes = variant.cache_bytes;
-    runs.push_back(ExperimentRunner(options).run(cells));
+  for (const std::size_t threads : {1u, 3u, 4u}) {
+    for (const std::size_t speculate : {0u, 1u, 4u}) {
+      for (const std::size_t cache_bytes : {std::size_t{0}, grid::WorldCache::kDefaultBudgetBytes}) {
+        RunOptions options;
+        options.min_replications = 2;
+        options.max_replications = 4;
+        options.target_relative_error = 0.08;
+        options.speculate = speculate;
+        options.threads = threads;
+        options.world_cache_bytes = cache_bytes;
+        runs.push_back(ExperimentRunner(options).run(cells));
+      }
+    }
   }
 
   const std::vector<CellResult>& reference = runs.front();
@@ -436,44 +422,21 @@ TEST(ExperimentRunner, ExecStatsAccountForEveryReplication) {
   (void)results;
 }
 
-TEST(RunOptions, PipelineAndSpeculateEnvOverrides) {
-  EXPECT_TRUE(RunOptions::from_env().pipeline);     // default on
+TEST(RunOptions, SpeculateEnvOverride) {
   EXPECT_EQ(RunOptions::from_env().speculate, 1u);  // default window
-  ::setenv("DGSCHED_PIPELINE", "0", 1);
   ::setenv("DGSCHED_SPECULATE", "4", 1);
-  const RunOptions options = RunOptions::from_env();
-  EXPECT_FALSE(options.pipeline);
-  EXPECT_EQ(options.speculate, 4u);
-  ::setenv("DGSCHED_PIPELINE", "1", 1);
+  EXPECT_EQ(RunOptions::from_env().speculate, 4u);
   ::setenv("DGSCHED_SPECULATE", "0", 1);
-  EXPECT_TRUE(RunOptions::from_env().pipeline);
   EXPECT_EQ(RunOptions::from_env().speculate, 0u);
-  ::unsetenv("DGSCHED_PIPELINE");
   ::unsetenv("DGSCHED_SPECULATE");
 }
 
 TEST(RunOptions, MalformedPipelineEnvFailsWithClearMessage) {
-  expect_env_rejected("DGSCHED_PIPELINE", "yes");
-  expect_env_rejected("DGSCHED_PIPELINE", "on");
+  // DGSCHED_SPECULATE sizes the pipeline's speculation window.
   expect_env_rejected("DGSCHED_SPECULATE", "-1");
   expect_env_rejected("DGSCHED_SPECULATE", "2.5");
   expect_env_rejected("DGSCHED_SPECULATE", "deep");
-}
-
-TEST(ExperimentRunner, RunnerQueueBackendOverrideMatchesDefault) {
-  // Forcing the calendar backend through RunOptions must leave every cell
-  // metric bit-identical — the backend only changes queue-maintenance cost.
-  const std::vector<NamedConfig> cells = {{"cell", tiny_config(sched::PolicyKind::kRoundRobin)}};
-  RunOptions options;
-  options.min_replications = 2;
-  options.max_replications = 2;
-  options.threads = 2;
-  const auto baseline = ExperimentRunner(options).run(cells);
-  options.queue_backend = des::QueueBackend::kCalendar;
-  const auto calendar = ExperimentRunner(options).run(cells);
-  EXPECT_EQ(calendar[0].turnaround.stats().mean(), baseline[0].turnaround.stats().mean());
-  EXPECT_EQ(calendar[0].events_executed, baseline[0].events_executed);
-  EXPECT_EQ(calendar[0].turnaround_tail.sum(), baseline[0].turnaround_tail.sum());
+  expect_env_rejected("DGSCHED_SPECULATE", " 1");
 }
 
 TEST(EnvNumBots, ReadsOverride) {

@@ -287,12 +287,11 @@ TEST(CampaignJournal, CampaignSignatureBindsCellsAndPrecisionOptions) {
     EXPECT_NE(CampaignJournal::campaign_signature(cells, o), reference);
   }
   // Execution-shape options deliberately do NOT change the signature: a
-  // resumed campaign may use a different worker count or batch size.
+  // resumed campaign may use a different worker count or speculation window.
   {
     RunOptions o = options;
     o.threads = 7;
-    o.batch_size = 2;
-    o.reuse_workspaces = false;
+    o.speculate = 4;
     EXPECT_EQ(CampaignJournal::campaign_signature(cells, o), reference);
   }
 }

@@ -10,10 +10,7 @@
 // (lossless double round-trip); EXPECT_EQ on doubles is deliberate.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <string>
-#include <tuple>
 
 #include "sim/simulation.hpp"
 
@@ -141,99 +138,6 @@ TEST(KernelEquivalence, HomMedLongIdle) {
                               grid::AvailabilityLevel::kMed, 10000.0, 10, 1234),
                  expected);
 }
-
-// ---------------------------------------------------------------------------
-// Queue-backend equivalence matrix (PR 7). Every queue backend must produce
-// the same event sequence as the default 4-ary heap — checked here end to end
-// on the full policy x availability matrix by comparing complete simulation
-// results (every floating-point accumulation is summation-order sensitive, so
-// EXPECT_EQ on doubles is again deliberate) and the raw kernel counters.
-// heap_peak is the one backend-sensitive counter by definition (physical
-// entries pending, identical here because lazy cancellation keeps stale
-// entries in both), and it too must match.
-
-using BackendMatrixParam = std::tuple<sched::PolicyKind, grid::AvailabilityLevel>;
-
-class QueueBackendEquivalence : public ::testing::TestWithParam<BackendMatrixParam> {};
-
-sim::SimulationResult run_scenario_on_backend(des::QueueBackend backend, sched::PolicyKind policy,
-                                              grid::Heterogeneity het,
-                                              grid::AvailabilityLevel avail, double granularity,
-                                              std::size_t bots, std::uint64_t seed) {
-  sim::SimulationConfig config;
-  config.grid = grid::GridConfig::preset(het, avail);
-  config.workload =
-      sim::make_paper_workload(config.grid, granularity, workload::Intensity::kLow, bots);
-  config.policy = policy;
-  config.seed = seed;
-  config.queue_backend = backend;
-  return sim::Simulation(config).run();
-}
-
-void expect_same_result(const sim::SimulationResult& got, const sim::SimulationResult& want) {
-  EXPECT_EQ(got.turnaround.mean(), want.turnaround.mean());
-  EXPECT_EQ(got.waiting.mean(), want.waiting.mean());
-  EXPECT_EQ(got.makespan.mean(), want.makespan.mean());
-  EXPECT_EQ(got.slowdown.mean(), want.slowdown.mean());
-  EXPECT_EQ(got.end_time, want.end_time);
-  EXPECT_EQ(got.utilization, want.utilization);
-  EXPECT_EQ(got.bots_completed, want.bots_completed);
-  EXPECT_EQ(got.events_executed, want.events_executed);
-  EXPECT_EQ(got.machine_failures, want.machine_failures);
-  EXPECT_EQ(got.replica_failures, want.replica_failures);
-  EXPECT_EQ(got.replicas_started, want.replicas_started);
-  EXPECT_EQ(got.tasks_completed, want.tasks_completed);
-  EXPECT_EQ(got.checkpoints_saved, want.checkpoints_saved);
-  EXPECT_EQ(got.wasted_compute_time, want.wasted_compute_time);
-  EXPECT_EQ(got.useful_compute_time, want.useful_compute_time);
-  EXPECT_EQ(got.lost_work, want.lost_work);
-  for (double q : {0.5, 0.95, 0.99}) {
-    EXPECT_EQ(got.turnaround_tail.quantile(q), want.turnaround_tail.quantile(q));
-    EXPECT_EQ(got.slowdown_tail.quantile(q), want.slowdown_tail.quantile(q));
-    EXPECT_EQ(got.completion_gap_tail.quantile(q), want.completion_gap_tail.quantile(q));
-  }
-  ASSERT_EQ(got.bots.size(), want.bots.size());
-  for (std::size_t i = 0; i < got.bots.size(); ++i) {
-    EXPECT_EQ(got.bots[i].turnaround, want.bots[i].turnaround) << "bot " << i;
-    EXPECT_EQ(got.bots[i].completion_time, want.bots[i].completion_time) << "bot " << i;
-  }
-  // Kernel counters: identical event sequences imply identical schedule /
-  // fire / cancel counts and the same peak pending-entry population.
-  EXPECT_EQ(got.kernel.events_scheduled, want.kernel.events_scheduled);
-  EXPECT_EQ(got.kernel.events_fired, want.kernel.events_fired);
-  EXPECT_EQ(got.kernel.events_cancelled, want.kernel.events_cancelled);
-  EXPECT_EQ(got.kernel.heap_peak, want.kernel.heap_peak);
-}
-
-TEST_P(QueueBackendEquivalence, CalendarMatchesHeap4Bitwise) {
-  const auto [policy, avail] = GetParam();
-  // Heterogeneous grid, mid-size bags, two seeds — enough events (tens of
-  // thousands under low availability) to walk the calendar queue through
-  // spills, ladder builds, and rebuilds inside a real run.
-  for (const std::uint64_t seed : {7ULL, 90210ULL}) {
-    const sim::SimulationResult want = run_scenario_on_backend(
-        des::QueueBackend::kHeap4, policy, grid::Heterogeneity::kHet, avail, 10000.0, 8, seed);
-    const sim::SimulationResult got = run_scenario_on_backend(
-        des::QueueBackend::kCalendar, policy, grid::Heterogeneity::kHet, avail, 10000.0, 8, seed);
-    expect_same_result(got, want);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    PolicyAvailabilityMatrix, QueueBackendEquivalence,
-    ::testing::Combine(::testing::Values(sched::PolicyKind::kFcfsExcl, sched::PolicyKind::kFcfsShare,
-                                         sched::PolicyKind::kRoundRobin,
-                                         sched::PolicyKind::kRoundRobinNrf,
-                                         sched::PolicyKind::kLongIdle),
-                       ::testing::Values(grid::AvailabilityLevel::kHigh,
-                                         grid::AvailabilityLevel::kMed,
-                                         grid::AvailabilityLevel::kLow)),
-    [](const ::testing::TestParamInfo<BackendMatrixParam>& param) {
-      std::string name = sched::to_string(std::get<0>(param.param)) + "_" +
-                         grid::to_string(std::get<1>(param.param));
-      std::replace(name.begin(), name.end(), '-', '_');
-      return name;
-    });
 
 }  // namespace
 }  // namespace dg::test

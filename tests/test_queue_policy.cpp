@@ -1,12 +1,11 @@
-// Queue-policy backends: cross-backend pop-order equivalence, FIFO
-// tie-breaks, spill/ladder internals of the calendar queue, and the
-// DGSCHED_QUEUE selection knob. The full-simulation equivalence matrix lives
-// in test_kernel_equivalence.cpp; these tests hit the queues directly.
+// The DES event queue: FourAryHeapQueue pop order, FIFO tie-breaks, and a
+// decision-by-decision check against an independent reference ordered by
+// queue_earlier. The full-simulation golden fingerprints live in
+// test_kernel_equivalence.cpp; these tests hit the queue directly.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <stdexcept>
+#include <queue>
 #include <vector>
 
 #include "des/queue_policy.hpp"
@@ -20,8 +19,7 @@ QueueEntry entry_at(double time, std::uint64_t sequence) {
 }
 
 /// Drains `queue` and returns the popped (time, sequence) order.
-template <EventQueuePolicy Q>
-std::vector<std::pair<double, std::uint64_t>> drain(Q& queue) {
+std::vector<std::pair<double, std::uint64_t>> drain(FourAryHeapQueue& queue) {
   std::vector<std::pair<double, std::uint64_t>> popped;
   while (!queue.empty()) {
     const QueueEntry& top = queue.top();
@@ -31,13 +29,14 @@ std::vector<std::pair<double, std::uint64_t>> drain(Q& queue) {
   return popped;
 }
 
-template <typename Q>
-class QueueBackendTest : public ::testing::Test {};
-using Backends = ::testing::Types<FourAryHeapQueue, CalendarQueue>;
-TYPED_TEST_SUITE(QueueBackendTest, Backends);
+/// The oracle: std::priority_queue is a max-heap, so order it by "later".
+struct Later {
+  bool operator()(const QueueEntry& a, const QueueEntry& b) const { return queue_earlier(b, a); }
+};
+using ReferenceQueue = std::priority_queue<QueueEntry, std::vector<QueueEntry>, Later>;
 
-TYPED_TEST(QueueBackendTest, PopsInTimeOrder) {
-  TypeParam queue;
+TEST(FourAryHeapQueue, PopsInTimeOrder) {
+  FourAryHeapQueue queue;
   std::uint64_t seq = 0;
   for (double t : {30.0, 10.0, 20.0, 5.0, 25.0}) queue.push(entry_at(t, seq++));
   const auto popped = drain(queue);
@@ -49,16 +48,16 @@ TYPED_TEST(QueueBackendTest, PopsInTimeOrder) {
   EXPECT_EQ(popped.back().first, 30.0);
 }
 
-TYPED_TEST(QueueBackendTest, EqualTimesPopInSchedulingOrder) {
-  TypeParam queue;
+TEST(FourAryHeapQueue, EqualTimesPopInSchedulingOrder) {
+  FourAryHeapQueue queue;
   for (std::uint64_t s = 0; s < 100; ++s) queue.push(entry_at(42.0, s));
   const auto popped = drain(queue);
   ASSERT_EQ(popped.size(), 100u);
   for (std::uint64_t s = 0; s < 100; ++s) EXPECT_EQ(popped[s].second, s);
 }
 
-TYPED_TEST(QueueBackendTest, SizeCountsAllEntriesAndClearRetainsNothing) {
-  TypeParam queue;
+TEST(FourAryHeapQueue, SizeCountsAllEntriesAndClearRetainsNothing) {
+  FourAryHeapQueue queue;
   for (std::uint64_t s = 0; s < 10; ++s) queue.push(entry_at(double(s), s));
   EXPECT_EQ(queue.size(), 10u);
   queue.pop();
@@ -71,14 +70,14 @@ TYPED_TEST(QueueBackendTest, SizeCountsAllEntriesAndClearRetainsNothing) {
   EXPECT_EQ(queue.top().sequence, 100u);
 }
 
-/// Interleaved pushes and pops through both backends with the same input
-/// must pop the exact same (time, sequence) order — the bitwise-determinism
-/// contract checked at the data-structure level. The hold pattern (pop one,
-/// push one near the popped time) is the kernel's steady state and walks the
-/// calendar queue through spill, ladder build, rung advance, and rebuild.
+/// Interleaved pushes and pops through the heap and the reference with the
+/// same input must pop the exact same (time, sequence) order — the
+/// bitwise-determinism contract checked at the data-structure level. The
+/// hold pattern (pop one, push one near the popped time) is the kernel's
+/// steady state; a deep prefill and far outliers vary the heap depth.
 TEST(QueueBackendEquivalence, RandomizedHoldPatternPopsIdentically) {
   FourAryHeapQueue heap;
-  CalendarQueue calendar;
+  ReferenceQueue reference;
   std::uint64_t state = 0x9e3779b97f4a7c15ULL;  // splitmix-style mixer
   auto next_u64 = [&state] {
     state += 0x9e3779b97f4a7c15ULL;
@@ -93,22 +92,22 @@ TEST(QueueBackendEquivalence, RandomizedHoldPatternPopsIdentically) {
   auto push_both = [&](double time) {
     const QueueEntry entry = entry_at(time, seq++);
     heap.push(entry);
-    calendar.push(entry);
+    reference.push(entry);
   };
   auto pop_both = [&] {
     ASSERT_FALSE(heap.empty());
-    ASSERT_FALSE(calendar.empty());
+    ASSERT_FALSE(reference.empty());
+    ASSERT_EQ(heap.size(), reference.size());
     const QueueEntry& a = heap.top();
-    const QueueEntry& b = calendar.top();
+    const QueueEntry& b = reference.top();
     ASSERT_EQ(a.time, b.time);
     ASSERT_EQ(a.sequence, b.sequence);
     now = a.time;
     heap.pop();
-    calendar.pop();
+    reference.pop();
   };
 
-  // Fill deep enough to force a near-spill and several ladder generations:
-  // mixed near-future and far-future times, including exact duplicates.
+  // Mixed near-future and far-future times, including exact duplicates.
   for (int i = 0; i < 6000; ++i) {
     const double offset = static_cast<double>(next_u64() % 100000) / 10.0;
     push_both(now + offset);
@@ -127,90 +126,34 @@ TEST(QueueBackendEquivalence, RandomizedHoldPatternPopsIdentically) {
   }
   // Drain the rest in lockstep.
   while (!heap.empty()) pop_both();
-  EXPECT_TRUE(calendar.empty());
+  EXPECT_TRUE(reference.empty());
 }
 
 TEST(QueueBackendEquivalence, AllEqualTimesThroughSpillAndLadder) {
-  // Span-zero ladder: thousands of entries at one timestamp exercise the
-  // single-bucket ladder path and the boundary-tie routing.
+  // Thousands of entries at one timestamp: every sift decision falls to the
+  // sequence tie-break, so the heap must drain in exact push order — the
+  // same order as a sorted drain of the input.
   FourAryHeapQueue heap;
-  CalendarQueue calendar;
+  std::vector<std::pair<double, std::uint64_t>> want;
   for (std::uint64_t s = 0; s < 5000; ++s) {
-    const QueueEntry entry = entry_at(7.0, s);
-    heap.push(entry);
-    calendar.push(entry);
+    heap.push(entry_at(7.0, s));
+    want.emplace_back(7.0, s);
   }
-  const auto want = drain(heap);
-  const auto got = drain(calendar);
-  EXPECT_EQ(got, want);
+  EXPECT_EQ(drain(heap), want);
 }
 
-TEST(QueueBackendName, RoundTrips) {
-  EXPECT_EQ(to_string(QueueBackend::kHeap4), "heap4");
-  EXPECT_EQ(to_string(QueueBackend::kCalendar), "calendar");
-  EXPECT_EQ(parse_queue_backend("heap4"), QueueBackend::kHeap4);
-  EXPECT_EQ(parse_queue_backend("calendar"), QueueBackend::kCalendar);
-  EXPECT_FALSE(parse_queue_backend("ladder").has_value());
-  EXPECT_FALSE(parse_queue_backend("").has_value());
-}
-
-TEST(QueueBackendDefault, EnvOverridesAndRejectsGarbage) {
-  ::setenv("DGSCHED_QUEUE", "calendar", 1);
-  EXPECT_EQ(default_queue_backend(), QueueBackend::kCalendar);
-  EXPECT_EQ(Simulator().queue_backend(), QueueBackend::kCalendar);
-  ::setenv("DGSCHED_QUEUE", "heap4", 1);
-  EXPECT_EQ(default_queue_backend(), QueueBackend::kHeap4);
-  ::setenv("DGSCHED_QUEUE", "bogus", 1);
-  try {
-    (void)default_queue_backend();
-    ADD_FAILURE() << "DGSCHED_QUEUE=bogus was accepted";
-  } catch (const std::invalid_argument& error) {
-    EXPECT_NE(std::string(error.what()).find("DGSCHED_QUEUE"), std::string::npos) << error.what();
-    EXPECT_NE(std::string(error.what()).find("bogus"), std::string::npos) << error.what();
+TEST(Simulator, CancelledEntriesAreSkippedAsStale) {
+  Simulator sim;
+  int fired = 0;
+  std::vector<EventHandle> handles;
+  for (int i = 0; i < 200; ++i) {
+    handles.push_back(sim.schedule_at(static_cast<double>(i), [&fired] { ++fired; }));
   }
-  ::unsetenv("DGSCHED_QUEUE");
-}
-
-TEST(SimulatorQueueBackend, SwitchAfterResetRunsIdentically) {
-  // One simulator, both backends across a reset() boundary: the event
-  // sequence and kernel counters must match a fresh heap4 run exactly.
-  auto drive = [](Simulator& sim, std::vector<double>& fired) {
-    for (int i = 0; i < 500; ++i) {
-      const double t = static_cast<double>((i * 7919) % 997);
-      sim.schedule_at(t, [&fired, t] { fired.push_back(t); });
-    }
-    sim.run();
-  };
-
-  Simulator sim(QueueBackend::kHeap4);
-  std::vector<double> heap_fired;
-  drive(sim, heap_fired);
-  const std::uint64_t heap_scheduled = sim.scheduled_events();
-
-  sim.reset();
-  sim.set_queue_backend(QueueBackend::kCalendar);
-  EXPECT_EQ(sim.queue_backend(), QueueBackend::kCalendar);
-  std::vector<double> calendar_fired;
-  drive(sim, calendar_fired);
-
-  EXPECT_EQ(calendar_fired, heap_fired);
-  EXPECT_EQ(sim.scheduled_events(), heap_scheduled);
-}
-
-TEST(SimulatorQueueBackend, CancellationLeavesStaleEntriesOnBothBackends) {
-  for (const QueueBackend backend : {QueueBackend::kHeap4, QueueBackend::kCalendar}) {
-    Simulator sim(backend);
-    int fired = 0;
-    std::vector<EventHandle> handles;
-    for (int i = 0; i < 200; ++i) {
-      handles.push_back(sim.schedule_at(static_cast<double>(i), [&fired] { ++fired; }));
-    }
-    for (std::size_t i = 0; i < handles.size(); i += 2) EXPECT_TRUE(handles[i].cancel());
-    sim.run();
-    EXPECT_EQ(fired, 100) << to_string(backend);
-    EXPECT_EQ(sim.executed_events(), 100u) << to_string(backend);
-    EXPECT_TRUE(sim.empty());
-  }
+  for (std::size_t i = 0; i < handles.size(); i += 2) EXPECT_TRUE(handles[i].cancel());
+  sim.run();
+  EXPECT_EQ(fired, 100);
+  EXPECT_EQ(sim.executed_events(), 100u);
+  EXPECT_TRUE(sim.empty());
 }
 
 }  // namespace

@@ -128,26 +128,19 @@ TEST(ShardedRunner, BitIdenticalAcrossChunkShapesAndHandOutOrders) {
   const RunOptions options = tiny_options();
   const std::vector<CellResult> reference = ExperimentRunner(options).run(cells);
 
-  // One-job chunks, no pool, no journal.
+  // Three workers without speculation: smaller adaptive chunks, a
+  // different hand-out interleaving, no pool, no journal.
   {
     RunOptions o = options;
-    o.batch_size = 1;
+    o.speculate = 0;
     ShardOptions shard;
-    shard.procs = 2;
+    shard.procs = 3;
     expect_cells_bitwise(ShardedRunner(o, shard).run(cells), reference);
   }
   // Per-worker world caches (no pool): workers replay cached worlds.
   {
     RunOptions o = options;
     o.world_cache_bytes = grid::WorldCache::kDefaultBudgetBytes;
-    ShardOptions shard;
-    shard.procs = 2;
-    expect_cells_bitwise(ShardedRunner(o, shard).run(cells), reference);
-  }
-  // Fresh-construction workers (no reusable workspace).
-  {
-    RunOptions o = options;
-    o.reuse_workspaces = false;
     ShardOptions shard;
     shard.procs = 2;
     expect_cells_bitwise(ShardedRunner(o, shard).run(cells), reference);
@@ -222,8 +215,7 @@ TEST(ShardedRunner, ResumeFromEveryJournalRecordBoundaryIsByteIdentical) {
   // must even match the uninterrupted journal byte for byte.
   ShardDir dir("resume");
   const std::vector<NamedConfig> cells = tiny_cells();
-  RunOptions options = tiny_options();
-  options.batch_size = 1;  // one record per chunk: every boundary reachable
+  const RunOptions options = tiny_options();
 
   ShardOptions shard;
   shard.procs = 1;  // deterministic append order, so journal bytes compare
@@ -264,10 +256,9 @@ TEST(ShardedRunner, ResumeFromEveryJournalRecordBoundaryIsByteIdentical) {
 TEST(ShardedRunner, JournalBytesIdenticalAcrossExecutionShapes) {
   // The canonical journal order contract (PR 10): the journal is written in
   // cell-major / ascending-replication canonical order regardless of how the
-  // campaign actually executed, so the file is byte-identical across
-  // barrier/pipelined scheduling, any speculation window, any worker count,
-  // and any chunk shape — and a journal written by one shape can resume a
-  // run under any other.
+  // campaign actually executed, so the file is byte-identical across any
+  // speculation window, any worker count, and any chunk shape — and a
+  // journal written by one shape can resume a run under any other.
   ShardDir dir("shapes");
   const std::vector<NamedConfig> cells = tiny_cells();
   RunOptions base = tiny_options();
@@ -280,25 +271,17 @@ TEST(ShardedRunner, JournalBytesIdenticalAcrossExecutionShapes) {
 
   struct Variant {
     const char* name;
-    bool pipeline;
     std::size_t speculate;
     std::size_t procs;
-    std::size_t batch;
   };
   const Variant variants[] = {
-      {"p1_default", true, 1, 1, 0},
-      {"p1_barrier", false, 0, 1, 0},
-      {"p2_spec0", true, 0, 2, 0},
-      {"p2_spec4", true, 4, 2, 0},
-      {"p2_batch1", true, 4, 2, 1},
-      {"p4_barrier", false, 0, 4, 0},
+      {"p1_default", 1, 1}, {"p1_spec0", 0, 1}, {"p2_spec0", 0, 2},
+      {"p2_spec4", 4, 2},   {"p4_spec0", 0, 4}, {"p4_spec1", 1, 4},
   };
   for (const Variant& variant : variants) {
     SCOPED_TRACE(variant.name);
     RunOptions options = base;
-    options.pipeline = variant.pipeline;
     options.speculate = variant.speculate;
-    options.batch_size = variant.batch;
     ShardOptions shard;
     shard.procs = variant.procs;
     shard.journal_path = dir.file((std::string(variant.name) + ".journal").c_str());
@@ -313,10 +296,11 @@ TEST(ShardedRunner, JournalBytesIdenticalAcrossExecutionShapes) {
     }
   }
 
-  // Cross-shape resume: the deep-speculation pipelined journal, truncated to
-  // a mid-campaign record boundary, resumed by a barrier-mode run — the
-  // recovered prefix folds in, the remainder is dispatched barrier-style,
-  // and both the results and the final journal bytes still match.
+  // Cross-shape resume: the single-worker journal, truncated to a
+  // mid-campaign record boundary, resumed by two workers without
+  // speculation — the recovered prefix folds in, the remainder is
+  // dispatched, and both the results and the final journal bytes still
+  // match.
   std::vector<std::size_t> boundaries{16};
   while (boundaries.back() < reference_journal.size()) {
     std::uint32_t payload_size = 0;
@@ -334,10 +318,9 @@ TEST(ShardedRunner, JournalBytesIdenticalAcrossExecutionShapes) {
     out.write(reinterpret_cast<const char*>(reference_journal.data()),
               static_cast<std::streamoff>(cut));
   }
-  RunOptions barrier = base;
-  barrier.pipeline = false;
-  barrier.speculate = 0;
-  ShardedRunner resumed(barrier, resume);
+  RunOptions no_speculation = base;
+  no_speculation.speculate = 0;
+  ShardedRunner resumed(no_speculation, resume);
   expect_cells_bitwise(resumed.run(cells), reference);
   EXPECT_EQ(resumed.recovered_replications(), boundaries.size() / 2);  // records before the cut
   EXPECT_EQ(file_bytes(resume.journal_path), reference_journal);
@@ -350,7 +333,6 @@ TEST(ShardedRunner, SpeculativeResumeFromEveryBoundaryIsByteIdentical) {
   ShardDir dir("spec_resume");
   const std::vector<NamedConfig> cells = tiny_cells();
   RunOptions options = tiny_options();
-  options.batch_size = 1;
   options.speculate = 4;
   // A reachable precision target past min, so cells can stop early while the
   // deep speculation window has already launched (and run) extra
@@ -436,19 +418,17 @@ TEST(ShardOptions, FromEnvParsesAndValidates) {
   ASSERT_EQ(setenv("DGSCHED_PROCS", "3", 1), 0);
   ASSERT_EQ(setenv("DGSCHED_JOURNAL", "/tmp/c.journal", 1), 0);
   ASSERT_EQ(setenv("DGSCHED_POOL", "/tmp/p.worldpool", 1), 0);
-  ASSERT_EQ(setenv("DGSCHED_JOURNAL_FSYNC", "0", 1), 0);
   ASSERT_EQ(setenv("DGSCHED_SHARD_ABORT_AFTER", "5", 1), 0);
   ASSERT_EQ(setenv("DGSCHED_SHARD_SELF_KILL", "1:2", 1), 0);
   ShardOptions options = ShardOptions::from_env();
   EXPECT_EQ(options.procs, 3u);
   EXPECT_EQ(options.journal_path, "/tmp/c.journal");
   EXPECT_EQ(options.pool_dir, "/tmp/p.worldpool");
-  EXPECT_FALSE(options.fsync_journal);
   EXPECT_EQ(options.abort_after_appends, 5u);
   EXPECT_EQ(options.self_kill_worker, 1u);
   EXPECT_EQ(options.self_kill_jobs, 2u);
 
-  for (const char* bad : {"nope", "3", ":4", "4:", "a:b", "1:2:3"}) {
+  for (const char* bad : {"nope", "3", ":4", "4:", "a:b", "1:2:3", " 1:2", "+1:2", "1:-2"}) {
     SCOPED_TRACE(bad);
     ASSERT_EQ(setenv("DGSCHED_SHARD_SELF_KILL", bad, 1), 0);
     EXPECT_THROW((void)ShardOptions::from_env(), std::invalid_argument);
@@ -457,14 +437,12 @@ TEST(ShardOptions, FromEnvParsesAndValidates) {
   ASSERT_EQ(unsetenv("DGSCHED_PROCS"), 0);
   ASSERT_EQ(unsetenv("DGSCHED_JOURNAL"), 0);
   ASSERT_EQ(unsetenv("DGSCHED_POOL"), 0);
-  ASSERT_EQ(unsetenv("DGSCHED_JOURNAL_FSYNC"), 0);
   ASSERT_EQ(unsetenv("DGSCHED_SHARD_ABORT_AFTER"), 0);
   ASSERT_EQ(unsetenv("DGSCHED_SHARD_SELF_KILL"), 0);
   const ShardOptions defaults = ShardOptions::from_env();
   EXPECT_EQ(defaults.procs, 1u);
   EXPECT_TRUE(defaults.journal_path.empty());
   EXPECT_TRUE(defaults.pool_dir.empty());
-  EXPECT_TRUE(defaults.fsync_journal);
   EXPECT_EQ(defaults.abort_after_appends, 0u);
   EXPECT_EQ(defaults.self_kill_jobs, 0u);
 }
