@@ -42,8 +42,8 @@ inline int run_figure_main(exp::FigureSpec spec, const std::string& csv_name) {
   exp::render_figure(spec, results, std::cout, csv ? &csv : nullptr);
   if (csv) std::cout << "CSV written to " << csv_name << "\n";
 
-  if (const auto& cache = runner.world_cache()) {
-    const grid::WorldCacheStats stats = cache->stats();
+  if (options.world_cache_bytes > 0) {
+    const grid::WorldCacheStats& stats = runner.cache_stats();
     std::fprintf(
         stderr,
         "world cache: %.1f%% hit rate (%llu hits, %llu misses, %llu extensions, "

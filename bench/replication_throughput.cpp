@@ -26,7 +26,6 @@
 
 #include "exp/paper.hpp"
 #include "exp/runner.hpp"
-#include "exp/shard.hpp"
 #include "sim/simulation.hpp"
 #include "sim/workspace.hpp"
 #include "util/alloc_interposer.hpp"
@@ -61,22 +60,40 @@ void fill_exec_stats(PerfRecord& record, const dg::exp::ExecutionStats& stats) {
   record.spec_discarded = stats.discarded;
 }
 
-/// One timed runner sweep: fixed replication count per cell (no CI loop, so
-/// every thread count does identical work), returns (replications/s,
-/// allocs/rep).
-PerfRecord timed_sweep(const std::vector<dg::exp::NamedConfig>& cells, std::size_t threads,
-                       std::size_t reps) {
-  dg::exp::RunOptions options;
-  options.min_replications = reps;
-  options.max_replications = reps;
+/// What one timed runner call measured: the record's shared fields, plus
+/// the numbers only some records carry.
+struct TimedRun {
+  PerfRecord record;
+  double allocs_per_replication = 0;  ///< operator-new calls in this process
+  dg::grid::WorldCacheStats cache;
+};
+
+/// One timed runner call over (threads, procs): `threads` thread lanes when
+/// `procs` is 0, otherwise `procs` worker processes (each single-threaded).
+/// Process lanes turn the opt-in world cache on and share worlds through a
+/// fresh mmap pool under `out_dir`, so pool_hit_rate measures sharing within
+/// the run: every world is synthesized by exactly one worker and mapped by
+/// the others. Results are bit-identical on either lane kind; only the
+/// clock moves.
+TimedRun timed_run(const std::string& benchmark, const std::string& config,
+                   const std::vector<dg::exp::NamedConfig>& cells, dg::exp::RunOptions options,
+                   std::size_t threads, std::size_t procs, const std::string& out_dir) {
   options.threads = threads;
+  dg::exp::ShardOptions shard;
+  shard.procs = procs;
+  if (procs > 0) {
+    options.world_cache_bytes = dg::grid::WorldCache::kDefaultBudgetBytes;
+    shard.pool_dir = out_dir + "/replication_throughput.worldpool";
+    std::filesystem::remove_all(shard.pool_dir);
+  }
 
   const std::uint64_t allocs_before = allocs_now();
   Stopwatch timer;
-  dg::exp::ExperimentRunner runner(options);
+  dg::exp::ExperimentRunner runner(options, shard);
   const auto results = runner.run(cells);
   const double wall = timer.seconds();
   const std::uint64_t allocs = allocs_now() - allocs_before;
+  if (procs > 0) std::filesystem::remove_all(shard.pool_dir);
 
   std::size_t replications = 0;
   std::uint64_t events = 0;
@@ -85,144 +102,26 @@ PerfRecord timed_sweep(const std::vector<dg::exp::NamedConfig>& cells, std::size
     events += cell.events_executed;
   }
 
-  PerfRecord record;
-  record.benchmark = "replication/throughput/workspace";
+  TimedRun run;
+  PerfRecord& record = run.record;
+  record.benchmark = benchmark;
   record.config = "fig1 cells x" + std::to_string(cells.size()) + ", bots=" +
-                  std::to_string(cells.front().config.workload.num_bots) + ", reps=" +
-                  std::to_string(reps);
+                  std::to_string(cells.front().config.workload.num_bots) + ", " + config;
   record.threads = threads;
+  record.procs = procs;
   record.wall_s = wall;
-  record.replications_per_sec =
-      wall > 0.0 ? static_cast<double>(replications) / wall : 0.0;
+  record.replications_per_sec = wall > 0.0 ? static_cast<double>(replications) / wall : 0.0;
   record.events_per_sec = wall > 0.0 ? static_cast<double>(events) / wall : 0.0;
-  record.allocs_per_replication =
-      replications > 0 ? static_cast<double>(allocs) / static_cast<double>(replications) : 0.0;
   record.peak_rss_kb = dg::bench::peak_rss_kb();
   fill_exec_stats(record, runner.exec_stats());
-  std::printf("  %-34s %2zu thr  %8.1f reps/s  %10.1f allocs/rep  (%.2f s)\n",
-              record.benchmark.c_str(), threads, record.replications_per_sec,
-              record.allocs_per_replication, wall);
-  return record;
-}
-
-/// The multi-round precision loop (min 2, max 4, unreachable CI target, so
-/// every cell runs to the cap): replications past the minimum are launched
-/// one commit at a time, so this is the shape where hand-out latency and
-/// straggler stall show. Threaded when `procs` == 0, sharded (each worker
-/// single-threaded) otherwise; results are bit-identical either way — only
-/// the wall clock moves.
-PerfRecord timed_rounds(const std::vector<dg::exp::NamedConfig>& cells, std::size_t threads,
-                        std::size_t procs, const std::string& out_dir) {
-  dg::exp::RunOptions options;
-  options.min_replications = 2;
-  options.max_replications = 4;
-  options.target_relative_error = 1e-9;  // unreachable: identical work per shape
-  options.threads = procs == 0 ? threads : 1;
-  // Sharded records run with the pool; the opt-in cache is what uses it.
-  if (procs > 0) options.world_cache_bytes = dg::grid::WorldCache::kDefaultBudgetBytes;
-
-  std::size_t replications = 0;
-  std::uint64_t events = 0;
-  PerfRecord record;
-  Stopwatch timer;
-  if (procs == 0) {
-    dg::exp::ExperimentRunner runner(options);
-    const auto results = runner.run(cells);
-    record.wall_s = timer.seconds();
-    for (const dg::exp::CellResult& cell : results) {
-      replications += cell.replications;
-      events += cell.events_executed;
-    }
-    fill_exec_stats(record, runner.exec_stats());
-    record.benchmark = "replication/rounds/pipelined";
-    record.threads = threads;
-  } else {
-    dg::exp::ShardOptions shard;
-    shard.procs = procs;
-    shard.pool_dir = out_dir + "/replication_throughput.worldpool";
-    std::filesystem::remove_all(shard.pool_dir);
-    dg::exp::ShardedRunner runner(options, shard);
-    const auto results = runner.run(cells);
-    record.wall_s = timer.seconds();
-    std::filesystem::remove_all(shard.pool_dir);
-    for (const dg::exp::CellResult& cell : results) {
-      replications += cell.replications;
-      events += cell.events_executed;
-    }
-    fill_exec_stats(record, runner.exec_stats());
-    record.benchmark = "replication/campaign/pipelined";
-    record.threads = 1;
-    record.procs = procs;
-    record.pool_hit_rate = runner.worker_cache_stats().pool_hit_rate();
-  }
-  record.config = "fig1 cells x" + std::to_string(cells.size()) + ", bots=" +
-                  std::to_string(cells.front().config.workload.num_bots) +
-                  ", reps=2..4 (uncapped tre)";
-  record.replications_per_sec =
-      record.wall_s > 0.0 ? static_cast<double>(replications) / record.wall_s : 0.0;
-  record.events_per_sec =
-      record.wall_s > 0.0 ? static_cast<double>(events) / record.wall_s : 0.0;
-  record.peak_rss_kb = dg::bench::peak_rss_kb();
+  run.allocs_per_replication =
+      replications > 0 ? static_cast<double>(allocs) / static_cast<double>(replications) : 0.0;
+  run.cache = runner.cache_stats();
   std::printf("  %-34s %2zu %s  %8.1f reps/s  busy %5.1fs stall %5.1fs  (%.2f s)\n",
               record.benchmark.c_str(), procs == 0 ? threads : procs,
               procs == 0 ? "thr" : "prc", record.replications_per_sec, record.worker_busy_s,
-              record.worker_stall_s, record.wall_s);
-  return record;
-}
-
-/// One timed ShardedRunner sweep at `procs` worker processes (each worker
-/// single-threaded), sharing worlds through a fresh mmap pool under
-/// `out_dir`. The pool starts cold per sweep point, so pool_hit_rate
-/// measures cross-process sharing *within* the run: every world is
-/// synthesized by exactly one worker and mapped by the others.
-PerfRecord timed_sharded_sweep(const std::vector<dg::exp::NamedConfig>& cells, std::size_t procs,
-                               std::size_t reps, const std::string& out_dir) {
-  dg::exp::RunOptions options;
-  options.min_replications = reps;
-  options.max_replications = reps;
-  options.threads = 1;
-  // The world cache is opt-in; turn it on so the workers share worlds
-  // through the pool and pool_hit_rate measures that sharing.
-  options.world_cache_bytes = dg::grid::WorldCache::kDefaultBudgetBytes;
-
-  dg::exp::ShardOptions shard;
-  shard.procs = procs;
-  shard.pool_dir = out_dir + "/replication_throughput.worldpool";
-  std::filesystem::remove_all(shard.pool_dir);
-
-  Stopwatch timer;
-  dg::exp::ShardedRunner runner(options, shard);
-  const auto results = runner.run(cells);
-  const double wall = timer.seconds();
-  std::filesystem::remove_all(shard.pool_dir);
-
-  std::size_t replications = 0;
-  std::uint64_t events = 0;
-  for (const dg::exp::CellResult& cell : results) {
-    replications += cell.replications;
-    events += cell.events_executed;
-  }
-  const dg::grid::WorldCacheStats stats = runner.worker_cache_stats();
-
-  PerfRecord record;
-  record.benchmark = "replication/throughput/sharded";
-  record.config = "fig1 cells x" + std::to_string(cells.size()) + ", bots=" +
-                  std::to_string(cells.front().config.workload.num_bots) + ", reps=" +
-                  std::to_string(reps) + ", mmap pool, cost-major";
-  record.procs = procs;
-  record.threads = 1;
-  record.wall_s = wall;
-  record.replications_per_sec =
-      wall > 0.0 ? static_cast<double>(replications) / wall : 0.0;
-  record.events_per_sec = wall > 0.0 ? static_cast<double>(events) / wall : 0.0;
-  record.cache_hit_rate = stats.hit_rate();
-  record.pool_hit_rate = stats.pool_hit_rate();
-  record.peak_rss_kb = dg::bench::peak_rss_kb();
-  fill_exec_stats(record, runner.exec_stats());
-  std::printf("  %-34s %2zu prc  %8.1f reps/s  pool hits %5.1f%%  (%.2f s)\n",
-              record.benchmark.c_str(), procs, record.replications_per_sec,
-              100.0 * record.pool_hit_rate, wall);
-  return record;
+              record.worker_stall_s, wall);
+  return run;
 }
 
 /// Steady-state allocations per replication through one warmed workspace on
@@ -276,32 +175,60 @@ int main(int argc, char** argv) {
   std::cout << "replication throughput: " << cells.size() << " fig1 cells, " << reps
             << " reps each, threads 1.." << top << "\n";
 
+  // Fixed replication count per cell (no CI loop), so every shape does
+  // identical work.
+  dg::exp::RunOptions sweep;
+  sweep.min_replications = reps;
+  sweep.max_replications = reps;
+  const std::string sweep_config = "reps=" + std::to_string(reps);
+
   std::vector<PerfRecord> records;
   for (const std::size_t threads : thread_counts) {
-    records.push_back(timed_sweep(cells, threads, reps));
+    TimedRun run = timed_run("replication/throughput/workspace", sweep_config, cells, sweep,
+                             threads, 0, out_dir);
+    run.record.allocs_per_replication = run.allocs_per_replication;
+    records.push_back(run.record);
   }
 
-  // Process-count axis (PR 9): the same campaign sharded across forked
-  // worker processes with an mmap-shared world pool. DGSCHED_PROCS overrides
-  // the top of the ladder; the default reaches 4 even on smaller machines so
-  // the 4-vs-1 scaling row always exists (oversubscribed on fewer cores).
+  // Process-count axis: the same sweep on forked worker processes
+  // sharing an mmap world pool. DGSCHED_PROCS overrides the top of the
+  // ladder; the default reaches 4 even on smaller machines so the 4-vs-1
+  // scaling row always exists (oversubscribed on fewer cores).
   std::vector<std::size_t> proc_counts;
-  const std::size_t top_procs = dg::exp::ShardOptions::from_env().procs > 1
-                                    ? dg::exp::ShardOptions::from_env().procs
-                                    : std::max<std::size_t>(4, std::min<std::size_t>(hw, 8));
+  const std::size_t env_procs = dg::exp::ShardOptions::from_env().procs;
+  const std::size_t top_procs =
+      env_procs > 1 ? env_procs : std::max<std::size_t>(4, std::min<std::size_t>(hw, 8));
   for (std::size_t p = 1; p < top_procs; p *= 2) proc_counts.push_back(p);
   proc_counts.push_back(top_procs);
   std::cout << "sharded (multi-process) throughput: procs 1.." << top_procs << "\n";
   for (const std::size_t procs : proc_counts) {
-    records.push_back(timed_sharded_sweep(cells, procs, reps, out_dir));
+    TimedRun run = timed_run("replication/throughput/sharded",
+                             sweep_config + ", mmap pool, cost-major", cells, sweep, 1, procs,
+                             out_dir);
+    run.record.cache_hit_rate = run.cache.hit_rate();
+    run.record.pool_hit_rate = run.cache.pool_hit_rate();
+    records.push_back(run.record);
   }
 
-  // The multi-round precision loop: threaded at the top thread count,
-  // sharded across the process ladder.
+  // The multi-round precision loop (min 2, max 4, unreachable CI target, so
+  // every cell runs to the cap): replications past the minimum are launched
+  // one commit at a time, so this is the shape where hand-out latency and
+  // straggler stall show. Thread lanes at the top thread count, then the
+  // process ladder.
   std::cout << "multi-round precision loop:\n";
-  records.push_back(timed_rounds(cells, top, 0, out_dir));
+  dg::exp::RunOptions rounds;
+  rounds.min_replications = 2;
+  rounds.max_replications = 4;
+  rounds.target_relative_error = 1e-9;  // unreachable: identical work per shape
+  const std::string rounds_config = "reps=2..4 (uncapped tre)";
+  records.push_back(
+      timed_run("replication/rounds/pipelined", rounds_config, cells, rounds, top, 0, out_dir)
+          .record);
   for (const std::size_t procs : proc_counts) {
-    records.push_back(timed_rounds(cells, 1, procs, out_dir));
+    TimedRun run = timed_run("replication/campaign/pipelined", rounds_config, cells, rounds, 1,
+                             procs, out_dir);
+    run.record.pool_hit_rate = run.cache.pool_hit_rate();
+    records.push_back(run.record);
   }
 
   records.push_back(steady_state_allocs());

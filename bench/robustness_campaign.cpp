@@ -22,16 +22,17 @@
 // DGSCHED_WORLD_CACHE — CI runs the smoke grid twice under different shapes
 // and diffs the files byte for byte.
 //
-// With DGSCHED_PROCS set, the risk-cliff grid runs through the
-// multi-process ShardedRunner instead of the in-process ExperimentRunner:
-// cells shard across forked workers (which, with DGSCHED_WORLD_CACHE set,
-// share synthesized worlds through an mmap pool), and every completed
-// replication is journaled so a killed
-// campaign resumes from the journal (exp/shard.hpp). Output stays
-// byte-identical to the single-process run — CI's shard-smoke job kills a
-// 2-worker campaign mid-flight, resumes it, and diffs against the
-// 1-process reference. The journal and pool live next to the outputs and
-// are removed on successful completion unless --keep-journal is passed.
+// DGSCHED_PROCS=N (N > 0) runs the risk-cliff grid's lanes as N forked
+// worker processes instead of threads (exp/shard.hpp); with
+// DGSCHED_WORLD_CACHE set they share synthesized worlds through an mmap
+// pool. Process lanes journal every completed replication by default, so a
+// killed campaign resumes from the journal; thread lanes journal only when
+// DGSCHED_JOURNAL names a file, since every record is fsync'd. Output stays
+// byte-identical to an uninterrupted run — CI's shard-smoke job cuts a
+// 2-worker campaign's journal back to its third record, resumes it, and
+// diffs against the thread-lane reference. The journal and pool live next
+// to the outputs by default and are removed on successful completion unless
+// --keep-journal is passed.
 //
 // Usage: ./robustness_campaign [output_dir] [--keep-journal]   # default: cwd
 // Env:   DGSCHED_CAMPAIGN_GRID=smoke|full, DGSCHED_CAMPAIGN_SEEDS=N,
@@ -48,7 +49,6 @@
 
 #include "exp/campaign.hpp"
 #include "exp/runner.hpp"
-#include "exp/shard.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -146,12 +146,13 @@ int main(int argc, char** argv) {
   }
   const exp::RunOptions options = exp::RunOptions::from_env();
   const exp::CampaignOptions campaign = exp::CampaignOptions::from_env();
-  // DGSCHED_PROCS selects the multi-process path; journal and pool default
-  // next to the outputs (override with DGSCHED_JOURNAL / DGSCHED_POOL).
-  const bool sharded = exp::env_size("DGSCHED_PROCS").has_value();
+  // Process lanes journal and pool next to the outputs unless DGSCHED_JOURNAL
+  // / DGSCHED_POOL say otherwise; thread lanes journal only when asked to.
   exp::ShardOptions shard = exp::ShardOptions::from_env();
-  if (shard.journal_path.empty()) shard.journal_path = out_dir + "/robustness_campaign.journal";
-  if (shard.pool_dir.empty()) shard.pool_dir = out_dir + "/robustness_campaign.worldpool";
+  if (shard.procs > 0) {
+    if (shard.journal_path.empty()) shard.journal_path = out_dir + "/robustness_campaign.journal";
+    if (shard.pool_dir.empty()) shard.pool_dir = out_dir + "/robustness_campaign.worldpool";
+  }
 
   exp::CampaignAxes axes = campaign.smoke ? exp::CampaignAxes::smoke() : exp::CampaignAxes{};
   axes.num_bots = exp::env_num_bots().value_or(axes.num_bots);
@@ -175,7 +176,7 @@ int main(int argc, char** argv) {
   std::cout << "=== Robustness campaign: " << (campaign.smoke ? "smoke" : "full") << " grid, "
             << cells.size() << " cells, adversary "
             << (campaign.adversary ? "on" : "off");
-  if (sharded) std::cout << ", " << std::max<std::size_t>(1, shard.procs) << " worker procs";
+  if (shard.procs > 0) std::cout << ", " << shard.procs << " worker procs";
   std::cout << " ===\n\n";
 
   std::vector<exp::NamedConfig> named;
@@ -183,20 +184,16 @@ int main(int argc, char** argv) {
   for (const exp::CampaignCell& cell : cells) {
     named.push_back(exp::NamedConfig{cell.label, cell.config});
   }
-  std::vector<exp::CellResult> results;
-  exp::ExecutionStats exec;
-  if (sharded) {
-    exp::ShardedRunner runner(options, shard);
-    results = runner.run(named);
-    exec = runner.exec_stats();
-    const grid::WorldCacheStats stats = runner.worker_cache_stats();
-    std::cout << "sharded: " << runner.recovered_replications()
-              << " replications resumed from journal, pool hit rate "
-              << 100.0 * stats.pool_hit_rate() << "%\n";
-  } else {
-    exp::ExperimentRunner runner(options);
-    results = runner.run(named);
-    exec = runner.exec_stats();
+  exp::ExperimentRunner runner(options, shard);
+  const std::vector<exp::CellResult> results = runner.run(named);
+  const exp::ExecutionStats& exec = runner.exec_stats();
+  if (!shard.journal_path.empty()) {
+    std::cout << "journal: " << exec.recovered << " replications resumed";
+    // Only worker processes map worlds from the pool.
+    if (shard.procs > 0) {
+      std::cout << ", pool hit rate " << 100.0 * runner.cache_stats().pool_hit_rate() << "%";
+    }
+    std::cout << "\n";
   }
   // Execution-shape banner (stdout is not part of the byte-diffed artifacts;
   // wall-clock numbers legitimately differ between bit-identical runs).
@@ -273,12 +270,13 @@ int main(int argc, char** argv) {
             << "robustness_campaign.json\n";
 
   // The campaign completed and its outputs are on disk: the journal (and the
-  // world pool it shared) have served their purpose. --keep-journal retains
-  // them, e.g. to rerun with more seeds or inspect the records.
-  if (sharded && !keep_journal) {
+  // world pool the worker processes shared) have served their purpose.
+  // --keep-journal retains them, e.g. to rerun with more seeds or inspect the
+  // records.
+  if (!keep_journal) {
     std::error_code ec;
-    std::filesystem::remove(shard.journal_path, ec);
-    std::filesystem::remove_all(shard.pool_dir, ec);
+    if (!shard.journal_path.empty()) std::filesystem::remove(shard.journal_path, ec);
+    if (shard.procs > 0) std::filesystem::remove_all(shard.pool_dir, ec);
   }
   return 0;
 }

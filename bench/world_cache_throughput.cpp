@@ -83,9 +83,7 @@ PerfRecord timed_sweep(const std::string& name, const std::vector<dg::exp::Named
   record.replications_per_sec =
       wall > 0.0 ? static_cast<double>(replications) / wall : 0.0;
   record.events_per_sec = wall > 0.0 ? static_cast<double>(events) / wall : 0.0;
-  if (runner.world_cache() != nullptr) {
-    record.cache_hit_rate = runner.world_cache()->stats().hit_rate();
-  }
+  record.cache_hit_rate = runner.cache_stats().hit_rate();
   record.peak_rss_kb = dg::bench::peak_rss_kb();
   std::printf("  %-34s %2zu thr  %8.1f reps/s  %12.0f events/s  hit %.2f  (%.2f s)\n",
               record.benchmark.c_str(), threads, record.replications_per_sec,

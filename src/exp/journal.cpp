@@ -137,12 +137,16 @@ CampaignJournal::CampaignJournal(std::string path, std::uint64_t signature)
 
   // Scan the valid record prefix; the first torn or corrupt record marks the
   // recovery point, and everything from there on is truncated away so
-  // appends continue from a clean boundary.
+  // appends continue from a clean boundary. A record claiming more payload
+  // than the file still holds is a torn tail too: the size is checked before
+  // it sizes an allocation, so recovery never allocates past the file size.
+  const auto file_size = static_cast<std::uint64_t>(st.st_size);
   std::uint64_t valid_end = sizeof(JournalHeader);
   std::vector<std::uint8_t> payload;
   for (;;) {
     RecordHeader record;
     if (!read_exact(fd_, &record, sizeof(record), path_)) break;
+    if (valid_end + sizeof(record) + record.payload_size > file_size) break;
     payload.resize(record.payload_size);
     if (!read_exact(fd_, payload.data(), payload.size(), path_)) break;
     if (record_checksum(record.cell, record.replication, payload.data(), payload.size()) !=
@@ -162,7 +166,7 @@ CampaignJournal::CampaignJournal(std::string path, std::uint64_t signature)
     }
     valid_end += sizeof(record) + payload.size();
   }
-  if (valid_end != static_cast<std::uint64_t>(st.st_size)) {
+  if (valid_end != file_size) {
     if (::ftruncate(fd_, static_cast<::off_t>(valid_end)) != 0) {
       ::close(fd_);
       fd_ = -1;

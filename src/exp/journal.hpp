@@ -1,14 +1,15 @@
 // Append-only completion journal: a killed campaign resumes, not recomputes.
 //
-// The sharded runner (exp/shard.hpp) appends one record per finished
-// replication — (cell, replication, serialized ReplicationSummary) — to a
-// journal file, fsync'd after each received chunk. On reopen, the journal
-// scans the longest valid prefix (every record checksummed), truncates any
-// torn tail left by a kill mid-append, and hands the recovered records back;
-// the runner folds them into its round slots instead of dispatching those
-// jobs again. Because the fold order is build order regardless of where a
-// summary came from (a worker message or the journal), a resumed campaign's
-// output is byte-identical to an uninterrupted run.
+// ExperimentRunner appends one record per finished replication — (cell,
+// replication, serialized ReplicationSummary) — to a journal file, on either
+// lane kind, and fsyncs it after every delivery that appended (a thread
+// lane's job, a process lane's chunk). On reopen, the journal scans the
+// longest valid prefix (every record checksummed), truncates any torn tail
+// left by a kill mid-append, and hands the recovered records back; the
+// runner folds them in instead of dispatching those jobs again. Because the
+// fold order is per-cell replication order regardless of where a summary
+// came from (a lane or the journal), a resumed campaign's output is
+// byte-identical to an uninterrupted run.
 //
 // File layout:
 //   header: magic "DGJL" + format version (u32) + campaign signature (u64)

@@ -7,6 +7,21 @@
 
 namespace dg::exp {
 
+std::vector<CellResult> make_cell_results(const std::vector<NamedConfig>& cells,
+                                          const RunOptions& options) {
+  std::vector<CellResult> results;
+  results.reserve(cells.size());
+  for (const NamedConfig& cell : cells) {
+    CellResult result;
+    result.label = cell.label;
+    result.config = cell.config;
+    result.turnaround = stats::ReplicationAnalyzer(options.ci_level, options.target_relative_error,
+                                                   options.min_replications);
+    results.push_back(std::move(result));
+  }
+  return results;
+}
+
 PipelineState::PipelineState(const RunOptions& options, std::vector<CellResult>& results,
                              CampaignJournal* journal)
     : options_(options),
@@ -19,11 +34,12 @@ PipelineState::PipelineState(const RunOptions& options, std::vector<CellResult>&
   }
 }
 
-void PipelineState::mark_recovered(std::size_t cell, std::size_t replication) {
-  recovered_set_.emplace(cell, replication);
-}
-
 void PipelineState::start() {
+  if (journal_ != nullptr) {
+    for (const CampaignJournal::Record& record : journal_->recovered()) {
+      recovered_set_.emplace(record.cell, record.replication);
+    }
+  }
   if (options_.min_replications == 0) {
     // Zero-minimum campaigns run nothing.
     for (Cell& cell : cells_) {
@@ -32,9 +48,15 @@ void PipelineState::start() {
     }
     stopped_cells_ = cells_.size();
     pump_journal();
-    return;
+  } else {
+    for (std::size_t c = 0; c < cells_.size(); ++c) extend(c);
   }
-  for (std::size_t c = 0; c < cells_.size(); ++c) extend(c);
+  if (journal_ == nullptr) return;
+  // Journal-file order is the canonical order, so commits cascade eagerly.
+  for (const CampaignJournal::Record& record : journal_->recovered()) {
+    deliver_impl(record.cell, record.replication, ReplicationSummary(record.summary),
+                 /*from_recovery=*/true);
+  }
 }
 
 void PipelineState::extend(std::size_t c) {
@@ -134,11 +156,6 @@ void PipelineState::deliver(std::size_t cell, std::size_t replication,
   deliver_impl(cell, replication, std::move(summary), /*from_recovery=*/false);
 }
 
-void PipelineState::deliver_recovered(std::size_t cell, std::size_t replication,
-                                      ReplicationSummary&& summary) {
-  deliver_impl(cell, replication, std::move(summary), /*from_recovery=*/true);
-}
-
 void PipelineState::deliver_impl(std::size_t cell, std::size_t replication,
                                  ReplicationSummary&& summary, bool from_recovery) {
   if (!from_recovery) --in_flight_;
@@ -202,7 +219,6 @@ void PipelineState::pump_journal() {
         if (!is_recovered(c, r)) {
           journal_->append(static_cast<std::uint32_t>(c), static_cast<std::uint32_t>(r),
                            it->second);
-          if (after_append) after_append();
         }
         cell.buffer.erase(it);
       }

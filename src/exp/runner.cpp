@@ -1,5 +1,6 @@
 #include "exp/runner.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <cmath>
@@ -7,14 +8,16 @@
 #include <cstdlib>
 #include <exception>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
+#include "exp/journal.hpp"
 #include "exp/pipeline.hpp"
 #include "exp/replication_summary.hpp"
-#include "rng/splitmix64.hpp"
+#include "exp/shard.hpp"
 #include "sim/workspace.hpp"
 #include "util/logging.hpp"
 #include "util/thread_pool.hpp"
@@ -81,55 +84,37 @@ RunOptions RunOptions::from_env(RunOptions defaults) {
   return defaults;
 }
 
+ShardOptions ShardOptions::from_env(ShardOptions defaults) {
+  if (auto v = env_size("DGSCHED_PROCS")) defaults.procs = *v;
+  if (auto v = env_string("DGSCHED_JOURNAL")) defaults.journal_path = *v;
+  if (auto v = env_string("DGSCHED_POOL")) defaults.pool_dir = *v;
+  return defaults;
+}
+
 std::optional<std::size_t> env_num_bots() { return env_size("DGSCHED_BOTS"); }
 
-std::vector<CellResult> ExperimentRunner::run(const std::vector<NamedConfig>& cells) {
-  std::vector<CellResult> results;
-  results.reserve(cells.size());
-  for (const NamedConfig& cell : cells) {
-    CellResult result;
-    result.label = cell.label;
-    result.config = cell.config;
-    result.turnaround = stats::ReplicationAnalyzer(options_.ci_level,
-                                                   options_.target_relative_error,
-                                                   options_.min_replications);
-    results.push_back(std::move(result));
-  }
+namespace {
 
-  exec_stats_ = ExecutionStats{};
-  if (cells.empty()) return results;
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
 
-  util::ThreadPool pool(options_.threads);
-
-  // Runs one replication through the calling lane's workspace.
-  auto run_one = [&](const PipelineJob& job, sim::SimulationWorkspace& workspace) {
-    sim::SimulationConfig config = results[job.cell].config;
-    // Seeds depend only on (base_seed, replication): common random numbers
-    // across cells that differ only in scheduling policy.
-    config.seed = rng::mix_seed(options_.base_seed, job.replication);
-    // Cells sharing a replication seed replay one cached world realization
-    // (bit-identical to live sampling; null cache = live processes).
-    config.world_cache = world_cache_;
-    return summarize(sim::Simulation(std::move(config)).run(workspace));
-  };
-
-  // PipelineState (exp/pipeline.hpp) owns the ready queue, the per-cell
-  // reorder/commit buffers, the precision decisions, and the speculation
-  // window. pool.size() long-lived worker loops pull jobs and deliver
-  // summaries under one mutex; the fold itself happens inside deliver() in
-  // canonical per-cell order, so accumulator sequences are bitwise-equal to
-  // a sequential run no matter which worker finishes when.
-  PipelineState state(options_, results, nullptr);
-  state.start();
-
+/// Thread lanes: options.threads long-lived pool workers, each with a private
+/// workspace, pull one job at a time from `state` and deliver its summary
+/// under one mutex; the fold happens inside deliver() in canonical per-cell
+/// order, so accumulator sequences are bitwise-equal to a sequential run no
+/// matter which worker finishes when. A delivery that appended journal
+/// records syncs the journal after the mutex is released. Returns one
+/// WorkerLaneStats per worker.
+std::vector<WorkerLaneStats> run_thread_lanes(const RunOptions& options,
+                                              const std::vector<NamedConfig>& cells,
+                                              PipelineState& state, CampaignJournal* journal,
+                                              const std::shared_ptr<grid::WorldCache>& cache) {
+  util::ThreadPool pool(options.threads);
   std::mutex mutex;
   std::condition_variable ready_cv;
   std::exception_ptr error;
   std::vector<WorkerLaneStats> lanes(pool.size());
-  const auto wall_start = std::chrono::steady_clock::now();
-  const auto seconds_since = [](std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  };
 
   auto worker_loop = [&] {
     const std::size_t lane = util::ThreadPool::current_worker_index();
@@ -149,21 +134,27 @@ std::vector<CellResult> ExperimentRunner::run(const std::vector<NamedConfig>& ce
       if (popped.empty()) continue;
       const PipelineJob job = popped.front();
       lock.unlock();
-      ReplicationSummary summary;
       try {
         const auto job_start = std::chrono::steady_clock::now();
-        summary = run_one(job, workspace);
+        ReplicationSummary summary =
+            run_job(cells[job.cell].config, job.replication, options.base_seed, cache, workspace);
         local.busy_s += seconds_since(job_start);
         ++local.jobs;
-      } catch (...) {
         lock.lock();
+        const std::uint64_t appended = journal != nullptr ? journal->appended() : 0;
+        state.deliver(job.cell, job.replication, std::move(summary));
+        if (state.has_ready() || state.finished()) ready_cv.notify_all();
+        if (journal != nullptr && journal->appended() != appended) {
+          lock.unlock();
+          journal->sync();
+          lock.lock();
+        }
+      } catch (...) {
+        if (!lock.owns_lock()) lock.lock();
         if (!error) error = std::current_exception();
         ready_cv.notify_all();
         break;
       }
-      lock.lock();
-      state.deliver(job.cell, job.replication, std::move(summary));
-      if (state.has_ready() || state.finished()) ready_cv.notify_all();
     }
     lanes[lane] = local;  // lock is held on every break path
   };
@@ -173,12 +164,49 @@ std::vector<CellResult> ExperimentRunner::run(const std::vector<NamedConfig>& ce
   for (std::size_t i = 0; i < pool.size(); ++i) futures.push_back(pool.submit(worker_loop));
   for (std::future<void>& future : futures) future.get();
   if (error) std::rethrow_exception(error);
+  return lanes;
+}
 
-  exec_stats_.lanes = std::move(lanes);
+}  // namespace
+
+std::vector<CellResult> ExperimentRunner::run(const std::vector<NamedConfig>& cells) {
+  std::vector<CellResult> results = make_cell_results(cells, options_);
+  exec_stats_ = ExecutionStats{};
+  cache_stats_ = grid::WorldCacheStats{};
+  if (cells.empty()) return results;
+  const auto wall_start = std::chrono::steady_clock::now();
+
+  // Journal, on either lane kind: start() folds the completed prefix of an
+  // earlier (killed) run of this same campaign instead of dispatching it.
+  // Records are written in the canonical order (exp/pipeline.hpp), so the
+  // recovered prefix is always a canonical prefix.
+  std::unique_ptr<CampaignJournal> journal;
+  if (!shard_.journal_path.empty()) {
+    journal = std::make_unique<CampaignJournal>(
+        shard_.journal_path, CampaignJournal::campaign_signature(cells, options_));
+  }
+  PipelineState state(options_, results, journal.get());
+  state.start();
+
+  if (shard_.procs == 0) {
+    exec_stats_.lanes = run_thread_lanes(options_, cells, state, journal.get(), world_cache_);
+    if (world_cache_) cache_stats_ = world_cache_->stats();
+  } else {
+    exec_stats_.lanes =
+        run_process_lanes(options_, shard_, cells, state, journal.get(), cache_stats_);
+  }
   exec_stats_.wall_s = seconds_since(wall_start);
+  if (shard_.procs > 0) {
+    // A worker process reports busy time only; the rest of the run, journal
+    // recovery included, is its stall.
+    for (WorkerLaneStats& lane : exec_stats_.lanes) {
+      lane.stall_s = std::max(0.0, exec_stats_.wall_s - lane.busy_s);
+    }
+  }
   exec_stats_.launched = state.launched();
   exec_stats_.committed = state.committed();
   exec_stats_.discarded = state.discarded();
+  exec_stats_.recovered = state.recovered();
 
   for (const CellResult& cell : results) {
     util::log_info("cell '", cell.label, "': mean turnaround ", cell.turnaround.stats().mean(),

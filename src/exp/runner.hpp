@@ -3,15 +3,18 @@
 // Each cell (one simulation configuration) is replicated with independent
 // seeds until its 95% CI on mean turnaround reaches the target relative error
 // (the paper's 2.5%) or the replication cap. Replications of all cells run
-// concurrently on a thread pool; every simulation is fully independent, and
-// summaries fold through the PipelineState ordered commit (pipeline.hpp), so
-// results are bit-identical for any thread count or completion order.
+// concurrently on lanes of one kind: threads in this process, or forked
+// worker processes (ShardOptions::procs). Every simulation is fully
+// independent, and summaries fold through the PipelineState ordered commit
+// (pipeline.hpp), so results are bit-identical for any lane kind, lane
+// count or completion order.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "grid/world_cache.hpp"
@@ -71,11 +74,10 @@ struct NamedConfig {
 };
 
 /// Wall-clock accounting for one execution lane (a pool worker thread, or a
-/// sharded worker process). busy_s is time spent executing replications;
-/// stall_s is time spent waiting for launchable work (the straggler
-/// penalty). For sharded workers busy_s is
-/// self-reported and stall_s is derived as wall - busy (it includes protocol
-/// overhead, not just idleness).
+/// worker process). busy_s is time spent executing replications; stall_s is
+/// time spent waiting for launchable work (the straggler penalty). A worker
+/// process self-reports busy_s, and its stall_s is derived as wall - busy (it
+/// includes protocol overhead, not just idleness).
 struct WorkerLaneStats {
   double busy_s = 0.0;
   double stall_s = 0.0;
@@ -84,7 +86,7 @@ struct WorkerLaneStats {
 
 /// Execution-shape observability for one run(): how the campaign actually
 /// executed (lane utilization, speculation economics), as opposed to what it
-/// computed. Filled by both runners; threaded into perf_json and the
+/// computed. Filled on either lane kind; threaded into perf_json and the
 /// robustness-campaign banner.
 struct ExecutionStats {
   std::vector<WorkerLaneStats> lanes;
@@ -143,21 +145,54 @@ struct CellResult {
   }
 };
 
-/// Thread-safety: run() is internally parallel (replications fan out over a
-/// util::ThreadPool of options().threads workers, each running jobs through
-/// its private SimulationWorkspace) but the runner itself is not re-entrant
-/// — one run() at a time per instance. Workers pull one job at a time from
-/// a shared PipelineState (exp/pipeline.hpp) and
-/// deliver summaries into its per-cell reorder buffers under one mutex; each
-/// summary folds the moment its per-cell predecessors have committed, in
-/// cell order / ascending replication order — the exact accumulator
-/// sequences of a sequential run, regardless of worker completion order,
-/// speculation window, or thread count.
+/// Where a run()'s lanes execute, and its journal. The defaults run thread
+/// lanes in this process with no journal.
+struct ShardOptions {
+  /// Worker processes to fork; 0 runs RunOptions::threads thread lanes in
+  /// this process instead. Each worker runs its jobs one at a time, so P
+  /// workers compare with P threads.
+  std::size_t procs = 0;
+  /// Completion-journal path (exp/journal.hpp), on either lane kind; empty =
+  /// no journal (no resume).
+  std::string journal_path;
+  /// mmap world-pool directory shared by the worker processes' world caches
+  /// (unused on thread lanes, which share one cache, and while
+  /// RunOptions::world_cache_bytes is 0); empty = no pool.
+  std::string pool_dir;
+  /// Test hook for the respawn path: the FIRST incarnation of worker
+  /// `self_kill_worker` exits mid-chunk after `self_kill_jobs` replications
+  /// (respawned replacements run normally). SIZE_MAX = disabled.
+  std::size_t self_kill_worker = static_cast<std::size_t>(-1);
+  std::size_t self_kill_jobs = 0;
+
+  /// Reads DGSCHED_PROCS (unset or 0: thread lanes), DGSCHED_JOURNAL (path)
+  /// and DGSCHED_POOL (directory). Same conventions as RunOptions::from_env.
+  [[nodiscard]] static ShardOptions from_env(ShardOptions defaults);
+  [[nodiscard]] static ShardOptions from_env() { return from_env(ShardOptions{}); }
+};
+
+/// The campaign runner. One run() builds the CellResults, opens (and
+/// recovers) the journal, drives one PipelineState (exp/pipeline.hpp) from
+/// its lanes, and accounts for them:
+///
+///  * thread lanes (ShardOptions::procs == 0): RunOptions::threads pool
+///    workers pull one job at a time and deliver summaries under one mutex,
+///    sharing one world cache;
+///  * process lanes (procs > 0): a single-threaded fork/poll coordinator
+///    (exp/shard.hpp) hands chunks to forked workers, each with a private
+///    world cache, optionally backed by the mmap pool.
+///
+/// Either way each summary folds the moment its per-cell predecessors have
+/// committed, in ascending replication order — the exact accumulator
+/// sequences of a sequential run, regardless of lane kind, completion order,
+/// speculation window or lane count. Not re-entrant: one run() at a time per
+/// instance.
 class ExperimentRunner {
  public:
-  explicit ExperimentRunner(RunOptions options)
+  explicit ExperimentRunner(RunOptions options, ShardOptions shard = {})
       : options_(options),
-        world_cache_(options.world_cache_bytes > 0
+        shard_(std::move(shard)),
+        world_cache_(shard_.procs == 0 && options.world_cache_bytes > 0
                          ? std::make_shared<grid::WorldCache>(options.world_cache_bytes)
                          : nullptr) {}
 
@@ -165,23 +200,37 @@ class ExperimentRunner {
   /// Replication `i` of every cell uses seed mix_seed(base_seed, i) —
   /// deliberately independent of the cell, so cells are compared under
   /// common random numbers (and share one cached world realization when the
-  /// world cache is on).
+  /// world cache is on). On process lanes, must be called from a process
+  /// where forking is safe.
   [[nodiscard]] std::vector<CellResult> run(const std::vector<NamedConfig>& cells);
 
-  [[nodiscard]] const RunOptions& options() const noexcept { return options_; }
+  /// World-cache statistics after the most recent run(): the shared cache's
+  /// running totals on thread lanes (it lives across run() calls), the
+  /// worker processes' caches of that run merged (WorldCacheStats::merge) on
+  /// process lanes. All zero while the cache is off.
+  [[nodiscard]] const grid::WorldCacheStats& cache_stats() const noexcept { return cache_stats_; }
 
-  /// The runner's world-realization cache; null when world_cache_bytes == 0.
-  /// Shared across run() calls, so hit-rate statistics accumulate.
+  // The split accessors that cache_stats() replaces: the thread lanes'
+  // shared cache (null on process lanes or when world_cache_bytes == 0) and
+  // the old process-lane name. Kept, like the ShardedRunner alias, only
+  // because benchmark/trace/trace_driver.cpp calls them; all three go with
+  // the next benchmark change.
   [[nodiscard]] const std::shared_ptr<grid::WorldCache>& world_cache() const noexcept {
     return world_cache_;
   }
+  [[nodiscard]] const grid::WorldCacheStats& worker_cache_stats() const noexcept {
+    return cache_stats_;
+  }
 
-  /// Execution-shape accounting for the most recent run().
+  /// Execution-shape accounting for the most recent run(); `recovered`
+  /// counts the replications served from the journal instead of run.
   [[nodiscard]] const ExecutionStats& exec_stats() const noexcept { return exec_stats_; }
 
  private:
   RunOptions options_;
+  ShardOptions shard_;
   std::shared_ptr<grid::WorldCache> world_cache_;
+  grid::WorldCacheStats cache_stats_{};
   ExecutionStats exec_stats_;
 };
 

@@ -24,7 +24,6 @@
 #include "exp/pipeline.hpp"
 #include "exp/replication_summary.hpp"
 #include "grid/world_pool.hpp"
-#include "rng/splitmix64.hpp"
 #include "sim/workspace.hpp"
 #include "util/binary_io.hpp"
 #include "util/logging.hpp"
@@ -185,14 +184,9 @@ struct MsgHeader {
         const auto replication = reader.pod<std::uint32_t>();
         const auto slot = reader.pod<std::uint32_t>();
 
-        sim::SimulationConfig config = cells[cell].config;
-        // Seeds depend only on (base_seed, replication): common random
-        // numbers across cells — identical to the threaded runner.
-        config.seed = rng::mix_seed(options.base_seed, replication);
-        config.world_cache = world_cache;
         const auto job_start = std::chrono::steady_clock::now();
         const ReplicationSummary summary =
-            summarize(sim::Simulation(std::move(config)).run(workspace));
+            run_job(cells[cell].config, replication, options.base_seed, world_cache, workspace);
         busy_ns += static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                                   std::chrono::steady_clock::now() - job_start)
                                                   .count());
@@ -228,90 +222,12 @@ struct MsgHeader {
 
 }  // namespace
 
-ShardOptions ShardOptions::from_env(ShardOptions defaults) {
-  if (auto v = env_size("DGSCHED_PROCS")) defaults.procs = *v;
-  if (auto v = env_string("DGSCHED_JOURNAL")) defaults.journal_path = *v;
-  if (auto v = env_string("DGSCHED_POOL")) defaults.pool_dir = *v;
-  if (auto v = env_size("DGSCHED_SHARD_ABORT_AFTER")) defaults.abort_after_appends = *v;
-  if (auto text = env_string("DGSCHED_SHARD_SELF_KILL")) {
-    const std::size_t colon = text->find(':');
-    // Digits and one colon only: std::stoull would also skip whitespace and
-    // accept a sign.
-    bool ok = colon != std::string::npos && colon > 0 && colon + 1 < text->size() &&
-              text->find_first_not_of("0123456789:") == std::string::npos;
-    if (ok) {
-      try {
-        std::size_t used_a = 0;
-        std::size_t used_b = 0;
-        const std::string jobs_text = text->substr(colon + 1);
-        defaults.self_kill_worker = std::stoull(text->substr(0, colon), &used_a);
-        defaults.self_kill_jobs = std::stoull(jobs_text, &used_b);
-        ok = used_a == colon && used_b == jobs_text.size();
-      } catch (const std::exception&) {
-        ok = false;
-      }
-    }
-    if (!ok) bad_env("DGSCHED_SHARD_SELF_KILL", *text, "\"<worker>:<jobs>\"");
-  }
-  return defaults;
-}
-
-std::vector<CellResult> ShardedRunner::run(const std::vector<NamedConfig>& cells) {
-  worker_stats_ = grid::WorldCacheStats{};
-  recovered_ = 0;
-  exec_stats_ = ExecutionStats{};
-
-  std::vector<CellResult> results;
-  results.reserve(cells.size());
-  for (const NamedConfig& cell : cells) {
-    CellResult result;
-    result.label = cell.label;
-    result.config = cell.config;
-    result.turnaround = stats::ReplicationAnalyzer(options_.ci_level,
-                                                   options_.target_relative_error,
-                                                   options_.min_replications);
-    results.push_back(std::move(result));
-  }
-  if (cells.empty()) return results;
-
-  const std::size_t procs = std::max<std::size_t>(1, shard_.procs);
-  const auto wall_start = std::chrono::steady_clock::now();
-
-  // Journal: recover the completed prefix of an earlier (killed) run of this
-  // same campaign. Journal records are written in the canonical order
-  // (exp/pipeline.hpp), so the recovered prefix is always a canonical prefix
-  // and feeding it back in file order cascades commits eagerly.
-  std::unique_ptr<CampaignJournal> journal;
-  if (!shard_.journal_path.empty()) {
-    journal = std::make_unique<CampaignJournal>(
-        shard_.journal_path, CampaignJournal::campaign_signature(cells, options_));
-  }
-
-  PipelineState state(options_, results, journal.get());
-  if (shard_.abort_after_appends > 0) {
-    // Failure-injection hook: simulate a coordinator kill at an exact
-    // journal record boundary (fsync first so the boundary is durable and
-    // the test deterministic).
-    state.after_append = [this, &journal] {
-      if (journal->appended() >= shard_.abort_after_appends) {
-        journal->sync();
-        std::_Exit(3);
-      }
-    };
-  }
-  if (journal) {
-    for (const CampaignJournal::Record& record : journal->recovered()) {
-      state.mark_recovered(record.cell, record.replication);
-    }
-  }
-  state.start();
-  if (journal) {
-    for (const CampaignJournal::Record& record : journal->recovered()) {
-      state.deliver_recovered(record.cell, record.replication,
-                              ReplicationSummary(record.summary));
-    }
-  }
-  recovered_ = state.recovered();
+std::vector<WorkerLaneStats> run_process_lanes(const RunOptions& options,
+                                               const ShardOptions& shard,
+                                               const std::vector<NamedConfig>& cells,
+                                               PipelineState& state, CampaignJournal* journal,
+                                               grid::WorldCacheStats& cache_stats) {
+  const std::size_t procs = shard.procs;
 
   struct Chunk {
     std::uint64_t id = 0;
@@ -348,15 +264,15 @@ std::vector<CellResult> ShardedRunner::run(const std::vector<NamedConfig>& cells
     }
     int sv[2];
     if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
-      throw std::runtime_error("ShardedRunner: socketpair failed");
+      throw std::runtime_error("process lanes: socketpair failed");
     }
     const std::size_t kill_after =
-        (!workers[w].spawned_once && w == shard_.self_kill_worker) ? shard_.self_kill_jobs : 0;
+        (!workers[w].spawned_once && w == shard.self_kill_worker) ? shard.self_kill_jobs : 0;
     const pid_t pid = ::fork();
     if (pid < 0) {
       ::close(sv[0]);
       ::close(sv[1]);
-      throw std::runtime_error("ShardedRunner: fork failed");
+      throw std::runtime_error("process lanes: fork failed");
     }
     if (pid == 0) {
       // Child: drop every coordinator-side descriptor we inherited so
@@ -365,7 +281,7 @@ std::vector<CellResult> ShardedRunner::run(const std::vector<NamedConfig>& cells
       for (const Worker& other : workers) {
         if (other.fd >= 0) ::close(other.fd);
       }
-      worker_main(sv[1], options_, cells, shard_.pool_dir, kill_after, rings[w].get());
+      worker_main(sv[1], options, cells, shard.pool_dir, kill_after, rings[w].get());
     }
     ::close(sv[1]);
     workers[w].pid = pid;
@@ -399,7 +315,7 @@ std::vector<CellResult> ShardedRunner::run(const std::vector<NamedConfig>& cells
     worker.outstanding.clear();
     if (++respawns > respawn_cap) {
       throw std::runtime_error(
-          "ShardedRunner: worker respawn limit exceeded (a replication keeps crashing its "
+          "process lanes: worker respawn limit exceeded (a replication keeps crashing its "
           "worker; see stderr for the worker's error)");
     }
   };
@@ -474,7 +390,7 @@ std::vector<CellResult> ShardedRunner::run(const std::vector<NamedConfig>& cells
       return;
     }
     if (worker.outstanding.empty()) {
-      throw std::runtime_error("ShardedRunner: unexpected chunk reply");
+      throw std::runtime_error("process lanes: unexpected chunk reply");
     }
     Chunk chunk = std::move(worker.outstanding.front());
     worker.outstanding.pop_front();
@@ -482,14 +398,14 @@ std::vector<CellResult> ShardedRunner::run(const std::vector<NamedConfig>& cells
     const auto chunk_id = reader.pod<std::uint64_t>();
     const auto count = reader.pod<std::uint32_t>();
     if (chunk_id != chunk.id || count != chunk.jobs.size()) {
-      throw std::runtime_error("ShardedRunner: protocol mismatch in chunk reply");
+      throw std::runtime_error("process lanes: protocol mismatch in chunk reply");
     }
     for (std::uint32_t i = 0; i < count; ++i) {
       const auto cell = reader.pod<std::uint32_t>();
       const auto replication = reader.pod<std::uint32_t>();
       const auto size = reader.pod<std::uint32_t>();
       if (cell != chunk.jobs[i].cell || replication != chunk.jobs[i].replication) {
-        throw std::runtime_error("ShardedRunner: job mismatch in chunk reply");
+        throw std::runtime_error("process lanes: job mismatch in chunk reply");
       }
       ReplicationSummary summary;
       if (size == 0) {
@@ -497,7 +413,7 @@ std::vector<CellResult> ShardedRunner::run(const std::vector<NamedConfig>& cells
         // validate-then-copy (a torn slot throws, never folds).
         const std::uint32_t slot = chunk.slots[i];
         if (slot == util::ShmRing::kNoSlot) {
-          throw std::runtime_error("ShardedRunner: ring reply without an assigned slot");
+          throw std::runtime_error("process lanes: ring reply without an assigned slot");
         }
         rings[w]->read(slot, summary_bytes);
         util::ByteReader summary_reader(summary_bytes.data(), summary_bytes.size());
@@ -512,7 +428,7 @@ std::vector<CellResult> ShardedRunner::run(const std::vector<NamedConfig>& cells
       }
       state.deliver(cell, replication, std::move(summary));
     }
-    if (journal) journal->sync();
+    if (journal != nullptr) journal->sync();
   };
 
   while (!state.finished() || any_outstanding()) {
@@ -531,13 +447,13 @@ std::vector<CellResult> ShardedRunner::run(const std::vector<NamedConfig>& cells
       if (!state.has_ready()) {
         // Unstopped cells always have a job queued or in flight; neither
         // here means the pipeline state is corrupt, not merely slow.
-        throw std::runtime_error("ShardedRunner: stalled with no ready or in-flight jobs");
+        throw std::runtime_error("process lanes: stalled with no ready or in-flight jobs");
       }
       continue;  // every busy worker died; the next pass respawns
     }
     if (::poll(fds.data(), fds.size(), -1) < 0) {
       if (errno == EINTR) continue;
-      throw std::runtime_error("ShardedRunner: poll failed");
+      throw std::runtime_error("process lanes: poll failed");
     }
     for (std::size_t f = 0; f < fds.size(); ++f) {
       if ((fds[f].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
@@ -549,7 +465,7 @@ std::vector<CellResult> ShardedRunner::run(const std::vector<NamedConfig>& cells
   // pool_hit_rate) and execution-lane accounting, then reap. A lane whose
   // worker was respawned reports only the surviving incarnation (a killed
   // worker's counters die with it).
-  exec_stats_.lanes.assign(procs, WorkerLaneStats{});
+  std::vector<WorkerLaneStats> lanes(procs);
   for (std::size_t w = 0; w < procs; ++w) {
     Worker& worker = workers[w];
     if (!worker.alive) continue;
@@ -566,9 +482,9 @@ std::vector<CellResult> ShardedRunner::run(const std::vector<NamedConfig>& cells
       stats.entries = static_cast<std::size_t>(reader.pod<std::uint64_t>());
       stats.bytes = static_cast<std::size_t>(reader.pod<std::uint64_t>());
       stats.peak_bytes = static_cast<std::size_t>(reader.pod<std::uint64_t>());
-      worker_stats_.merge(stats);
-      exec_stats_.lanes[w].busy_s = static_cast<double>(reader.pod<std::uint64_t>()) * 1e-9;
-      exec_stats_.lanes[w].jobs = reader.pod<std::uint64_t>();
+      cache_stats.merge(stats);
+      lanes[w].busy_s = static_cast<double>(reader.pod<std::uint64_t>()) * 1e-9;
+      lanes[w].jobs = reader.pod<std::uint64_t>();
     }
     ::close(worker.fd);
     worker.fd = -1;
@@ -576,23 +492,7 @@ std::vector<CellResult> ShardedRunner::run(const std::vector<NamedConfig>& cells
     (void)::waitpid(worker.pid, &status, 0);
     worker.alive = false;
   }
-
-  exec_stats_.wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-  for (WorkerLaneStats& lane : exec_stats_.lanes) {
-    lane.stall_s = std::max(0.0, exec_stats_.wall_s - lane.busy_s);
-  }
-  exec_stats_.launched = state.launched();
-  exec_stats_.committed = state.committed();
-  exec_stats_.discarded = state.discarded();
-  exec_stats_.recovered = state.recovered();
-
-  for (const CellResult& cell : results) {
-    util::log_info("cell '", cell.label, "': mean turnaround ", cell.turnaround.stats().mean(),
-                   " (", cell.replications, " reps",
-                   cell.saturated() ? ", SATURATED" : "", ")");
-  }
-  return results;
+  return lanes;
 }
 
 }  // namespace dg::exp

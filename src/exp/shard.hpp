@@ -1,20 +1,19 @@
-// Multi-process sharded campaign execution.
+// Process lanes: ExperimentRunner's lanes as forked worker processes
+// (ShardOptions::procs > 0).
 //
-// ShardedRunner is ExperimentRunner's process-level sibling: it draws the
-// same (cell, replication) jobs from the shared PipelineState
-// (exp/pipeline.hpp), but instead of fanning them out over an in-process
-// thread pool it forks N worker processes and hands out cost-major chunks
-// over per-worker UNIX socket pairs. Each worker runs its jobs sequentially
-// through a private SimulationWorkspace (and, when
-// RunOptions::world_cache_bytes > 0, a private WorldCache), reduces every
-// replication to a ReplicationSummary, and ships
-// the summaries back; the coordinator feeds them through the pipeline's
-// ordered per-cell commit — the exact fold sequence of the threaded runner —
-// so the merged CellResults are bit-identical to a single-process run for
-// ANY worker count, chunk shape, speculation window, worker-death schedule,
-// or kill/resume point. Chunks are double-buffered per worker (a new chunk
-// is assigned while the previous one runs) and chunk sizes shrink toward the
-// campaign drain so the final stragglers are single replications.
+// The coordinator draws the same (cell, replication) jobs from the run's
+// PipelineState (exp/pipeline.hpp) that thread lanes pop, but hands them out
+// as cost-major chunks to N forked workers over per-worker UNIX socket
+// pairs. Each worker runs its jobs through the shared job body (run_job)
+// with a private SimulationWorkspace (and, when
+// RunOptions::world_cache_bytes > 0, a private WorldCache), and ships the
+// summaries back; the coordinator feeds them through the pipeline's ordered
+// per-cell commit — the exact fold sequence of thread lanes — so the merged
+// CellResults are bit-identical for ANY worker count, chunk shape,
+// speculation window, worker-death schedule, or kill/resume point. Chunks
+// are double-buffered per worker (a new chunk is assigned while the
+// previous one runs) and chunk sizes shrink toward the campaign drain so
+// the final stragglers are single replications.
 //
 // Result transport: summaries carry multiple 768-bucket u64 quantile
 // sketches — tens of KB each — so they travel through a per-worker
@@ -25,101 +24,45 @@
 //
 // Why processes at all: address-space isolation (one crashed replication
 // loses a chunk, not the campaign — the coordinator re-queues it and forks
-// a replacement worker) and the path past one process's allocator/thread
-// scaling. By default workers sample their worlds live. With the world
-// cache on, the mmap world pool (grid/world_pool.hpp) lets workers attach
-// their caches to a shared pool directory, so each replication's world is
-// synthesized by exactly one process and mapped by its siblings, the
-// cross-process analogue of the threaded runner's shared WorldCache.
+// a replacement worker). By default workers sample their worlds live. With
+// the world cache on, the mmap world pool (grid/world_pool.hpp) lets
+// workers attach their caches to a shared pool directory, so each
+// replication's world is synthesized by exactly one process and mapped by
+// its siblings, the cross-process analogue of the thread lanes' shared
+// WorldCache.
 //
-// Fault tolerance is layered:
-//   worker death   — the coordinator detects EOF, reaps the child, re-queues
-//                    the outstanding chunk, and respawns (bounded; a
-//                    deterministically-crashing replication eventually
-//                    surfaces as an error instead of a spin).
-//   coordinator    — with a journal attached (exp/journal.hpp), every
-//   death            completed replication is appended + fsync'd per chunk;
-//                    a relaunched campaign folds the journal's records into
-//                    its round slots and only dispatches what's missing.
+// A worker that dies is reaped, its outstanding chunks re-queued, and a
+// replacement forked (bounded; a deterministically-crashing replication
+// eventually surfaces as an error instead of a spin). A killed coordinator
+// is covered by the journal, which ExperimentRunner::run opens for either
+// lane kind; these lanes sync it after every received chunk.
 //
 // Coordinator threading: none. The coordinator is a single-threaded poll()
 // loop, which keeps fork() safe (no locks can be held by a vanished thread)
 // and the fold trivially ordered.
 #pragma once
 
-#include <cstdint>
-#include <string>
 #include <vector>
 
 #include "exp/runner.hpp"
-#include "grid/world_cache.hpp"
 
 namespace dg::exp {
 
-struct ShardOptions {
-  /// Worker processes to fork; 0 behaves as 1. Workers run their chunks
-  /// sequentially — with P workers the natural comparison is the threaded
-  /// runner at P threads.
-  std::size_t procs = 1;
-  /// Completion-journal path; empty = no journal (no resume).
-  std::string journal_path;
-  /// mmap world-pool directory shared by the workers' world caches (unused
-  /// while RunOptions::world_cache_bytes is 0); empty = no pool.
-  std::string pool_dir;
+class CampaignJournal;
+class PipelineState;
 
-  // Failure-injection hooks for the kill/resume tests and the shard-smoke CI
-  // job. Both default off.
-  /// Coordinator _exits (simulating a kill -9) after this many journal
-  /// appends; 0 = disabled.
-  std::size_t abort_after_appends = 0;
-  /// Worker index whose FIRST incarnation self-kills mid-chunk after
-  /// `self_kill_jobs` replications (respawned replacements run normally).
-  /// SIZE_MAX = disabled.
-  std::size_t self_kill_worker = static_cast<std::size_t>(-1);
-  std::size_t self_kill_jobs = 0;
+/// Runs `state` to completion on shard.procs forked worker processes, then
+/// shuts them down. Returns one WorkerLaneStats per worker with busy_s and
+/// jobs set (a respawned worker reports its surviving incarnation only; the
+/// caller derives stall_s) and merges the workers' world-cache statistics
+/// into `cache_stats`. `journal` may be null.
+[[nodiscard]] std::vector<WorkerLaneStats> run_process_lanes(
+    const RunOptions& options, const ShardOptions& shard, const std::vector<NamedConfig>& cells,
+    PipelineState& state, CampaignJournal* journal, grid::WorldCacheStats& cache_stats);
 
-  /// Reads DGSCHED_PROCS, DGSCHED_JOURNAL (path), DGSCHED_POOL (directory),
-  /// DGSCHED_SHARD_ABORT_AFTER (count), and DGSCHED_SHARD_SELF_KILL
-  /// ("worker:jobs"). Same conventions as RunOptions::from_env.
-  [[nodiscard]] static ShardOptions from_env(ShardOptions defaults);
-  [[nodiscard]] static ShardOptions from_env() { return from_env(ShardOptions{}); }
-};
-
-class ShardedRunner {
- public:
-  ShardedRunner(RunOptions options, ShardOptions shard)
-      : options_(options), shard_(std::move(shard)) {}
-
-  /// Runs every cell to its precision target, exactly like
-  /// ExperimentRunner::run and bit-identical to it. Forks workers on entry,
-  /// shuts them down (collecting their cache stats) before returning. Not
-  /// re-entrant; must be called from a process where forking is safe (the
-  /// coordinator itself creates no threads).
-  [[nodiscard]] std::vector<CellResult> run(const std::vector<NamedConfig>& cells);
-
-  [[nodiscard]] const RunOptions& options() const noexcept { return options_; }
-  [[nodiscard]] const ShardOptions& shard_options() const noexcept { return shard_; }
-
-  /// Aggregated WorldCache stats across all worker processes of the last
-  /// run() (merged via WorldCacheStats::merge) — the source of the
-  /// cross-process pool_hit_rate surfaced in perf JSON.
-  [[nodiscard]] const grid::WorldCacheStats& worker_cache_stats() const noexcept {
-    return worker_stats_;
-  }
-  /// Replications served from the journal instead of dispatched, last run().
-  [[nodiscard]] std::uint64_t recovered_replications() const noexcept { return recovered_; }
-
-  /// Execution-shape accounting for the most recent run(): one lane per
-  /// worker process (busy self-reported over the socket; stall derived as
-  /// wall - busy), plus the pipeline's speculation counters.
-  [[nodiscard]] const ExecutionStats& exec_stats() const noexcept { return exec_stats_; }
-
- private:
-  RunOptions options_;
-  ShardOptions shard_;
-  grid::WorldCacheStats worker_stats_{};
-  std::uint64_t recovered_ = 0;
-  ExecutionStats exec_stats_;
-};
+/// The process-lane runner's old name. Kept only because
+/// benchmark/trace/trace_driver.cpp names it; remove with the next
+/// benchmark change.
+using ShardedRunner = ExperimentRunner;
 
 }  // namespace dg::exp

@@ -11,7 +11,6 @@
 #include "exp/paper.hpp"
 #include "exp/pipeline.hpp"
 #include "exp/runner.hpp"
-#include "rng/splitmix64.hpp"
 #include "sim/workspace.hpp"
 
 namespace dg::exp {
@@ -27,21 +26,13 @@ sim::SimulationConfig tiny_config(sched::PolicyKind policy, std::size_t num_bots
   return config;
 }
 
-// Drives PipelineState the way the sharded coordinator does: jobs are handed
-// out in batches of up to `batch`, run on one lane, and each batch's
-// summaries are delivered in reverse, so completion order differs from
-// hand-out order.
+// Drives PipelineState the way the process-lane coordinator does: jobs are
+// handed out in batches of up to `batch`, run on one lane through the shared
+// job body, and each batch's summaries are delivered in reverse, so
+// completion order differs from hand-out order.
 std::vector<CellResult> run_batched(const RunOptions& options,
                                     const std::vector<NamedConfig>& cells, std::size_t batch) {
-  std::vector<CellResult> results;
-  for (const NamedConfig& cell : cells) {
-    CellResult result;
-    result.label = cell.label;
-    result.config = cell.config;
-    result.turnaround = stats::ReplicationAnalyzer(options.ci_level, options.target_relative_error,
-                                                   options.min_replications);
-    results.push_back(std::move(result));
-  }
+  std::vector<CellResult> results = make_cell_results(cells, options);
   const auto world_cache = options.world_cache_bytes > 0
                                ? std::make_shared<grid::WorldCache>(options.world_cache_bytes)
                                : nullptr;
@@ -56,10 +47,8 @@ std::vector<CellResult> run_batched(const RunOptions& options,
     }
     std::vector<ReplicationSummary> summaries;
     for (const PipelineJob& job : jobs) {
-      sim::SimulationConfig config = results[job.cell].config;
-      config.seed = rng::mix_seed(options.base_seed, job.replication);
-      config.world_cache = world_cache;
-      summaries.push_back(summarize(sim::Simulation(std::move(config)).run(workspace)));
+      summaries.push_back(run_job(cells[job.cell].config, job.replication, options.base_seed,
+                                  world_cache, workspace));
     }
     for (std::size_t i = jobs.size(); i-- > 0;) {
       state.deliver(jobs[i].cell, jobs[i].replication, std::move(summaries[i]));
@@ -153,9 +142,9 @@ TEST(ExperimentRunner, SaturatedCellStopsAtMinimumAndIsCounted) {
 }
 
 TEST(ExperimentRunner, BatchShapeDoesNotChangeResults) {
-  // The hand-out batch (the sharded coordinator's chunk) must not change
-  // results: one-job batches and batches bigger than a cell's whole minimum
-  // fold exactly what the threaded runner's one-job pops fold.
+  // The hand-out batch (the process-lane coordinator's chunk) must not
+  // change results: one-job batches and batches bigger than a cell's whole
+  // minimum fold exactly what the thread lanes' one-job pops fold.
   const std::vector<NamedConfig> cells = {{"a", tiny_config(sched::PolicyKind::kFcfsShare)},
                                           {"b", tiny_config(sched::PolicyKind::kRoundRobin)}};
   RunOptions options;
@@ -211,7 +200,7 @@ TEST(ExperimentRunner, MergedTailsBitIdenticalAcrossThreadsBatchAndWorldCache) {
 
   struct Variant {
     std::size_t threads;
-    std::size_t batch;  ///< 0: threaded runner; otherwise run_batched's batch size
+    std::size_t batch;  ///< 0: thread lanes; otherwise run_batched's batch size
     std::size_t cache_bytes;
   };
   const Variant variants[] = {{1, 0, 0},

@@ -6,6 +6,8 @@
 // refused outright.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -15,6 +17,17 @@
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+// Sanitizer runtimes reserve their own shadow address space, which an
+// address-space limit would starve.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define DG_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+#define DG_TEST_SANITIZED 1
+#endif
+#endif
 
 #include "exp/journal.hpp"
 #include "exp/runner.hpp"
@@ -192,6 +205,58 @@ TEST(CampaignJournal, CorruptRecordDropsItAndItsSuffix) {
   ASSERT_EQ(journal.recovered().size(), 1u);
   expect_summary_bitwise(journal.recovered()[0].summary, make_summary(0));
   EXPECT_EQ(std::filesystem::file_size(file.path), boundaries[1]);
+}
+
+/// Bytes of address space this process has mapped (/proc/self/statm).
+std::uintmax_t mapped_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::uintmax_t pages = 0;
+  statm >> pages;
+  return pages * static_cast<std::uintmax_t>(::sysconf(_SC_PAGESIZE));
+}
+
+TEST(CampaignJournal, RecordLongerThanTheFileIsATornTailNotAnAllocation) {
+#ifdef DG_TEST_SANITIZED
+  GTEST_SKIP() << "an address-space limit starves the sanitizer runtime";
+#endif
+  // A 48-byte journal: its 16-byte header, then one 24-byte record header
+  // claiming 0xFFFFFFF0 payload bytes, then 8 bytes. The claim runs past the
+  // end of the file, so the record is a torn tail: recovery must stop there
+  // without sizing a buffer from it, and cut the file back to its header.
+  JournalPath file("oversized");
+  constexpr std::uint64_t kSignature = 99;
+  { CampaignJournal journal(file.path, kSignature); }
+  {
+    std::ofstream out(file.path, std::ios::binary | std::ios::app);
+    const std::uint32_t record_header[6] = {0xFFFFFFF0u, 0, 0, 0, 0, 0};
+    out.write(reinterpret_cast<const char*>(record_header), sizeof record_header);
+    const char payload[8] = {};
+    out.write(payload, sizeof payload);
+  }
+  ASSERT_EQ(std::filesystem::file_size(file.path), 48u);
+
+  // Recover in a child allowed 1 GiB of address space beyond what it already
+  // maps: zero-filling the claimed 4 GiB cannot fit, and any escape from the
+  // constructor (std::bad_alloc included) is a failing exit status.
+  const std::uintmax_t limit = mapped_bytes() + (std::uintmax_t{1} << 30);
+  const ::pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    const ::rlimit address_space{limit, limit};
+    if (::setrlimit(RLIMIT_AS, &address_space) != 0) ::_exit(10);
+    try {
+      const CampaignJournal journal(file.path, kSignature);
+      if (!journal.recovered().empty()) ::_exit(11);
+    } catch (...) {
+      ::_exit(12);
+    }
+    ::_exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "recovery died of signal " << WTERMSIG(status);
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "10: setrlimit, 11: records recovered, 12: threw";
+  EXPECT_EQ(std::filesystem::file_size(file.path), 16u);
 }
 
 TEST(CampaignJournal, SignatureMismatchRestartsTheFile) {

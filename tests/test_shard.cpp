@@ -1,8 +1,9 @@
-// Multi-process sharded runner (exp/shard.hpp): results must be
-// bit-identical to the threaded ExperimentRunner for any worker count,
-// chunk shape, worker-death schedule, or kill/resume point (satellites:
-// cross-process bit-identity and kill/resume), the mmap pool must serve
-// worlds across runs, and the env knobs must parse.
+// Process lanes (exp/shard.hpp) and the journal on either lane kind:
+// ExperimentRunner's results must be bit-identical to its thread lanes for
+// any worker count, chunk shape, worker-death schedule, or kill/resume
+// point; journal bytes must not depend on the lane kind, and a journal
+// written on one lane kind must resume on the other; the mmap pool must
+// serve worlds across runs; and the env knobs must parse.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -14,10 +15,10 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/runner.hpp"
-#include "exp/shard.hpp"
 #include "sim/simulation.hpp"
 
 namespace dg::exp {
@@ -99,11 +100,41 @@ std::vector<std::uint8_t> file_bytes(const std::string& path) {
                                    std::istreambuf_iterator<char>());
 }
 
+/// Record boundaries of journal bytes, parsed from the file: 16-byte
+/// header, then records of a 24-byte header (leading u32 payload size) plus
+/// payload. boundaries[k] ends record k - 1. Callers assert that the last
+/// boundary is the journal's size before cutting at any of them.
+std::vector<std::size_t> record_boundaries(const std::vector<std::uint8_t>& journal) {
+  std::vector<std::size_t> boundaries{16};
+  while (boundaries.back() + sizeof(std::uint32_t) <= journal.size()) {
+    std::uint32_t payload_size = 0;
+    std::memcpy(&payload_size, journal.data() + boundaries.back(), sizeof payload_size);
+    boundaries.push_back(boundaries.back() + 24 + payload_size);
+  }
+  return boundaries;
+}
+
+/// Writes the first `bytes` bytes of `journal` to `path` — the file a kill at
+/// that record boundary leaves behind.
+void write_prefix(const std::string& path, const std::vector<std::uint8_t>& journal,
+                  std::size_t bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(journal.data()), static_cast<std::streamoff>(bytes));
+}
+
+/// Lane options: `procs` worker processes, or thread lanes when 0.
+ShardOptions lanes(std::size_t procs, std::string journal_path = {}) {
+  ShardOptions shard;
+  shard.procs = procs;
+  shard.journal_path = std::move(journal_path);
+  return shard;
+}
+
 TEST(ShardedRunner, BitIdenticalToThreadedRunnerAcrossProcessCounts) {
-  // Satellite: byte-identical campaign output at 1, 2, and 4 workers. The
-  // threaded runner (live worlds) is the reference; world cache, pool and
-  // journal are all on, so the full transport path (mmap load + socket
-  // summaries + journal append) is what's being held to the contract.
+  // Byte-identical campaign output at 1, 2, and 4 workers. Thread lanes
+  // (live worlds) are the reference; world cache, pool and journal are all
+  // on, so the full transport path (mmap load + socket summaries + journal
+  // append) is what's being held to the contract.
   ShardDir dir("procs");
   const std::vector<NamedConfig> cells = tiny_cells();
   const RunOptions options = tiny_options();
@@ -117,9 +148,9 @@ TEST(ShardedRunner, BitIdenticalToThreadedRunnerAcrossProcessCounts) {
     shard.procs = procs;
     shard.pool_dir = dir.file("pool");
     shard.journal_path = dir.file(("j" + std::to_string(procs) + ".journal").c_str());
-    ShardedRunner runner(cached, shard);
+    ExperimentRunner runner(cached, shard);
     expect_cells_bitwise(runner.run(cells), reference);
-    EXPECT_EQ(runner.recovered_replications(), 0u);
+    EXPECT_EQ(runner.exec_stats().recovered, 0u);
   }
 }
 
@@ -135,7 +166,7 @@ TEST(ShardedRunner, BitIdenticalAcrossChunkShapesAndHandOutOrders) {
     o.speculate = 0;
     ShardOptions shard;
     shard.procs = 3;
-    expect_cells_bitwise(ShardedRunner(o, shard).run(cells), reference);
+    expect_cells_bitwise(ExperimentRunner(o, shard).run(cells), reference);
   }
   // Per-worker world caches (no pool): workers replay cached worlds.
   {
@@ -143,7 +174,7 @@ TEST(ShardedRunner, BitIdenticalAcrossChunkShapesAndHandOutOrders) {
     o.world_cache_bytes = grid::WorldCache::kDefaultBudgetBytes;
     ShardOptions shard;
     shard.procs = 2;
-    expect_cells_bitwise(ShardedRunner(o, shard).run(cells), reference);
+    expect_cells_bitwise(ExperimentRunner(o, shard).run(cells), reference);
   }
 }
 
@@ -161,7 +192,7 @@ TEST(ShardedRunner, MultiRoundPrecisionLoopMatchesThreadedRunner) {
 
   ShardOptions shard;
   shard.procs = 2;
-  expect_cells_bitwise(ShardedRunner(options, shard).run(cells), reference);
+  expect_cells_bitwise(ExperimentRunner(options, shard).run(cells), reference);
 }
 
 TEST(ShardedRunner, SecondRunOverTheSamePoolLoadsInsteadOfSynthesizing) {
@@ -173,16 +204,16 @@ TEST(ShardedRunner, SecondRunOverTheSamePoolLoadsInsteadOfSynthesizing) {
   shard.procs = 2;
   shard.pool_dir = dir.file("pool");
 
-  ShardedRunner cold(options, shard);
+  ExperimentRunner cold(options, shard);
   const std::vector<CellResult> first = cold.run(cells);
   // The cold run synthesized every world exactly once across the fleet.
-  EXPECT_GT(cold.worker_cache_stats().misses, 0u);
+  EXPECT_GT(cold.cache_stats().misses, 0u);
 
   // A second fleet over the same pool directory starts with every world
   // published: its workers' memory misses are all pool hits, zero syntheses.
-  ShardedRunner warm(options, shard);
+  ExperimentRunner warm(options, shard);
   const std::vector<CellResult> second = warm.run(cells);
-  const grid::WorldCacheStats stats = warm.worker_cache_stats();
+  const grid::WorldCacheStats stats = warm.cache_stats();
   EXPECT_EQ(stats.misses, 0u);
   EXPECT_EQ(stats.extensions, 0u);
   EXPECT_GT(stats.pool_hits, 0u);
@@ -203,62 +234,64 @@ TEST(ShardedRunner, KilledWorkerIsRespawnedAndResultsUnchanged) {
   shard.procs = 2;
   shard.self_kill_worker = 0;
   shard.self_kill_jobs = 1;
-  expect_cells_bitwise(ShardedRunner(options, shard).run(cells), reference);
+  expect_cells_bitwise(ExperimentRunner(options, shard).run(cells), reference);
 }
 
 TEST(ShardedRunner, ResumeFromEveryJournalRecordBoundaryIsByteIdentical) {
-  // Satellite kill/resume: complete the campaign once (journaled), then for
-  // every prefix of the journal — every record boundary, i.e. every possible
-  // fsync'd kill point — restart the campaign from that prefix. Each resumed
-  // run must (a) fold exactly the prefix's records instead of re-running
-  // them and (b) produce bitwise-identical cell results; the resumed journal
-  // must even match the uninterrupted journal byte for byte.
+  // Complete the campaign once journaled on each lane kind, then for every
+  // prefix of the journal — every record boundary, i.e. every possible
+  // fsync'd kill point — restart the campaign from that prefix on the OTHER
+  // lane kind. Each resumed run must (a) fold exactly the prefix's records
+  // instead of re-running them and (b) produce bitwise-identical cell
+  // results; both lane kinds write the same journal bytes, and the resumed
+  // journal must match them byte for byte.
   ShardDir dir("resume");
   const std::vector<NamedConfig> cells = tiny_cells();
-  const RunOptions options = tiny_options();
+  RunOptions options = tiny_options();
+  const std::vector<CellResult> reference = ExperimentRunner(options).run(cells);
+  options.threads = 1;
 
-  ShardOptions shard;
-  shard.procs = 1;  // deterministic append order, so journal bytes compare
-  shard.journal_path = dir.file("reference.journal");
-  shard.pool_dir = dir.file("pool");
-  ShardedRunner runner(options, shard);
-  const std::vector<CellResult> reference = runner.run(cells);
-  const std::vector<std::uint8_t> reference_journal = file_bytes(shard.journal_path);
+  ExperimentRunner process_writer(options, lanes(1, dir.file("procs.journal")));
+  expect_cells_bitwise(process_writer.run(cells), reference);
+  const std::vector<std::uint8_t> process_journal = file_bytes(dir.file("procs.journal"));
+  ExperimentRunner thread_writer(options, lanes(0, dir.file("threads.journal")));
+  expect_cells_bitwise(thread_writer.run(cells), reference);
+  const std::vector<std::uint8_t> thread_journal = file_bytes(dir.file("threads.journal"));
+  EXPECT_EQ(thread_journal, process_journal);
 
-  // Record boundaries, parsed from the file: 16-byte header, then records of
-  // 24-byte header (leading u32 payload size) + payload.
-  std::vector<std::size_t> boundaries{16};
-  while (boundaries.back() < reference_journal.size()) {
-    std::uint32_t payload_size = 0;
-    std::memcpy(&payload_size, reference_journal.data() + boundaries.back(),
-                sizeof payload_size);
-    boundaries.push_back(boundaries.back() + 24 + payload_size);
-  }
-  ASSERT_EQ(boundaries.back(), reference_journal.size());
+  const std::vector<std::size_t> boundaries = record_boundaries(process_journal);
+  ASSERT_EQ(boundaries.back(), process_journal.size());
   ASSERT_EQ(boundaries.size(), 7u);  // header + 2 cells x 3 replications
 
-  for (std::size_t k = 0; k < boundaries.size(); ++k) {
-    SCOPED_TRACE(k);
-    ShardOptions resume = shard;
-    resume.journal_path = dir.file("resume.journal");
-    {
-      std::ofstream out(resume.journal_path, std::ios::binary | std::ios::trunc);
-      out.write(reinterpret_cast<const char*>(reference_journal.data()),
-                static_cast<std::streamoff>(boundaries[k]));
+  struct Resume {
+    const char* name;
+    const std::vector<std::uint8_t>* journal;  ///< written on the other lane kind
+    std::size_t threads;
+    std::size_t procs;
+  };
+  const Resume resumes[] = {{"thread-lane journal on 2 processes", &thread_journal, 1, 2},
+                            {"process-lane journal on 3 threads", &process_journal, 3, 0}};
+  for (const Resume& resume : resumes) {
+    for (std::size_t k = 0; k < boundaries.size(); ++k) {
+      SCOPED_TRACE(std::string(resume.name) + ", boundary " + std::to_string(k));
+      const std::string path = dir.file("resume.journal");
+      write_prefix(path, *resume.journal, boundaries[k]);
+      RunOptions o = options;
+      o.threads = resume.threads;
+      ExperimentRunner resumed(o, lanes(resume.procs, path));
+      expect_cells_bitwise(resumed.run(cells), reference);
+      EXPECT_EQ(resumed.exec_stats().recovered, k);
+      EXPECT_EQ(file_bytes(path), process_journal);
     }
-    ShardedRunner resumed(options, resume);
-    expect_cells_bitwise(resumed.run(cells), reference);
-    EXPECT_EQ(resumed.recovered_replications(), k);
-    EXPECT_EQ(file_bytes(resume.journal_path), reference_journal);
   }
 }
 
 TEST(ShardedRunner, JournalBytesIdenticalAcrossExecutionShapes) {
-  // The canonical journal order contract (PR 10): the journal is written in
+  // The canonical journal order contract: the journal is written in
   // cell-major / ascending-replication canonical order regardless of how the
-  // campaign actually executed, so the file is byte-identical across any
-  // speculation window, any worker count, and any chunk shape — and a
-  // journal written by one shape can resume a run under any other.
+  // campaign actually executed, so the file is byte-identical across lane
+  // kinds, any speculation window, any lane count, and any chunk shape — and
+  // a journal written by one shape can resume a run under any other.
   ShardDir dir("shapes");
   const std::vector<NamedConfig> cells = tiny_cells();
   RunOptions base = tiny_options();
@@ -272,22 +305,23 @@ TEST(ShardedRunner, JournalBytesIdenticalAcrossExecutionShapes) {
   struct Variant {
     const char* name;
     std::size_t speculate;
+    std::size_t threads;  ///< thread lanes when procs == 0
     std::size_t procs;
   };
   const Variant variants[] = {
-      {"p1_default", 1, 1}, {"p1_spec0", 0, 1}, {"p2_spec0", 0, 2},
-      {"p2_spec4", 4, 2},   {"p4_spec0", 0, 4}, {"p4_spec1", 1, 4},
+      {"p1_default", 1, 1, 1}, {"p1_spec0", 0, 1, 1}, {"p2_spec0", 0, 1, 2},
+      {"p2_spec4", 4, 1, 2},   {"p4_spec0", 0, 1, 4}, {"p4_spec1", 1, 1, 4},
+      {"t1_spec0", 0, 1, 0},   {"t3_spec4", 4, 3, 0},
   };
   for (const Variant& variant : variants) {
     SCOPED_TRACE(variant.name);
     RunOptions options = base;
     options.speculate = variant.speculate;
-    ShardOptions shard;
-    shard.procs = variant.procs;
-    shard.journal_path = dir.file((std::string(variant.name) + ".journal").c_str());
-    ShardedRunner runner(options, shard);
+    options.threads = variant.threads;
+    const std::string path = dir.file((std::string(variant.name) + ".journal").c_str());
+    ExperimentRunner runner(options, lanes(variant.procs, path));
     expect_cells_bitwise(runner.run(cells), reference);
-    const std::vector<std::uint8_t> journal = file_bytes(shard.journal_path);
+    const std::vector<std::uint8_t> journal = file_bytes(path);
     EXPECT_FALSE(journal.empty());
     if (reference_journal.empty()) {
       reference_journal = journal;
@@ -297,33 +331,26 @@ TEST(ShardedRunner, JournalBytesIdenticalAcrossExecutionShapes) {
   }
 
   // Cross-shape resume: the single-worker journal, truncated to a
-  // mid-campaign record boundary, resumed by two workers without
-  // speculation — the recovered prefix folds in, the remainder is
-  // dispatched, and both the results and the final journal bytes still
-  // match.
-  std::vector<std::size_t> boundaries{16};
-  while (boundaries.back() < reference_journal.size()) {
-    std::uint32_t payload_size = 0;
-    std::memcpy(&payload_size, reference_journal.data() + boundaries.back(),
-                sizeof payload_size);
-    boundaries.push_back(boundaries.back() + 24 + payload_size);
-  }
+  // mid-campaign record boundary, resumed without speculation by two
+  // workers and by three threads — the recovered prefix folds in, the
+  // remainder is dispatched, and both the results and the final journal
+  // bytes still match.
+  const std::vector<std::size_t> boundaries = record_boundaries(reference_journal);
+  ASSERT_EQ(boundaries.back(), reference_journal.size());
   ASSERT_GE(boundaries.size(), 4u);
   const std::size_t cut = boundaries[boundaries.size() / 2];
-  ShardOptions resume;
-  resume.procs = 2;
-  resume.journal_path = dir.file("cross_shape_resume.journal");
-  {
-    std::ofstream out(resume.journal_path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(reference_journal.data()),
-              static_cast<std::streamoff>(cut));
-  }
   RunOptions no_speculation = base;
   no_speculation.speculate = 0;
-  ShardedRunner resumed(no_speculation, resume);
-  expect_cells_bitwise(resumed.run(cells), reference);
-  EXPECT_EQ(resumed.recovered_replications(), boundaries.size() / 2);  // records before the cut
-  EXPECT_EQ(file_bytes(resume.journal_path), reference_journal);
+  no_speculation.threads = 3;
+  for (const std::size_t procs : {std::size_t{2}, std::size_t{0}}) {
+    SCOPED_TRACE(procs);
+    const std::string path = dir.file("cross_shape_resume.journal");
+    write_prefix(path, reference_journal, cut);
+    ExperimentRunner resumed(no_speculation, lanes(procs, path));
+    expect_cells_bitwise(resumed.run(cells), reference);
+    EXPECT_EQ(resumed.exec_stats().recovered, boundaries.size() / 2);  // records before the cut
+    EXPECT_EQ(file_bytes(path), reference_journal);
+  }
 }
 
 TEST(ShardedRunner, SpeculativeResumeFromEveryBoundaryIsByteIdentical) {
@@ -341,38 +368,30 @@ TEST(ShardedRunner, SpeculativeResumeFromEveryBoundaryIsByteIdentical) {
   options.max_replications = 6;
   options.target_relative_error = 0.15;
 
-  ShardOptions shard;
-  shard.procs = 1;
-  shard.journal_path = dir.file("reference.journal");
+  ShardOptions shard = lanes(1, dir.file("reference.journal"));
   shard.pool_dir = dir.file("pool");
-  ShardedRunner runner(options, shard);
+  ExperimentRunner runner(options, shard);
   const std::vector<CellResult> reference = runner.run(cells);
   const std::vector<std::uint8_t> reference_journal = file_bytes(shard.journal_path);
 
-  std::vector<std::size_t> boundaries{16};
-  while (boundaries.back() < reference_journal.size()) {
-    std::uint32_t payload_size = 0;
-    std::memcpy(&payload_size, reference_journal.data() + boundaries.back(),
-                sizeof payload_size);
-    boundaries.push_back(boundaries.back() + 24 + payload_size);
-  }
+  const std::vector<std::size_t> boundaries = record_boundaries(reference_journal);
   ASSERT_EQ(boundaries.back(), reference_journal.size());
   ASSERT_GE(boundaries.size(), 5u);  // header + >= 2 cells x 2 replications
 
   for (std::size_t k = 0; k < boundaries.size(); ++k) {
-    SCOPED_TRACE(k);
-    ShardOptions resume = shard;
-    resume.procs = 2;  // resume under a different worker count too
-    resume.journal_path = dir.file("resume.journal");
-    {
-      std::ofstream out(resume.journal_path, std::ios::binary | std::ios::trunc);
-      out.write(reinterpret_cast<const char*>(reference_journal.data()),
-                static_cast<std::streamoff>(boundaries[k]));
+    // Resume every boundary on 2 worker processes (a different lane count)
+    // and again on thread lanes.
+    for (const std::size_t procs : {std::size_t{2}, std::size_t{0}}) {
+      SCOPED_TRACE("boundary " + std::to_string(k) + ", procs " + std::to_string(procs));
+      ShardOptions resume = shard;
+      resume.procs = procs;
+      resume.journal_path = dir.file("resume.journal");
+      write_prefix(resume.journal_path, reference_journal, boundaries[k]);
+      ExperimentRunner resumed(options, resume);
+      expect_cells_bitwise(resumed.run(cells), reference);
+      EXPECT_EQ(resumed.exec_stats().recovered, k);
+      EXPECT_EQ(file_bytes(resume.journal_path), reference_journal);
     }
-    ShardedRunner resumed(options, resume);
-    expect_cells_bitwise(resumed.run(cells), reference);
-    EXPECT_EQ(resumed.recovered_replications(), k);
-    EXPECT_EQ(file_bytes(resume.journal_path), reference_journal);
   }
 }
 
@@ -381,7 +400,7 @@ TEST(ShardedRunner, ExecStatsReportWorkerLanes) {
   const RunOptions options = tiny_options();
   ShardOptions shard;
   shard.procs = 2;
-  ShardedRunner runner(options, shard);
+  ExperimentRunner runner(options, shard);
   (void)runner.run(cells);
   const ExecutionStats& exec = runner.exec_stats();
   ASSERT_EQ(exec.lanes.size(), 2u);
@@ -405,7 +424,7 @@ TEST(ShardedRunner, EveryWorkerGetsWork) {
   const std::vector<NamedConfig> cells = tiny_cells();
   ShardOptions shard;
   shard.procs = 3;
-  ShardedRunner runner(tiny_options(), shard);
+  ExperimentRunner runner(tiny_options(), shard);
   (void)runner.run(cells);
   const ExecutionStats& exec = runner.exec_stats();
   ASSERT_EQ(exec.lanes.size(), 3u);
@@ -418,32 +437,27 @@ TEST(ShardOptions, FromEnvParsesAndValidates) {
   ASSERT_EQ(setenv("DGSCHED_PROCS", "3", 1), 0);
   ASSERT_EQ(setenv("DGSCHED_JOURNAL", "/tmp/c.journal", 1), 0);
   ASSERT_EQ(setenv("DGSCHED_POOL", "/tmp/p.worldpool", 1), 0);
-  ASSERT_EQ(setenv("DGSCHED_SHARD_ABORT_AFTER", "5", 1), 0);
-  ASSERT_EQ(setenv("DGSCHED_SHARD_SELF_KILL", "1:2", 1), 0);
-  ShardOptions options = ShardOptions::from_env();
+  const ShardOptions options = ShardOptions::from_env();
   EXPECT_EQ(options.procs, 3u);
   EXPECT_EQ(options.journal_path, "/tmp/c.journal");
   EXPECT_EQ(options.pool_dir, "/tmp/p.worldpool");
-  EXPECT_EQ(options.abort_after_appends, 5u);
-  EXPECT_EQ(options.self_kill_worker, 1u);
-  EXPECT_EQ(options.self_kill_jobs, 2u);
 
-  for (const char* bad : {"nope", "3", ":4", "4:", "a:b", "1:2:3", " 1:2", "+1:2", "1:-2"}) {
+  // 0 asks for thread lanes, like leaving the variable unset.
+  ASSERT_EQ(setenv("DGSCHED_PROCS", "0", 1), 0);
+  EXPECT_EQ(ShardOptions::from_env().procs, 0u);
+  for (const char* bad : {"two", "-1", " 2", "+2", "2.5"}) {
     SCOPED_TRACE(bad);
-    ASSERT_EQ(setenv("DGSCHED_SHARD_SELF_KILL", bad, 1), 0);
+    ASSERT_EQ(setenv("DGSCHED_PROCS", bad, 1), 0);
     EXPECT_THROW((void)ShardOptions::from_env(), std::invalid_argument);
   }
 
   ASSERT_EQ(unsetenv("DGSCHED_PROCS"), 0);
   ASSERT_EQ(unsetenv("DGSCHED_JOURNAL"), 0);
   ASSERT_EQ(unsetenv("DGSCHED_POOL"), 0);
-  ASSERT_EQ(unsetenv("DGSCHED_SHARD_ABORT_AFTER"), 0);
-  ASSERT_EQ(unsetenv("DGSCHED_SHARD_SELF_KILL"), 0);
   const ShardOptions defaults = ShardOptions::from_env();
-  EXPECT_EQ(defaults.procs, 1u);
+  EXPECT_EQ(defaults.procs, 0u);
   EXPECT_TRUE(defaults.journal_path.empty());
   EXPECT_TRUE(defaults.pool_dir.empty());
-  EXPECT_EQ(defaults.abort_after_appends, 0u);
   EXPECT_EQ(defaults.self_kill_jobs, 0u);
 }
 

@@ -404,10 +404,10 @@ TEST(ExperimentRunnerWorldCache, CacheOnMatchesCacheOffCellForCell) {
 
   exp::RunOptions off = options;
   off.world_cache_bytes = 0;
-  const std::vector<exp::CellResult> baseline = exp::ExperimentRunner(off).run(cells);
+  exp::ExperimentRunner off_runner(off);
+  const std::vector<exp::CellResult> baseline = off_runner.run(cells);
 
   exp::ExperimentRunner cached_runner(options);
-  ASSERT_NE(cached_runner.world_cache(), nullptr);
   const std::vector<exp::CellResult> cached = cached_runner.run(cells);
 
   ASSERT_EQ(baseline.size(), cached.size());
@@ -426,12 +426,12 @@ TEST(ExperimentRunnerWorldCache, CacheOnMatchesCacheOffCellForCell) {
 
   // Two cells x three replications over one cache: each of the three worlds
   // is synthesized once and hit once.
-  const grid::WorldCacheStats stats = cached_runner.world_cache()->stats();
+  const grid::WorldCacheStats& stats = cached_runner.cache_stats();
   EXPECT_EQ(stats.misses, 3u);
   EXPECT_GE(stats.hits, 3u);
 
   // The off-runner genuinely ran live.
-  EXPECT_EQ(exp::ExperimentRunner(off).world_cache(), nullptr);
+  EXPECT_EQ(off_runner.cache_stats().lookups(), 0u);
 }
 
 TEST(ExperimentRunnerWorldCache, CellEventCountsArePopulated) {
@@ -533,7 +533,7 @@ TEST(ExperimentRunnerWorldCache, EvictionMidCampaignStaysBitIdentical) {
   tiny.world_cache_bytes = 4096;  // a fraction of one realization
   exp::ExperimentRunner tiny_runner(tiny);
   const std::vector<exp::CellResult> churned = tiny_runner.run(cells);
-  EXPECT_GE(tiny_runner.world_cache()->stats().evictions, 1u);
+  EXPECT_GE(tiny_runner.cache_stats().evictions, 1u);
 
   ASSERT_EQ(baseline.size(), churned.size());
   for (std::size_t c = 0; c < baseline.size(); ++c) {
