@@ -42,9 +42,11 @@ void DispatchIndex::unregister_bot(BotState& bot) {
 void DispatchIndex::refresh(BotState& bot) {
   if (!bots_.contains(bot.id())) return;
   if (stats_ != nullptr) ++stats_->index_updates;
+  // try_emplace, not emplace: libstdc++'s emplace builds (and frees) a node
+  // before finding the key, so refreshing a member would still allocate.
   const auto update = [&](std::pmr::map<workload::BotId, BotState*>& set, bool member) {
     if (member) {
-      set.emplace(bot.id(), &bot);
+      set.try_emplace(bot.id(), &bot);
     } else {
       set.erase(bot.id());
     }

@@ -202,16 +202,18 @@ TaskState* LongIdlePolicy::select(SchedulerContext& ctx) {
   // so the pick_from calls prune the per-bag pools identically — LongIdle
   // needs none of the dispatch index's stale-drain machinery (and never
   // touches ctx.bots / ctx.index; bags_ is its own active-bag view).
-  std::vector<std::pair<double, BotState*>> ranked;
-  ranked.reserve(bags_.size());
+  ranked_.clear();
   for (auto& [id, index] : bags_) {
-    ranked.emplace_back(bag_priority(index, ctx.now), index.bot);
+    ranked_.emplace_back(bag_priority(index, ctx.now), index.bot);
   }
-  // bags_ iterates in increasing id = arrival order, so stable_sort keeps
-  // equal priorities in arrival order — the historical tie-break.
-  std::stable_sort(ranked.begin(), ranked.end(),
-                   [](const auto& a, const auto& b) { return a.first > b.first; });
-  for (const auto& [priority, bot] : ranked) {
+  // Equal priorities go to the older bag (smaller id = arrival order). Bag
+  // ids are unique, so this total order needs no stable sort (whose
+  // temporary buffer would allocate on every select).
+  std::sort(ranked_.begin(), ranked_.end(), [](const auto& a, const auto& b) {
+    if (a.first != b.first) return a.first > b.first;
+    return a.second->id() < b.second->id();
+  });
+  for (const auto& [priority, bot] : ranked_) {
     if (TaskState* task = ctx.pick_from(*bot)) return task;
   }
   return nullptr;

@@ -82,9 +82,10 @@ class RoundRobinNrfPolicy final : public RoundRobinPolicy {
 /// recognized by id against `registered_` before any pointer is touched.
 class LongIdlePolicy final : public BagSelectionPolicy {
  public:
-  /// Per-bag index nodes and heap storage allocate from `mem`.
+  /// Per-bag index nodes, heap storage and the ranking buffer allocate from
+  /// `mem`.
   explicit LongIdlePolicy(std::pmr::memory_resource* mem = std::pmr::get_default_resource())
-      : bags_(mem) {}
+      : bags_(mem), ranked_(mem) {}
   [[nodiscard]] std::string name() const override { return "LongIdle"; }
   [[nodiscard]] TaskState* select(SchedulerContext& ctx) override;
   void on_bot_arrival(BotState& bot, double now) override;
@@ -137,6 +138,8 @@ class LongIdlePolicy final : public BagSelectionPolicy {
   /// assigned in arrival order), which select's tie-break depends on. The
   /// policy never consults ctx.bots / ctx.index — this map is authoritative.
   std::pmr::map<workload::BotId, BagIndex> bags_;
+  /// select()'s (priority, bag) ranking, kept so its capacity is reused.
+  std::pmr::vector<std::pair<double, BotState*>> ranked_;
 };
 
 /// PendingFirst (PF-RR): our answer to the paper's closing question — a

@@ -17,6 +17,9 @@ class BotState;
 
 class TaskState {
  public:
+  /// Ends a replica chain; above every machine id (== DesktopGrid::kNoMachine).
+  static constexpr std::uint32_t kNoReplicaHost = ~std::uint32_t{0};
+
   TaskState(BotState& bot, workload::TaskIndex index, double work, double arrival_time)
       : bot_(&bot), index_(index), work_(work), idle_since_(arrival_time) {
     DG_ASSERT(work > 0.0);
@@ -58,6 +61,13 @@ class TaskState {
     needs_resubmission_ = false;
   }
 
+  /// Lowest id of the machines running a replica of this task, or
+  /// kNoReplicaHost. sim::ExecutionEngine owns the value: it links the other
+  /// hosts from this one in ascending machine id, so finishing a task visits
+  /// only its own replicas.
+  [[nodiscard]] std::uint32_t first_replica_host() const noexcept { return first_replica_host_; }
+  void set_first_replica_host(std::uint32_t machine) noexcept { first_replica_host_ = machine; }
+
   // --- checkpoint state (shared by all replicas of the task) ---
 
   [[nodiscard]] double checkpointed_work() const noexcept { return checkpointed_work_; }
@@ -95,6 +105,8 @@ class TaskState {
  private:
   BotState* bot_;
   workload::TaskIndex index_;
+  // Fills the padding after index_: the task slab stays at 64 bytes a task.
+  std::uint32_t first_replica_host_ = kNoReplicaHost;
   double work_;
   double checkpointed_work_ = 0.0;
   int running_ = 0;
@@ -105,5 +117,7 @@ class TaskState {
   double idle_accum_ = 0.0;
   double idle_since_;
 };
+
+static_assert(sizeof(TaskState) <= 64, "the replica chain head must not grow the task slab");
 
 }  // namespace dg::sched

@@ -72,12 +72,27 @@ void ExecutionEngine::start_replica(sched::TaskState& task, grid::Machine& machi
     observer->on_replica_started(task, machine, sim_.now());
   }
 
-  Replica& ref = replicas_[machine.id()];
+  const grid::MachineId id = machine.id();
+  Replica& ref = replicas_[id];
   DG_ASSERT_MSG(ref.task == nullptr, "machine already hosts a replica");
   ref = Replica{};
   ref.task = &task;
   ref.machine = &machine;
   ref.progress_base = config_.checkpointing ? task.checkpointed_work() : 0.0;
+  // Link into the task's chain in ascending machine id (kNoReplicaHost is
+  // above every id, so the walk stops at the chain's end).
+  grid::MachineId prev = sched::TaskState::kNoReplicaHost;
+  grid::MachineId next = task.first_replica_host();
+  while (next < id) {
+    prev = next;
+    next = replicas_[next].next_host;
+  }
+  ref.next_host = next;
+  if (prev == sched::TaskState::kNoReplicaHost) {
+    task.set_first_replica_host(id);
+  } else {
+    replicas_[prev].next_host = id;
+  }
 
   if (config_.checkpointing && ref.progress_base > 0.0) {
     // Restart: fetch the latest checkpoint from the server first.
@@ -286,12 +301,24 @@ void ExecutionEngine::on_checkpoint_end(grid::MachineId machine_id) {
   begin_compute(*replica);
 }
 
-ExecutionEngine::Replica ExecutionEngine::detach_replica(grid::MachineId machine_id) {
-  Replica replica = replicas_[machine_id];
-  DG_ASSERT(replica.task != nullptr);
-  replicas_[machine_id] = Replica{};
-  set_machine_busy(*replica.machine, false);
-  return replica;
+grid::Machine& ExecutionEngine::detach_replica(grid::MachineId machine_id) {
+  Replica& slot = replicas_[machine_id];
+  DG_ASSERT(slot.task != nullptr);
+  sched::TaskState& task = *slot.task;
+  if (task.first_replica_host() == machine_id) {
+    task.set_first_replica_host(slot.next_host);
+  } else {
+    grid::MachineId prev = task.first_replica_host();
+    while (replicas_[prev].next_host != machine_id) {
+      prev = replicas_[prev].next_host;
+      DG_ASSERT_MSG(prev != sched::TaskState::kNoReplicaHost, "replica missing from its chain");
+    }
+    replicas_[prev].next_host = slot.next_host;
+  }
+  grid::Machine& machine = *slot.machine;
+  slot = Replica{};
+  set_machine_busy(machine, false);
+  return machine;
 }
 
 void ExecutionEngine::on_complete(grid::MachineId machine_id) {
@@ -307,30 +334,32 @@ void ExecutionEngine::on_complete(grid::MachineId machine_id) {
     observer->on_task_completed(task, sim_.now());
   }
 
-  // Stop the winner and every sibling replica (freeing their machines).
-  for (grid::MachineId id = 0; id < replicas_.size(); ++id) {
-    Replica* candidate = replica_at(id);
-    if (candidate == nullptr || candidate->task != &task) continue;
-    const bool is_winner = candidate == winner;
+  // Stop the winner and every sibling replica (freeing their machines) by
+  // walking the task's chain. Ascending machine id fixes the order of the
+  // wasted-time, busy-power and observer sums.
+  while (task.first_replica_host() != sched::TaskState::kNoReplicaHost) {
+    const grid::MachineId id = task.first_replica_host();
+    Replica& candidate = replicas_[id];
+    const bool is_winner = id == machine_id;
     if (!is_winner) {
-      candidate->next_event.cancel();
-      drop_inflight_transfer(*candidate);
-      if (candidate->phase == Phase::kComputing) {
-        candidate->compute_invested += sim_.now() - candidate->leg_start;
+      candidate.next_event.cancel();
+      drop_inflight_transfer(candidate);
+      if (candidate.phase == Phase::kComputing) {
+        candidate.compute_invested += sim_.now() - candidate.leg_start;
       }
       ++cancelled_replicas_;
-      wasted_compute_time_ += candidate->compute_invested;
+      wasted_compute_time_ += candidate.compute_invested;
     } else {
-      useful_compute_time_ += candidate->compute_invested;
+      useful_compute_time_ += candidate.compute_invested;
     }
-    const Replica owned = detach_replica(id);
+    grid::Machine& machine = detach_replica(id);
     task.on_replica_stopped(sim_.now());
     scheduler_.notify_replica_stopped(task, is_winner
                                                 ? sched::MultiBotScheduler::StopReason::kWinner
                                                 : sched::MultiBotScheduler::StopReason::kCancelled);
     for (SimulationObserver* observer : observers_) {
       observer->on_replica_stopped(
-          task, *owned.machine,
+          task, machine,
           is_winner ? ReplicaStopKind::kCompleted : ReplicaStopKind::kCancelled, sim_.now());
     }
   }
@@ -359,7 +388,7 @@ void ExecutionEngine::on_machine_failure(grid::Machine& machine) {
   lost_work_ += std::max(0.0, progress - task.checkpointed_work());
   wasted_compute_time_ += replica->compute_invested;
   ++failed_replicas_;
-  const Replica owned = detach_replica(machine.id());
+  detach_replica(machine.id());
   task.on_replica_stopped(sim_.now());
   scheduler_.notify_replica_stopped(task, sched::MultiBotScheduler::StopReason::kFailed);
   for (SimulationObserver* observer : observers_) {

@@ -21,8 +21,9 @@
 //   start:      machine.set_busy -> task.on_replica_started
 //               -> scheduler.notify_replica_started
 //   completion: task.mark_completed -> scheduler.notify_task_completed
-//               -> per replica (winner + siblings): free machine,
-//                  task.on_replica_stopped, scheduler.notify_replica_stopped
+//               -> per replica (winner + siblings, ascending machine id):
+//                  free machine, task.on_replica_stopped,
+//                  scheduler.notify_replica_stopped
 //               -> scheduler.trigger
 //   failure:    free machine -> task.on_replica_stopped
 //               -> scheduler.notify_replica_stopped(kFailed)
@@ -131,11 +132,15 @@ class ExecutionEngine final : public sched::DispatchSink {
 
   /// One machine's replica slot. Slots live by value in `replicas_` (one per
   /// machine id); `task == nullptr` marks an idle machine — no per-dispatch
-  /// heap allocation.
+  /// heap allocation. The slots hosting one task's replicas form a chain in
+  /// ascending machine id, headed by TaskState::first_replica_host().
   struct Replica {
     sched::TaskState* task = nullptr;
     grid::Machine* machine = nullptr;
     Phase phase = Phase::kComputing;
+    /// Next machine in the task's replica chain (TaskState::kNoReplicaHost
+    /// ends it).
+    grid::MachineId next_host = sched::TaskState::kNoReplicaHost;
     /// Work completed by this replica up to the start of the current leg.
     double progress_base = 0.0;
     /// Simulation time the current compute leg started (kComputing only).
@@ -163,9 +168,10 @@ class ExecutionEngine final : public sched::DispatchSink {
   void on_checkpoint_end(grid::MachineId machine_id);
   void on_retrieve_done(grid::MachineId machine_id);
   void on_complete(grid::MachineId machine_id);
-  /// Frees the machine and clears the replica slot (event must already be
-  /// cancelled / expired). Returns the detached record by value.
-  Replica detach_replica(grid::MachineId machine_id);
+  /// Unlinks the replica from its task's chain, clears its slot and frees
+  /// the machine (event must already be cancelled / expired). Returns the
+  /// freed machine.
+  grid::Machine& detach_replica(grid::MachineId machine_id);
   void set_machine_busy(grid::Machine& machine, bool busy);
 
   // --- failable-server transfer state machine ---

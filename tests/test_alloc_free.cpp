@@ -54,14 +54,18 @@ std::uint64_t run_loop_allocs(const SimulationConfig& base, SimulationWorkspace&
 }
 
 TEST(AllocationFree, WarmedWorkspaceRunLoopMakesZeroHeapAllocations) {
-  const SimulationConfig config = metered_config(grid::AvailabilityLevel::kAlways);
-  SimulationWorkspace workspace;
-  const std::uint64_t cold = run_loop_allocs(config, workspace);
-  // The cold pass may allocate (arena slabs, pool chunks, monitor growth)...
-  (void)cold;
-  // ...but once warmed, the identical replication must not touch the heap.
-  EXPECT_EQ(run_loop_allocs(config, workspace), 0u);
-  EXPECT_EQ(run_loop_allocs(config, workspace), 0u);
+  for (const sched::PolicyKind policy : sched::paper_policies()) {
+    SCOPED_TRACE(sched::to_string(policy));
+    SimulationConfig config = metered_config(grid::AvailabilityLevel::kAlways);
+    config.policy = policy;
+    SimulationWorkspace workspace;
+    const std::uint64_t cold = run_loop_allocs(config, workspace);
+    // The cold pass may allocate (arena slabs, pool chunks, monitor growth)...
+    (void)cold;
+    // ...but once warmed, the identical replication must not touch the heap.
+    EXPECT_EQ(run_loop_allocs(config, workspace), 0u);
+    EXPECT_EQ(run_loop_allocs(config, workspace), 0u);
+  }
 }
 
 TEST(AllocationFree, WarmedWorkspaceIsAllocationFreeWithFailuresToo) {

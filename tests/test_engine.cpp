@@ -2,6 +2,10 @@
 // sibling cancellation — on a tiny deterministic grid.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "sim/observer.hpp"
 #include "sim_test_util.hpp"
 
 namespace dg::test {
@@ -55,6 +59,54 @@ TEST(Engine, WinnerCancelsSiblingsAndFreesMachines) {
   EXPECT_EQ(world.busy_machines(), 0);
   EXPECT_EQ(world.engine->replicas_cancelled(), 1u);
   EXPECT_EQ(bot.task(0).running_replicas(), 0);
+}
+
+TEST(Engine, CompletionStopsSiblingsInMachineIdOrder) {
+  // FCFS-Excl replicates without bound, so every repaired machine gets a
+  // replica of the one task: repairing ids 4, 3, 1, 0, 2 one second apart
+  // starts the replicas out of id order. Machine 1 (mid-chain) then fails,
+  // and machine 4's replica wins at t = 1 + 100 / 10 = 11.
+  struct StopRecorder final : sim::SimulationObserver {
+    std::vector<grid::MachineId> started;
+    std::vector<std::pair<grid::MachineId, sim::ReplicaStopKind>> stopped;
+    void on_replica_started(const sched::TaskState&, const grid::Machine& machine,
+                            double) override {
+      started.push_back(machine.id());
+    }
+    void on_replica_stopped(const sched::TaskState&, const grid::Machine& machine,
+                            sim::ReplicaStopKind kind, double) override {
+      stopped.emplace_back(machine.id(), kind);
+    }
+  };
+  WorldOptions options;
+  options.num_machines = 5;
+  options.policy = sched::PolicyKind::kFcfsExcl;
+  World world(options);
+  StopRecorder recorder;
+  world.engine->add_observer(recorder);
+  for (std::size_t id = 0; id < 5; ++id) world.fail_machine(id);
+  sched::BotState& bot = world.add_bot({100.0});
+  double repair_time = 1.0;
+  for (const std::size_t id : {4u, 3u, 1u, 0u, 2u}) world.repair_machine_at(id, repair_time++);
+  world.fail_machine_at(1, 6.0);
+  world.sim.run();
+
+  ASSERT_TRUE(bot.completed());
+  EXPECT_DOUBLE_EQ(bot.completion_time(), 11.0);
+  EXPECT_EQ(recorder.started, (std::vector<grid::MachineId>{4, 3, 1, 0, 2}));
+  using Kind = sim::ReplicaStopKind;
+  const std::vector<std::pair<grid::MachineId, Kind>> expected = {
+      {1, Kind::kFailed},    {0, Kind::kCancelled}, {2, Kind::kCancelled},
+      {3, Kind::kCancelled}, {4, Kind::kCompleted}};
+  EXPECT_EQ(recorder.stopped, expected);
+  EXPECT_EQ(world.engine->replicas_cancelled(), 3u);
+  EXPECT_EQ(world.engine->replicas_killed_by_failure(), 1u);
+  // Failed: machine 1 ran 3..6. Cancelled at 11: machine 0 from 4, machine 2
+  // from 5, machine 3 from 2. 3 + 7 + 6 + 9 = 25 s; the winner's 10 s is useful.
+  EXPECT_DOUBLE_EQ(world.engine->wasted_compute_time(), 25.0);
+  EXPECT_DOUBLE_EQ(world.engine->useful_compute_time(), 10.0);
+  EXPECT_EQ(bot.task(0).first_replica_host(), sched::TaskState::kNoReplicaHost);
+  EXPECT_EQ(world.busy_machines(), 0);
 }
 
 TEST(Engine, TaskCompletesExactlyOnce) {
