@@ -30,15 +30,18 @@ BENCHMARK(BM_ScheduleAndRun)->Arg(1000)->Arg(100000);
 void BM_EventChain(benchmark::State& state) {
   // Self-rescheduling event: measures per-event kernel overhead without
   // heap pressure from a deep queue.
-  for (auto _ : state) {
+  struct Chain {
     dg::des::Simulator sim;
     std::uint64_t count = 0;
-    std::function<void()> chain = [&] {
-      if (++count < 100000) sim.schedule_after(1.0, chain);
-    };
-    sim.schedule_after(1.0, chain);
-    sim.run();
-    benchmark::DoNotOptimize(count);
+    void fire() {
+      if (++count < 100000) sim.schedule_after(1.0, [this] { fire(); });
+    }
+  };
+  for (auto _ : state) {
+    Chain chain;
+    chain.sim.schedule_after(1.0, [&chain] { chain.fire(); });
+    chain.sim.run();
+    benchmark::DoNotOptimize(chain.count);
   }
   state.SetItemsProcessed(state.iterations() * 100000);
 }
@@ -55,7 +58,7 @@ void BM_CancelHeavy(benchmark::State& state) {
       auto handle = sim.schedule_at(static_cast<double>(i), [&sum] { ++sum; });
       if (i % 2 == 0) handles.push_back(handle);
     }
-    for (auto& handle : handles) handle.cancel();
+    for (const auto& handle : handles) sim.cancel(handle);
     sim.run();
     benchmark::DoNotOptimize(sum);
   }
@@ -64,7 +67,7 @@ void BM_CancelHeavy(benchmark::State& state) {
 BENCHMARK(BM_CancelHeavy);
 
 void BM_HandleChurn(benchmark::State& state) {
-  // Schedule-then-cancel with a small live window: isolates slab free-list
+  // Schedule-then-cancel with a small live window: isolates free-list slot
   // recycling and generation bumping from heap ordering costs.
   for (auto _ : state) {
     dg::des::Simulator sim;
@@ -73,7 +76,7 @@ void BM_HandleChurn(benchmark::State& state) {
     for (int i = 0; i < 100000; ++i) {
       window.push_back(sim.schedule_at(1e9 + i, [&sum] { ++sum; }));
       if (window.size() == 64) {
-        for (auto& handle : window) handle.cancel();
+        for (const auto& handle : window) sim.cancel(handle);
         window.clear();
       }
     }
@@ -85,9 +88,9 @@ void BM_HandleChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_HandleChurn);
 
-void BM_ArenaWarmStart(benchmark::State& state) {
-  // One simulator reused across bursts: after the first burst the arena is
-  // warm and the hot path performs zero allocations (arena_slabs stays flat).
+void BM_WarmSimulator(benchmark::State& state) {
+  // One simulator reused across bursts: after the first burst its slot table
+  // is warm and the hot path performs zero allocations.
   dg::des::Simulator sim;
   std::uint64_t sum = 0;
   for (auto _ : state) {
@@ -97,10 +100,9 @@ void BM_ArenaWarmStart(benchmark::State& state) {
     sim.run();
   }
   benchmark::DoNotOptimize(sum);
-  state.counters["slab_allocs"] = static_cast<double>(sim.stats().arena_slabs);
   state.SetItemsProcessed(state.iterations() * 10000);
 }
-BENCHMARK(BM_ArenaWarmStart);
+BENCHMARK(BM_WarmSimulator);
 
 void BM_QueueHold(benchmark::State& state) {
   // Classic hold model at fixed depth: pop the minimum, push a successor a

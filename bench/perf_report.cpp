@@ -70,14 +70,18 @@ std::uint64_t kernel_schedule_run(std::size_t n) {
 }
 
 std::uint64_t kernel_event_chain(std::uint64_t n) {
-  dg::des::Simulator sim;
-  std::uint64_t count = 0;
-  std::function<void()> chain = [&] {
-    if (++count < n) sim.schedule_after(1.0, chain);
-  };
-  sim.schedule_after(1.0, chain);
-  sim.run();
-  return count;
+  struct Chain {
+    dg::des::Simulator sim;
+    std::uint64_t count = 0;
+    std::uint64_t limit = 0;
+    void fire() {
+      if (++count < limit) sim.schedule_after(1.0, [this] { fire(); });
+    }
+  } chain;
+  chain.limit = n;
+  chain.sim.schedule_after(1.0, [&chain] { chain.fire(); });
+  chain.sim.run();
+  return chain.count;
 }
 
 std::uint64_t kernel_cancel_heavy(std::size_t n) {
@@ -89,22 +93,21 @@ std::uint64_t kernel_cancel_heavy(std::size_t n) {
     auto handle = sim.schedule_at(static_cast<double>(i), [&sum] { ++sum; });
     if (i % 2 == 0) handles.push_back(handle);
   }
-  for (auto& handle : handles) handle.cancel();
+  for (const auto& handle : handles) sim.cancel(handle);
   sim.run();
   return n;  // schedule+cancel work dominates; count all scheduled events
 }
 
 std::uint64_t kernel_handle_churn(std::size_t n) {
   // Schedule-then-cancel in a tight loop with a small live window: stresses
-  // record recycling (the allocator in the old kernel, the slab free list in
-  // the new one) rather than heap ordering.
+  // slot recycling through the free list rather than heap ordering.
   dg::des::Simulator sim;
   std::uint64_t sum = 0;
   std::vector<dg::des::EventHandle> window;
   for (std::size_t i = 0; i < n; ++i) {
     window.push_back(sim.schedule_at(1e9 + static_cast<double>(i), [&sum] { ++sum; }));
     if (window.size() == 64) {
-      for (auto& handle : window) handle.cancel();
+      for (const auto& handle : window) sim.cancel(handle);
       window.clear();
     }
   }
@@ -119,22 +122,28 @@ std::uint64_t kernel_deep_hold(std::size_t depth, std::uint64_t rescheduling) {
   // pseudo-random delay ahead until `rescheduling` fires have happened, then
   // the queue drains. The shallow-queue suites above barely exercise heap
   // ordering; this one pays log4(depth) per pop.
-  dg::des::Simulator sim;
-  std::uint64_t count = 0;
-  std::uint64_t mix = 0x9e3779b97f4a7c15ULL;
-  auto next_delay = [&mix] {
-    mix += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = mix;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return static_cast<double>((z ^ (z >> 31)) % 100000) / 10.0 + 0.1;
-  };
-  std::function<void()> hold = [&] {
-    if (++count < rescheduling) sim.schedule_after(next_delay(), hold);
-  };
-  for (std::size_t i = 0; i < depth; ++i) sim.schedule_after(next_delay(), hold);
-  sim.run();
-  return count;
+  struct Hold {
+    dg::des::Simulator sim;
+    std::uint64_t count = 0;
+    std::uint64_t limit = 0;
+    std::uint64_t mix = 0x9e3779b97f4a7c15ULL;
+    double next_delay() {
+      mix += 0x9e3779b97f4a7c15ULL;
+      std::uint64_t z = mix;
+      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+      return static_cast<double>((z ^ (z >> 31)) % 100000) / 10.0 + 0.1;
+    }
+    void fire() {
+      if (++count < limit) sim.schedule_after(next_delay(), [this] { fire(); });
+    }
+  } hold;
+  hold.limit = rescheduling;
+  for (std::size_t i = 0; i < depth; ++i) {
+    hold.sim.schedule_after(hold.next_delay(), [&hold] { hold.fire(); });
+  }
+  hold.sim.run();
+  return hold.count;
 }
 
 std::vector<PerfRecord> run_kernel_suite() {

@@ -46,8 +46,8 @@ struct ClosedLoopWorld {
     engine_config.checkpoint_interval =
         grid::young_checkpoint_interval(480.0, config.availability.mttf());
     engine = std::make_unique<sim::ExecutionEngine>(sim, *grid_, *scheduler, engine_config, 7);
-    grid_->start(grid::TransitionDelegate::to<&sim::ExecutionEngine::on_machine_failure>(*engine),
-                 grid::TransitionDelegate::to<&sim::ExecutionEngine::on_machine_repair>(*engine));
+    grid_->start([this](grid::Machine& machine) { engine->on_machine_failure(machine); },
+                 [this](grid::Machine& machine) { engine->on_machine_repair(machine); });
     scheduler->set_bot_completed_callback([this](sched::BotState& bot) {
       signals[bot.id()]->trigger();  // wake the owning user process
     });

@@ -1,29 +1,25 @@
-// Event storage and cancellable handles for the DES kernel.
+// Event actions, handles and counters for the DES kernel.
 //
-// Events live in a slab arena (detail::EventArena): a grow-only pool of
-// recycled EventSlot records addressed by dense 32-bit index. Scheduling an
-// event acquires a slot from the free list (no heap allocation once the
-// arena has warmed up to the run's peak); firing or cancelling retires the
-// slot back to the free list and bumps its generation counter, which
-// invalidates every outstanding EventHandle in O(1) — no tombstone scans,
-// no per-event shared_ptr control blocks.
-//
-// Handles are (slot, generation) pairs plus a weak reference to the arena,
-// so they stay safe (and report not-pending) after the simulator that issued
-// them is destroyed.
+// An event's action is a des::Action: a function pointer plus two words of
+// inline closure storage (util::InlineFunction), so scheduling never
+// allocates and a closure that would not fit does not compile. The Simulator
+// keeps each pending action in one slot of a flat table; a handle is the
+// (slot, generation) pair it was issued, and the slot's generation moves on
+// whenever its event fires, is cancelled, or the simulator is reset, which
+// makes every older handle stale in O(1).
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <vector>
 
-#include "util/assert.hpp"
+#include "util/inline_function.hpp"
 
 namespace dg::des {
 
 /// Simulation time in seconds since simulation start.
 using SimTime = double;
+
+/// An event's action. Captures at most two words (see util/inline_function.hpp).
+using Action = util::InlineFunction<void()>;
 
 /// Kernel counters for one Simulator instance. Cheap enough to maintain
 /// unconditionally; exposed via Simulator::stats() and threaded into
@@ -31,193 +27,20 @@ using SimTime = double;
 struct KernelStats {
   std::uint64_t events_scheduled = 0;  ///< schedule_at/schedule_after calls.
   std::uint64_t events_fired = 0;      ///< Events whose action was executed.
-  std::uint64_t events_cancelled = 0;  ///< Successful EventHandle::cancel calls.
+  std::uint64_t events_cancelled = 0;  ///< Successful Simulator::cancel calls.
   std::uint64_t heap_peak = 0;         ///< Max simultaneous entries in the event heap.
-  std::uint64_t arena_slabs = 0;       ///< Slab allocations (the only heap traffic).
-  std::uint64_t arena_capacity = 0;    ///< Total event slots across all slabs.
+
+  friend bool operator==(const KernelStats&, const KernelStats&) = default;
 };
 
-namespace detail {
+/// Names a scheduled event: its slot in the issuing Simulator's table and
+/// the slot's generation when it was scheduled. Read it only through that
+/// Simulator's cancel() or pending(); a default handle names no event.
+struct EventHandle {
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
-inline constexpr std::uint32_t kInvalidSlot = 0xffffffffu;
-
-/// One recyclable event record. `generation` is bumped every time the slot
-/// is retired (fired or cancelled); a handle or heap entry holding an older
-/// generation is stale. Per-slot wrap-around needs 2^32 retirements of the
-/// *same* slot — unreachable in practice (the heap's sequence counter, which
-/// bounds total events, is 64-bit).
-struct EventSlot {
-  std::function<void()> action;
-  SimTime time = 0.0;
+  std::uint32_t slot = kNoSlot;
   std::uint32_t generation = 0;
-  std::uint32_t next_free = kInvalidSlot;
-};
-
-/// Slab arena of EventSlots with an intrusive free list. Slots are recycled
-/// in LIFO order (hot in cache); slabs are never released before the arena
-/// dies, so a run's allocation count is bounded by its peak pending events.
-/// Not thread-safe — the DES kernel is single-threaded by design.
-class EventArena {
- public:
-  static constexpr std::uint32_t kSlabShift = 10;  // 1024 slots / slab
-  static constexpr std::uint32_t kSlabSize = 1u << kSlabShift;
-
-  /// Takes a free slot (growing by one slab when exhausted) and arms it with
-  /// `(time, action)`. Returns the slot index; read the matching generation
-  /// via generation().
-  std::uint32_t acquire(SimTime time, std::function<void()>&& action) {
-    if (free_head_ == kInvalidSlot) grow();
-    const std::uint32_t index = free_head_;
-    EventSlot& slot = (*this)[index];
-    free_head_ = slot.next_free;
-    slot.time = time;
-    slot.action = std::move(action);
-    ++live_;
-    return index;
-  }
-
-  /// True while `generation` is the slot's current (armed) generation.
-  [[nodiscard]] bool is_current(std::uint32_t index, std::uint32_t generation) const noexcept {
-    return (*this)[index].generation == generation;
-  }
-
-  [[nodiscard]] std::uint32_t generation(std::uint32_t index) const noexcept {
-    return (*this)[index].generation;
-  }
-
-  [[nodiscard]] SimTime time(std::uint32_t index) const noexcept { return (*this)[index].time; }
-
-  /// Retires the slot (stale-ing all handles) and returns its action for
-  /// execution. Precondition: is_current(index, ...) held by the caller.
-  [[nodiscard]] std::function<void()> retire_and_take(std::uint32_t index) {
-    EventSlot& slot = (*this)[index];
-    std::function<void()> action = std::move(slot.action);
-    release(index, slot);
-    return action;
-  }
-
-  /// Cancels the event in `index` iff `generation` is still current.
-  /// Returns true when this call performed the cancellation.
-  bool cancel(std::uint32_t index, std::uint32_t generation) noexcept {
-    EventSlot& slot = (*this)[index];
-    if (slot.generation != generation) return false;
-    slot.action = nullptr;  // release captures eagerly
-    release(index, slot);
-    ++stats_.events_cancelled;
-    return true;
-  }
-
-  /// Events currently armed (scheduled, not yet fired or cancelled).
-  [[nodiscard]] std::size_t live() const noexcept { return live_; }
-
-  /// Returns the arena to its just-constructed state while keeping every
-  /// slab allocated: all slots are disarmed (actions released, generations
-  /// bumped so outstanding handles read stale) and the free list is rebuilt
-  /// in ascending index order — the same hand-out order a fresh arena
-  /// produces as it grows. Stats restart from zero except arena_capacity,
-  /// which keeps reporting the retained slots; arena_slabs therefore counts
-  /// slab allocations *since the reset* (zero for a warmed arena).
-  void reset() noexcept {
-    free_head_ = kInvalidSlot;
-    for (std::uint32_t index = capacity_; index-- > 0;) {
-      EventSlot& slot = (*this)[index];
-      if (slot.action) slot.action = nullptr;  // release captures eagerly
-      ++slot.generation;
-      slot.next_free = free_head_;
-      free_head_ = index;
-    }
-    live_ = 0;
-    stats_ = KernelStats{};
-    stats_.arena_capacity = capacity_;
-  }
-
-  [[nodiscard]] const KernelStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] KernelStats& stats_mut() noexcept { return stats_; }
-
- private:
-  EventSlot& operator[](std::uint32_t index) noexcept {
-    return slabs_[index >> kSlabShift][index & (kSlabSize - 1)];
-  }
-  const EventSlot& operator[](std::uint32_t index) const noexcept {
-    return slabs_[index >> kSlabShift][index & (kSlabSize - 1)];
-  }
-
-  void release(std::uint32_t index, EventSlot& slot) noexcept {
-    ++slot.generation;
-    slot.next_free = free_head_;
-    free_head_ = index;
-    DG_ASSERT(live_ > 0);
-    --live_;
-  }
-
-  void grow() {
-    DG_ASSERT_MSG(capacity_ < kInvalidSlot - kSlabSize, "event arena exhausted");
-    slabs_.push_back(std::make_unique<EventSlot[]>(kSlabSize));
-    const std::uint32_t base = capacity_;
-    capacity_ += kSlabSize;
-    // Chain the new slab back-to-front so slots are first handed out in
-    // ascending index order (purely cosmetic; determinism never depends on
-    // slot numbering).
-    for (std::uint32_t i = kSlabSize; i-- > 0;) {
-      EventSlot& slot = (*this)[base + i];
-      slot.next_free = free_head_;
-      free_head_ = base + i;
-    }
-    ++stats_.arena_slabs;
-    stats_.arena_capacity = capacity_;
-  }
-
-  std::vector<std::unique_ptr<EventSlot[]>> slabs_;
-  std::uint32_t capacity_ = 0;
-  std::uint32_t free_head_ = kInvalidSlot;
-  std::size_t live_ = 0;
-  KernelStats stats_;
-};
-
-}  // namespace detail
-
-/// Cancellable reference to a scheduled event.
-///
-/// Handles are cheap value types (16 bytes + a weak arena reference) and may
-/// freely outlive the event *and* the Simulator: a handle whose event fired,
-/// was cancelled, or whose simulator died reports pending() == false and
-/// cancel() == false. Not thread-safe (like the kernel itself).
-class EventHandle {
- public:
-  /// An inert handle: never pending, cancel() returns false.
-  EventHandle() = default;
-
-  /// Cancels the event if it is still pending, in O(1) (the slot generation
-  /// is bumped; the stale heap entry is skipped lazily when popped).
-  /// Returns true if this call performed the cancellation (false if the
-  /// event already ran, was already cancelled, or the handle is empty).
-  bool cancel() noexcept {
-    auto arena = arena_.lock();
-    return arena && arena->cancel(slot_, generation_);
-  }
-
-  /// True while the event is scheduled and not cancelled or executed.
-  /// An event's own handle reads false during the action's execution.
-  [[nodiscard]] bool pending() const noexcept {
-    auto arena = arena_.lock();
-    return arena && arena->is_current(slot_, generation_);
-  }
-
-  /// Scheduled firing time; only meaningful while pending() (0.0 otherwise).
-  [[nodiscard]] SimTime time() const noexcept {
-    auto arena = arena_.lock();
-    return arena && arena->is_current(slot_, generation_) ? arena->time(slot_) : 0.0;
-  }
-
- private:
-  friend class Simulator;
-  EventHandle(const std::shared_ptr<detail::EventArena>& arena, std::uint32_t slot,
-              std::uint32_t generation) noexcept
-      : arena_(arena), slot_(slot), generation_(generation) {}
-
-  std::weak_ptr<detail::EventArena> arena_;
-  std::uint32_t slot_ = detail::kInvalidSlot;
-  std::uint32_t generation_ = 0;
 };
 
 }  // namespace dg::des

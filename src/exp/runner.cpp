@@ -1,13 +1,12 @@
 #include "exp/runner.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <cstdlib>
 #include <exception>
 #include <future>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -20,6 +19,7 @@
 #include "exp/shard.hpp"
 #include "sim/workspace.hpp"
 #include "util/logging.hpp"
+#include "util/parse.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dg::exp {
@@ -38,36 +38,17 @@ void bad_env(const char* name, const std::string& text, const char* expected) {
 std::optional<double> env_double(const char* name) {
   const auto text = env_string(name);
   if (!text) return std::nullopt;
-  // std::stod skips leading whitespace and parses "nan"/"inf"; neither is a
-  // usable knob value.
-  if (std::isspace(static_cast<unsigned char>(text->front())) != 0) {
-    bad_env(name, *text, "a finite number");
-  }
-  try {
-    std::size_t consumed = 0;
-    const double value = std::stod(*text, &consumed);
-    if (consumed != text->size() || !std::isfinite(value)) bad_env(name, *text, "a finite number");
-    return value;
-  } catch (const std::invalid_argument&) {
-    bad_env(name, *text, "a finite number");
-  } catch (const std::out_of_range&) {
-    bad_env(name, *text, "a number in double range");
-  }
+  const auto value = util::parse_finite(*text);
+  if (!value) bad_env(name, *text, "a finite number");
+  return value;
 }
 
 std::optional<std::size_t> env_size(const char* name) {
   const auto text = env_string(name);
   if (!text) return std::nullopt;
-  // Digits only: std::stoull would also skip whitespace and accept a sign
-  // (" -3" wraps to 2^64 - 3).
-  if (text->find_first_not_of("0123456789") != std::string::npos) {
-    bad_env(name, *text, "a non-negative integer");
-  }
-  try {
-    return static_cast<std::size_t>(std::stoull(*text));
-  } catch (const std::out_of_range&) {
-    bad_env(name, *text, "a non-negative integer in range");
-  }
+  const auto value = util::parse_digits(*text, std::numeric_limits<std::size_t>::max());
+  if (!value) bad_env(name, *text, "a non-negative integer in range");
+  return static_cast<std::size_t>(*value);
 }
 
 RunOptions RunOptions::from_env(RunOptions defaults) {

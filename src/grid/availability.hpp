@@ -15,7 +15,6 @@
 
 #include "des/simulator.hpp"
 #include "grid/machine.hpp"
-#include "grid/transition_delegate.hpp"
 #include "rng/distributions.hpp"
 #include "rng/random_stream.hpp"
 
@@ -56,9 +55,6 @@ struct AvailabilityModel {
 /// the execution engine.
 class AvailabilityProcess {
  public:
-  /// Non-owning (context, fn-pointer) pair — see grid/transition_delegate.hpp.
-  using TransitionCallback = TransitionDelegate;
-
   AvailabilityProcess(des::Simulator& sim, Machine& machine, AvailabilityModel model,
                       rng::RandomStream stream);
 

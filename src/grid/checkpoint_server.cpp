@@ -13,8 +13,8 @@ CheckpointServerFaultProcess::CheckpointServerFaultProcess(des::Simulator& sim,
     : sim_(sim), server_(server), model_(model), stream_(stream) {}
 
 void CheckpointServerFaultProcess::start(Callback on_down, Callback on_up) {
-  on_down_ = std::move(on_down);
-  on_up_ = std::move(on_up);
+  on_down_ = on_down;
+  on_up_ = on_up;
   if (!model_.enabled) return;
   DG_ASSERT_MSG(model_.mtbf > 0.0 && model_.mttr > 0.0,
                 "CheckpointServerFaultProcess: MTBF and MTTR must be positive");

@@ -24,13 +24,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "des/simulator.hpp"
 #include "rng/distributions.hpp"
 #include "rng/random_stream.hpp"
 #include "util/assert.hpp"
+#include "util/inline_function.hpp"
 
 namespace dg::grid {
 
@@ -234,7 +234,7 @@ class CheckpointServer {
 /// from its own RandomStream so enabling it perturbs no other stream.
 class CheckpointServerFaultProcess {
  public:
-  using Callback = std::function<void()>;
+  using Callback = util::InlineFunction<void()>;
 
   CheckpointServerFaultProcess(des::Simulator& sim, CheckpointServer& server,
                                CheckpointServerFaultModel model, rng::RandomStream stream);

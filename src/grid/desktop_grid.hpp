@@ -18,7 +18,6 @@
 #include "grid/checkpoint_server.hpp"
 #include "grid/machine.hpp"
 #include "grid/outage.hpp"
-#include "grid/transition_delegate.hpp"
 #include "rng/random_stream.hpp"
 
 namespace dg::grid {
@@ -59,9 +58,6 @@ struct GridConfig {
 
 class DesktopGrid final : public MachineAvailabilityListener {
  public:
-  /// Non-owning (context, fn-pointer) pair — see grid/transition_delegate.hpp.
-  using TransitionCallback = TransitionDelegate;
-
   /// Sentinel returned by first_available()/next_available() when no machine
   /// is up-and-idle.
   static constexpr MachineId kNoMachine = ~MachineId{0};

@@ -16,6 +16,7 @@
 #include <cstdint>
 
 #include "util/assert.hpp"
+#include "util/inline_function.hpp"
 
 namespace dg::grid {
 
@@ -24,6 +25,10 @@ using MachineId = std::uint32_t;
 enum class MachineState : std::uint8_t { kUp, kDown };
 
 class Machine;
+
+/// Reports one machine up/down edge to the execution engine (or a test);
+/// captures at most two words (see util/inline_function.hpp).
+using TransitionCallback = util::InlineFunction<void(Machine&)>;
 
 /// Observer for a machine's available() edge transitions. A machine is
 /// available iff it is up and not busy; every mutation that crosses that

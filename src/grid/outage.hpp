@@ -13,14 +13,13 @@
 #include <vector>
 
 #include "des/simulator.hpp"
-#include "grid/transition_delegate.hpp"
+#include "grid/machine.hpp"
 #include "rng/distributions.hpp"
 #include "rng/random_stream.hpp"
 
 namespace dg::grid {
 
 class DesktopGrid;
-class Machine;
 
 /// A half-open absolute-time interval [start, end) of deliberately elevated
 /// stress. The adversarial scenario director (sim/adversary.hpp) places
@@ -54,9 +53,6 @@ struct OutageModel {
 
 class OutageProcess {
  public:
-  /// Non-owning (context, fn-pointer) pair — see grid/transition_delegate.hpp.
-  using TransitionCallback = TransitionDelegate;
-
   OutageProcess(des::Simulator& sim, DesktopGrid& grid, OutageModel model,
                 rng::RandomStream stream);
 
@@ -89,8 +85,6 @@ class OutageProcess {
 /// down-cause counting.
 class ScheduledOutageProcess {
  public:
-  using TransitionCallback = TransitionDelegate;
-
   /// `windows` must be sorted ascending by start with end > start each;
   /// `fraction` of the grid (rounded down, minimum 1 machine) is hit per
   /// window.

@@ -153,7 +153,7 @@ WorldRealization WorldRealization::synthesize(const AvailabilityModel& availabil
   return world;
 }
 
-void RealizedOutageDriver::start(TransitionDelegate on_failure, TransitionDelegate on_repair) {
+void RealizedOutageDriver::start(TransitionCallback on_failure, TransitionCallback on_repair) {
   on_failure_ = on_failure;
   on_repair_ = on_repair;
   if (!world_.outages.enabled) return;
@@ -190,8 +190,8 @@ void RealizedOutageDriver::strike() {
   sim_.schedule_at(world_.outage_times[k + 1], [this] { strike(); });
 }
 
-void RealizedAvailabilityDriver::start(TransitionDelegate on_failure,
-                                       TransitionDelegate on_repair) {
+void RealizedAvailabilityDriver::start(TransitionCallback on_failure,
+                                       TransitionCallback on_repair) {
   DG_ASSERT_MSG(world_.num_machines == grid_.size(),
                 "RealizedAvailabilityDriver: realization/grid machine count mismatch");
   on_failure_ = on_failure;
@@ -232,8 +232,8 @@ void RealizedAvailabilityDriver::repair(std::uint32_t machine_index) {
 }
 
 void RealizedServerFaultDriver::start(Callback on_down, Callback on_up) {
-  on_down_ = std::move(on_down);
-  on_up_ = std::move(on_up);
+  on_down_ = on_down;
+  on_up_ = on_up;
   if (!world_.server_faults.enabled) return;
   DG_ASSERT_MSG(!world_.server_transitions.empty(),
                 "RealizedServerFaultDriver: enabled fault model with empty timeline");

@@ -27,7 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -36,7 +35,6 @@
 #include "grid/checkpoint_server.hpp"
 #include "grid/desktop_grid.hpp"
 #include "grid/trace.hpp"
-#include "grid/transition_delegate.hpp"
 
 namespace dg::grid {
 
@@ -153,7 +151,7 @@ class RealizedAvailabilityDriver {
 
   /// Schedules each machine's first failure (in machine-id order, matching
   /// DesktopGrid::start()). Call once, before running.
-  void start(TransitionDelegate on_failure, TransitionDelegate on_repair);
+  void start(TransitionCallback on_failure, TransitionCallback on_repair);
 
  private:
   void fail(std::uint32_t machine_index);
@@ -165,8 +163,8 @@ class RealizedAvailabilityDriver {
   DesktopGrid& grid_;
   const WorldRealization& world_;
   ReplayCursors& cursors_;
-  TransitionDelegate on_failure_;
-  TransitionDelegate on_repair_;
+  TransitionCallback on_failure_;
+  TransitionCallback on_repair_;
 };
 
 /// Replays a WorldRealization's correlated-outage timeline onto a grid,
@@ -183,7 +181,7 @@ class RealizedOutageDriver {
 
   /// Schedules the first strike (no-op when the outage model is disabled).
   /// Call once, before running.
-  void start(TransitionDelegate on_failure, TransitionDelegate on_repair);
+  void start(TransitionCallback on_failure, TransitionCallback on_repair);
 
   [[nodiscard]] std::uint64_t outages() const noexcept { return outages_; }
   [[nodiscard]] std::uint64_t machines_hit() const noexcept { return machines_hit_; }
@@ -194,8 +192,8 @@ class RealizedOutageDriver {
   des::Simulator& sim_;
   DesktopGrid& grid_;
   const WorldRealization& world_;
-  TransitionDelegate on_failure_;
-  TransitionDelegate on_repair_;
+  TransitionCallback on_failure_;
+  TransitionCallback on_repair_;
   std::uint32_t cursor_ = 0;  ///< Next strike index.
   std::uint64_t outages_ = 0;
   std::uint64_t machines_hit_ = 0;
@@ -207,7 +205,7 @@ class RealizedOutageDriver {
 /// successor from the recorded array.
 class RealizedServerFaultDriver {
  public:
-  using Callback = std::function<void()>;
+  using Callback = util::InlineFunction<void()>;
 
   RealizedServerFaultDriver(des::Simulator& sim, CheckpointServer& server,
                             const WorldRealization& world)

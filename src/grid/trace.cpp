@@ -11,6 +11,7 @@
 
 #include "rng/random_stream.hpp"
 #include "util/assert.hpp"
+#include "util/parse.hpp"
 
 namespace dg::grid {
 
@@ -78,38 +79,30 @@ AvailabilityTrace AvailabilityTrace::load_csv(std::istream& is) {
   while (std::getline(is, line)) {
     ++line_number;
     if (line.empty()) continue;
+    const auto bad_row = [line_number](const char* what) {
+      return std::runtime_error(std::string("AvailabilityTrace: ") + what + " at line " +
+                                std::to_string(line_number));
+    };
     std::istringstream row(line);
     std::string machine_field, start_field, end_field;
     std::getline(row, machine_field, ',');
     std::getline(row, start_field, ',');
     std::getline(row, end_field, ',');
-    std::size_t machine_index;
-    try {
-      machine_index = static_cast<std::size_t>(std::stoull(machine_field));
-    } catch (const std::exception&) {
-      throw std::runtime_error("AvailabilityTrace: bad machine id at line " +
-                               std::to_string(line_number));
-    }
-    if (machines.size() <= machine_index) machines.resize(machine_index + 1);
+    // Rows come machine by machine in id order (as save_csv writes them), so
+    // an id is at most one past the highest seen so far.
+    const auto machine_index = util::parse_digits(machine_field, machines.size());
+    if (!machine_index) throw bad_row("bad machine id");
+    if (*machine_index == machines.size()) machines.emplace_back();
     if (start_field.empty() && end_field.empty()) continue;  // up-only marker row
-    double start, end;
-    try {
-      start = std::stod(start_field);
-      end = std::stod(end_field);
-    } catch (const std::exception&) {
-      throw std::runtime_error("AvailabilityTrace: bad interval at line " +
-                               std::to_string(line_number));
+    const auto start = util::parse_finite(start_field);
+    const auto end = util::parse_finite(end_field);
+    if (!start || !end) throw bad_row("bad interval");
+    if (*start < 0.0 || *end < *start) throw bad_row("negative or inverted interval");
+    MachineTrace& machine = machines[*machine_index];
+    if (!machine.downtime.empty() && *start < machine.downtime.back().end) {
+      throw bad_row("overlapping intervals");
     }
-    MachineTrace& machine = machines[machine_index];
-    if (start < 0.0 || end < start) {
-      throw std::runtime_error("AvailabilityTrace: negative or inverted interval at line " +
-                               std::to_string(line_number));
-    }
-    if (!machine.downtime.empty() && start < machine.downtime.back().end) {
-      throw std::runtime_error("AvailabilityTrace: overlapping intervals at line " +
-                               std::to_string(line_number));
-    }
-    machine.downtime.push_back({start, end});
+    machine.downtime.push_back({*start, *end});
   }
   return AvailabilityTrace(std::move(machines));
 }

@@ -19,7 +19,6 @@
 #include "des/simulator.hpp"
 #include "grid/availability.hpp"
 #include "grid/desktop_grid.hpp"
-#include "grid/transition_delegate.hpp"
 
 namespace dg::grid {
 
@@ -56,8 +55,10 @@ class AvailabilityTrace {
                                                     std::uint64_t seed);
 
   void save_csv(std::ostream& os) const;
-  /// Throws std::runtime_error on malformed input (bad header, unordered or
-  /// negative intervals).
+  /// Throws std::runtime_error naming the line on malformed input: a bad
+  /// header, a machine id that is not plain digits or more than one past the
+  /// highest so far, a time that is not finite, or a negative, inverted or
+  /// overlapping interval.
   [[nodiscard]] static AvailabilityTrace load_csv(std::istream& is);
 
  private:
@@ -69,9 +70,6 @@ class AvailabilityTrace {
 /// failure processes are disabled.
 class TraceAvailabilityDriver {
  public:
-  /// Non-owning (context, fn-pointer) pair — see grid/transition_delegate.hpp.
-  using TransitionCallback = TransitionDelegate;
-
   TraceAvailabilityDriver(des::Simulator& sim, DesktopGrid& grid, AvailabilityTrace trace)
       : sim_(sim), grid_(grid), trace_(std::move(trace)) {}
 

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -20,6 +19,7 @@
 #include "sched/policy.hpp"
 #include "sched/replication.hpp"
 #include "sched/sched_stats.hpp"
+#include "util/inline_function.hpp"
 
 namespace dg::sched {
 
@@ -53,8 +53,8 @@ class MultiBotScheduler {
 
   void set_sink(DispatchSink& sink) noexcept { sink_ = &sink; }
   /// Invoked when a bag's last task completes (Simulation records metrics).
-  void set_bot_completed_callback(std::function<void(BotState&)> callback) {
-    on_bot_completed_ = std::move(callback);
+  void set_bot_completed_callback(util::InlineFunction<void(BotState&)> callback) noexcept {
+    on_bot_completed_ = callback;
   }
 
   /// Registers an arriving bag (caller keeps ownership) and dispatches.
@@ -119,7 +119,7 @@ class MultiBotScheduler {
   std::unique_ptr<IndividualScheduler> individual_;
   std::unique_ptr<ReplicationController> replication_;
   DispatchSink* sink_ = nullptr;
-  std::function<void(BotState&)> on_bot_completed_;
+  util::InlineFunction<void(BotState&)> on_bot_completed_;
 
   ActiveBotList active_bots_;  // incomplete, arrival order
   DispatchIndex index_;        // eligibility sets over active_bots_

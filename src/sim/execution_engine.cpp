@@ -209,7 +209,7 @@ void ExecutionEngine::on_server_down() {
     for (Replica& slot : replicas_) {
       Replica* replica = slot.task != nullptr ? &slot : nullptr;
       if (replica == nullptr || !replica->transfer_inflight) continue;
-      replica->next_event.cancel();
+      sim_.cancel(replica->next_event);
       drop_inflight_transfer(*replica);
       transfer_attempt_failed(*replica);
     }
@@ -342,7 +342,7 @@ void ExecutionEngine::on_complete(grid::MachineId machine_id) {
     Replica& candidate = replicas_[id];
     const bool is_winner = id == machine_id;
     if (!is_winner) {
-      candidate.next_event.cancel();
+      sim_.cancel(candidate.next_event);
       drop_inflight_transfer(candidate);
       if (candidate.phase == Phase::kComputing) {
         candidate.compute_invested += sim_.now() - candidate.leg_start;
@@ -373,7 +373,7 @@ void ExecutionEngine::on_machine_failure(grid::Machine& machine) {
   }
   Replica* replica = replica_on(machine);
   if (replica == nullptr) return;  // idle machine went down
-  replica->next_event.cancel();
+  sim_.cancel(replica->next_event);
   // A transfer cut short by the death hands its unused slot time back to the
   // server (the historical leak kept it reserved; see CheckpointServer).
   drop_inflight_transfer(*replica);

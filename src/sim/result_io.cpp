@@ -62,7 +62,7 @@ void write_summary(std::ostream& os, const SimulationResult& result) {
      << " events\n"
      << "kernel:          " << result.kernel.events_scheduled << " scheduled, "
      << result.kernel.events_cancelled << " cancelled, heap peak "
-     << result.kernel.heap_peak << ", " << result.kernel.arena_slabs << " slab allocs\n";
+     << result.kernel.heap_peak << '\n';
 }
 
 }  // namespace dg::sim

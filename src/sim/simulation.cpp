@@ -50,9 +50,8 @@ workload::WorkloadConfig make_paper_workload(const grid::GridConfig& grid_config
 namespace {
 
 /// Shared state of the arrival / completion callbacks. Lives on run()'s
-/// stack so the event lambdas capture a single reference (16 bytes with the
-/// bag pointer — inside std::function's small-buffer optimization, so
-/// scheduling an arrival never touches the heap).
+/// stack so each event closure captures one reference plus the bag pointer:
+/// the two words a des::Action holds.
 struct ArrivalContext {
   sched::MultiBotScheduler* scheduler = nullptr;
   SimulationObserver* observer = nullptr;
@@ -62,9 +61,8 @@ struct ArrivalContext {
   std::size_t total = 0;
 };
 
-/// Self-rescheduling queue monitor. The tick event captures only `this`
-/// (8 bytes, SBO), unlike the old self-copying std::function whose by-ref
-/// capture block was re-allocated on the heap at every sample.
+/// Self-rescheduling queue monitor. Its state lives here so the tick event
+/// captures only `this`.
 struct QueueMonitor {
   des::Simulator* sim = nullptr;
   sched::MultiBotScheduler* scheduler = nullptr;
@@ -246,8 +244,12 @@ const SimulationResult& Simulation::run(SimulationWorkspace& workspace,
   std::optional<grid::RealizedAvailabilityDriver> realized_driver;
   std::optional<grid::RealizedOutageDriver> realized_outages;
   std::optional<grid::ScheduledOutageProcess> adversary_outages;
-  const auto on_failure = grid::TransitionDelegate::to<&ExecutionEngine::on_machine_failure>(engine);
-  const auto on_repair = grid::TransitionDelegate::to<&ExecutionEngine::on_machine_repair>(engine);
+  const grid::TransitionCallback on_failure = [&engine](grid::Machine& machine) {
+    engine.on_machine_failure(machine);
+  };
+  const grid::TransitionCallback on_repair = [&engine](grid::Machine& machine) {
+    engine.on_machine_repair(machine);
+  };
   if (trace_driven_grid) {
     trace_driver = std::make_unique<grid::TraceAvailabilityDriver>(sim, grid,
                                                                    *config_.availability_trace);

@@ -172,8 +172,8 @@ struct SimulationResult {
   double lost_work = 0.0;
   std::uint64_t events_executed = 0;
   /// DES kernel counters for this run (events scheduled/fired/cancelled,
-  /// heap peak, arena slab allocations) — the raw material of the perf
-  /// trajectory; see docs/BENCHMARKING.md.
+  /// heap peak) — the raw material of the perf trajectory; see
+  /// docs/BENCHMARKING.md.
   des::KernelStats kernel;
   /// Dispatch-path cost counters (triggers, machines examined, policy
   /// selects, index updates) — the scheduler-layer sibling of `kernel`.
@@ -208,9 +208,9 @@ class Simulation {
 
   /// Runs inside `workspace`, reusing its simulator, memory pool, and
   /// buffers (see sim/workspace.hpp). Bit-identical to run() for the same
-  /// (config, seed) apart from the arena allocation counters. The returned
-  /// reference lives in the workspace and is overwritten by the next run
-  /// through it; one workspace serves one run at a time, on one thread.
+  /// (config, seed). The returned reference lives in the workspace and is
+  /// overwritten by the next run through it; one workspace serves one run
+  /// at a time, on one thread.
   [[nodiscard]] const SimulationResult& run(SimulationWorkspace& workspace,
                                             SimulationObserver* observer = nullptr);
 

@@ -1,13 +1,13 @@
 // Reusable per-worker allocation bundle for simulation replications.
 //
 // ExperimentRunner replays thousands of replications; each one used to build
-// and tear down the event arena, the grid's machine population, every bag's
-// task slabs and dispatch structures, and the stats buffers — so at high
-// thread counts the workers serialized on the global allocator instead of
-// simulating. A SimulationWorkspace keeps all of that memory alive between
+// and tear down the event slot table, the grid's machine population, every
+// bag's task slabs and dispatch structures, and the stats buffers — so at
+// high thread counts the workers serialized on the global allocator instead
+// of simulating. A SimulationWorkspace keeps all of that memory alive between
 // replications:
 //
-//   * the des::Simulator (slab arena + heap storage) is reset() in place,
+//   * the des::Simulator (slot table + heap storage) is reset() in place,
 //   * every per-replication container (machines, availability processes,
 //     BotStates with their task slabs, DispatchIndex maps, engine replica
 //     table) draws from a pooled std::pmr resource whose freed blocks are
@@ -16,10 +16,8 @@
 //     capacity across replications.
 //
 // Reuse is semantically transparent: a replication run through a (warmed or
-// fresh) workspace is bit-identical to one run through the historical
-// fresh-construction path, except for the two KernelStats fields that
-// *report* allocation behaviour (arena_slabs / arena_capacity, which count
-// slabs allocated since the last reset and slots retained).
+// fresh) workspace is bit-identical, KernelStats included, to one run through
+// the historical fresh-construction path.
 //
 // Ownership and threading rules:
 //   * One workspace per thread — a workspace is as thread-unsafe as the

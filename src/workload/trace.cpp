@@ -10,6 +10,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/parse.hpp"
+
 namespace dg::workload {
 
 void save_workload_csv(std::ostream& os, const std::vector<BotSpec>& bots) {
@@ -34,50 +36,40 @@ std::vector<BotSpec> load_workload_csv(std::istream& is) {
   while (std::getline(is, line)) {
     ++line_number;
     if (line.empty()) continue;
-    std::istringstream row(line);
-    std::string field;
-    auto next = [&](const char* what) {
-      if (!std::getline(row, field, ',')) {
-        throw std::runtime_error(std::string("workload trace: missing ") + what + " at line " +
-                                 std::to_string(line_number));
-      }
-      return field;
+    const auto bad_row = [line_number](const std::string& what) {
+      return std::runtime_error("workload trace: " + what + " at line " +
+                                std::to_string(line_number));
     };
-    try {
-      const auto bot_id = static_cast<BotId>(std::stoul(next("bot")));
-      const double arrival = std::stod(next("arrival"));
-      const double granularity = std::stod(next("granularity"));
-      const auto task_index = static_cast<std::size_t>(std::stoull(next("task")));
-      const double work = std::stod(next("work"));
-      if (work <= 0.0) {
-        throw std::runtime_error("workload trace: non-positive work at line " +
-                                 std::to_string(line_number));
-      }
-      BotSpec& bot = bots[bot_id];
-      bot.id = bot_id;
-      bot.arrival_time = arrival;
-      bot.granularity = granularity;
-      if (bot.tasks.size() <= task_index) bot.tasks.resize(task_index + 1);
-      bot.tasks[task_index].work = work;
-    } catch (const std::invalid_argument&) {
-      throw std::runtime_error("workload trace: unparsable field at line " +
-                               std::to_string(line_number));
-    } catch (const std::out_of_range&) {
-      throw std::runtime_error("workload trace: out-of-range field at line " +
-                               std::to_string(line_number));
+    std::istringstream row(line);
+    std::string fields[5];
+    for (std::string& field : fields) {
+      if (!std::getline(row, field, ',')) throw bad_row("missing field");
     }
+    const auto id_field = util::parse_digits(fields[0], std::numeric_limits<BotId>::max());
+    const auto arrival = util::parse_finite(fields[1]);
+    const auto granularity = util::parse_finite(fields[2]);
+    const auto work = util::parse_finite(fields[4]);
+    if (!id_field) throw bad_row("bad bot id");
+    if (!arrival || *arrival < 0.0) throw bad_row("bad arrival time");
+    if (!granularity) throw bad_row("bad granularity");
+    if (!work || *work <= 0.0) throw bad_row("non-positive or bad work");
+    const auto bot_id = static_cast<BotId>(*id_field);
+    BotSpec& bot = bots[bot_id];
+    // Tasks come in index order (as save_workload_csv writes them), so an
+    // index is at most one past the bag's highest so far.
+    const std::uint64_t max_index =
+        std::min<std::uint64_t>(bot.tasks.size(), std::numeric_limits<TaskIndex>::max());
+    const auto task_index = util::parse_digits(fields[3], max_index);
+    if (!task_index) throw bad_row("bad or out-of-order task index");
+    bot.id = bot_id;
+    bot.arrival_time = *arrival;
+    bot.granularity = *granularity;
+    if (*task_index == bot.tasks.size()) bot.tasks.emplace_back();
+    bot.tasks[*task_index].work = *work;
   }
   std::vector<BotSpec> result;
   result.reserve(bots.size());
-  for (auto& [id, bot] : bots) {
-    for (const TaskSpec& task : bot.tasks) {
-      if (task.work <= 0.0) {
-        throw std::runtime_error("workload trace: bot " + std::to_string(id) +
-                                 " has a gap in its task indices");
-      }
-    }
-    result.push_back(std::move(bot));
-  }
+  for (auto& entry : bots) result.push_back(std::move(entry.second));
   std::sort(result.begin(), result.end(),
             [](const BotSpec& a, const BotSpec& b) { return a.arrival_time < b.arrival_time; });
   return result;

@@ -18,9 +18,12 @@ namespace dg::workload {
 /// Writes all bags of `bots` (one row per task).
 void save_workload_csv(std::ostream& os, const std::vector<BotSpec>& bots);
 
-/// Parses a workload trace. Bags are returned in arrival order; throws
-/// std::runtime_error on malformed input (bad header/fields, non-monotone
-/// arrivals after sorting is NOT enforced — arrivals are sorted on load).
+/// Parses a workload trace. Bags are returned in arrival order (rows need not
+/// be). Throws std::runtime_error naming the line on malformed input: a bad
+/// header, a missing field, an id that is not plain digits or outside its
+/// type's range, a task index more than one past the bag's highest so far,
+/// a negative or non-finite arrival, a non-finite granularity, or work that
+/// is not finite and positive.
 [[nodiscard]] std::vector<BotSpec> load_workload_csv(std::istream& is);
 
 }  // namespace dg::workload

@@ -66,8 +66,8 @@ class World {
     engine_config.server_faults.enabled = false;  // outages injected by hand
     engine = std::make_unique<sim::ExecutionEngine>(sim, *grid, *scheduler, engine_config,
                                                     options.seed);
-    grid->start(grid::TransitionDelegate::to<&sim::ExecutionEngine::on_machine_failure>(*engine),
-                grid::TransitionDelegate::to<&sim::ExecutionEngine::on_machine_repair>(*engine));
+    grid->start([this](grid::Machine& machine) { engine->on_machine_failure(machine); },
+                [this](grid::Machine& machine) { engine->on_machine_repair(machine); });
   }
 
   /// Creates and registers a bag with the given task works, arriving at

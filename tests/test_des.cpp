@@ -4,12 +4,23 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "des/simulator.hpp"
 
 namespace dg::des {
 namespace {
+
+// An action is three words with no destructor. A closure that does not fit
+// its two words of inline storage, or that owns a resource, does not compile.
+using TwoWordClosure = decltype([a = 0L, b = 0L] { return a + b; });
+using ThreeWordClosure = decltype([a = 0L, b = 0L, c = 0L] { return a + b + c; });
+static_assert(std::is_trivially_copyable_v<Action>);
+static_assert(sizeof(Action) == 3 * sizeof(void*));
+static_assert(std::is_constructible_v<Action, TwoWordClosure>);
+static_assert(!std::is_constructible_v<Action, ThreeWordClosure>);
+static_assert(!std::is_constructible_v<Action, std::function<void()>>);
 
 TEST(Simulator, StartsAtTimeZero) {
   Simulator sim;
@@ -49,24 +60,26 @@ TEST(Simulator, ClockAdvancesToEventTime) {
 }
 
 TEST(Simulator, EventsCanScheduleFurtherEvents) {
-  Simulator sim;
-  std::vector<double> times;
-  std::function<void()> chain = [&] {
-    times.push_back(sim.now());
-    if (times.size() < 5) sim.schedule_after(10.0, chain);
-  };
-  sim.schedule_after(10.0, chain);
-  sim.run();
-  EXPECT_EQ(times, (std::vector<double>{10, 20, 30, 40, 50}));
+  struct Chain {
+    Simulator sim;
+    std::vector<double> times;
+    void fire() {
+      times.push_back(sim.now());
+      if (times.size() < 5) sim.schedule_after(10.0, [this] { fire(); });
+    }
+  } chain;
+  chain.sim.schedule_after(10.0, [&chain] { chain.fire(); });
+  chain.sim.run();
+  EXPECT_EQ(chain.times, (std::vector<double>{10, 20, 30, 40, 50}));
 }
 
 TEST(Simulator, CancelPreventsExecution) {
   Simulator sim;
   bool ran = false;
   EventHandle handle = sim.schedule_at(1.0, [&] { ran = true; });
-  EXPECT_TRUE(handle.pending());
-  EXPECT_TRUE(handle.cancel());
-  EXPECT_FALSE(handle.pending());
+  EXPECT_TRUE(sim.pending(handle));
+  EXPECT_TRUE(sim.cancel(handle));
+  EXPECT_FALSE(sim.pending(handle));
   sim.run();
   EXPECT_FALSE(ran);
   EXPECT_EQ(sim.executed_events(), 0u);
@@ -75,25 +88,28 @@ TEST(Simulator, CancelPreventsExecution) {
 TEST(Simulator, CancelTwiceReturnsFalse) {
   Simulator sim;
   EventHandle handle = sim.schedule_at(1.0, [] {});
-  EXPECT_TRUE(handle.cancel());
-  EXPECT_FALSE(handle.cancel());
+  EXPECT_TRUE(sim.cancel(handle));
+  EXPECT_FALSE(sim.cancel(handle));
 }
 
 TEST(Simulator, CancelAfterExecutionReturnsFalse) {
   Simulator sim;
   EventHandle handle = sim.schedule_at(1.0, [] {});
   sim.run();
-  EXPECT_FALSE(handle.pending());
-  EXPECT_FALSE(handle.cancel());
+  EXPECT_FALSE(sim.pending(handle));
+  EXPECT_FALSE(sim.cancel(handle));
 }
 
 TEST(Simulator, HandleNotPendingDuringOwnExecution) {
-  Simulator sim;
-  EventHandle handle;
-  bool pending_inside = true;
-  handle = sim.schedule_at(1.0, [&] { pending_inside = handle.pending(); });
-  sim.run();
-  EXPECT_FALSE(pending_inside);
+  struct Probe {
+    Simulator sim;
+    EventHandle handle;
+    bool pending_inside = true;
+  } probe;
+  probe.handle = probe.sim.schedule_at(
+      1.0, [&probe] { probe.pending_inside = probe.sim.pending(probe.handle); });
+  probe.sim.run();
+  EXPECT_FALSE(probe.pending_inside);
 }
 
 TEST(Simulator, CancelledEventBetweenOthersPreservesOrder) {
@@ -102,7 +118,7 @@ TEST(Simulator, CancelledEventBetweenOthersPreservesOrder) {
   sim.schedule_at(1.0, [&] { order.push_back(1); });
   EventHandle middle = sim.schedule_at(2.0, [&] { order.push_back(2); });
   sim.schedule_at(3.0, [&] { order.push_back(3); });
-  middle.cancel();
+  sim.cancel(middle);
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 3}));
 }
@@ -157,7 +173,7 @@ TEST(Simulator, PendingEventCountTracksQueue) {
   EventHandle a = sim.schedule_at(1.0, [] {});
   sim.schedule_at(2.0, [] {});
   EXPECT_EQ(sim.pending_events(), 2u);
-  a.cancel();
+  sim.cancel(a);
   sim.run();
   EXPECT_EQ(sim.pending_events(), 0u);
   EXPECT_EQ(sim.executed_events(), 1u);
@@ -185,22 +201,28 @@ TEST(Simulator, ZeroDelayScheduleAfter) {
 }
 
 TEST(EventHandle, DefaultConstructedIsInert) {
-  EventHandle handle;
-  EXPECT_FALSE(handle.pending());
-  EXPECT_FALSE(handle.cancel());
-  EXPECT_EQ(handle.time(), 0.0);
+  Simulator sim;
+  sim.schedule_at(1.0, [] {});
+  const EventHandle handle;
+  EXPECT_FALSE(sim.pending(handle));
+  EXPECT_FALSE(sim.cancel(handle));
+  EXPECT_EQ(sim.pending_events(), 1u);
 }
 
-TEST(EventHandle, HandleOutlivesSimulator) {
-  EventHandle handle;
-  {
-    Simulator sim;
-    handle = sim.schedule_at(5.0, [] {});
-    EXPECT_TRUE(handle.pending());
-  }
-  // The record died with the simulator; the weak handle reports not-pending.
-  EXPECT_FALSE(handle.pending());
-  EXPECT_FALSE(handle.cancel());
+TEST(EventHandle, SlotPastThisSimulatorsTableIsInert) {
+  // A handle is valid only with the simulator that issued it, but one whose
+  // slot lies past this simulator's table must still be rejected safely.
+  Simulator larger;
+  EventHandle far;
+  for (int i = 0; i < 8; ++i) far = larger.schedule_at(1.0, [] {});
+  ASSERT_TRUE(larger.pending(far));
+
+  Simulator smaller;
+  smaller.schedule_at(1.0, [] {});
+  EXPECT_FALSE(smaller.pending(far));
+  EXPECT_FALSE(smaller.cancel(far));
+  EXPECT_EQ(smaller.pending_events(), 1u);
+  EXPECT_EQ(smaller.stats().events_cancelled, 0u);
 }
 
 TEST(SimulatorDeath, SchedulingInThePastAborts) {
@@ -253,17 +275,19 @@ TEST(Simulator, RescheduleAfterStopAndClear) {
 
 TEST(Simulator, ManyEventsStressOrdering) {
   Simulator sim;
-  double last = -1.0;
-  bool monotone = true;
+  struct Order {
+    double last = -1.0;
+    bool monotone = true;
+  } order;
   for (int i = 0; i < 10000; ++i) {
     const double t = static_cast<double>((i * 7919) % 1000);
-    sim.schedule_at(t, [&, t] {
-      if (t < last) monotone = false;
-      last = t;
+    sim.schedule_at(t, [&order, t] {
+      if (t < order.last) order.monotone = false;
+      order.last = t;
     });
   }
   sim.run();
-  EXPECT_TRUE(monotone);
+  EXPECT_TRUE(order.monotone);
   EXPECT_EQ(sim.executed_events(), 10000u);
 }
 

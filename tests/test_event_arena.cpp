@@ -1,6 +1,6 @@
-// Slab arena + generation-counted handles: slot recycling, stale-handle
-// rejection, growth behavior under large bursts, and KernelStats plumbing
-// through the sim layer.
+// The simulator's event slot table + generation-counted handles: slot
+// recycling, stale-handle rejection, growth behavior under large bursts, and
+// KernelStats plumbing through the sim layer.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,13 +18,14 @@ TEST(EventArena, StaleHandleCannotCancelSlotReuser) {
   // one reuses the same slot; the stale handle's generation must not match.
   Simulator sim;
   EventHandle stale = sim.schedule_at(1.0, [] { FAIL() << "cancelled event ran"; });
-  ASSERT_TRUE(stale.cancel());
+  ASSERT_TRUE(sim.cancel(stale));
 
   bool ran = false;
   EventHandle fresh = sim.schedule_at(2.0, [&ran] { ran = true; });
-  EXPECT_FALSE(stale.pending());
-  EXPECT_FALSE(stale.cancel());  // must NOT kill the recycled slot's new event
-  EXPECT_TRUE(fresh.pending());
+  EXPECT_EQ(fresh.slot, stale.slot);
+  EXPECT_FALSE(sim.pending(stale));
+  EXPECT_FALSE(sim.cancel(stale));  // must NOT kill the recycled slot's new event
+  EXPECT_TRUE(sim.pending(fresh));
 
   sim.run();
   EXPECT_TRUE(ran);
@@ -38,15 +39,15 @@ TEST(EventArena, EveryGenerationOfAReusedSlotIsDistinct) {
   for (int i = 0; i < 100; ++i) {
     EventHandle handle = sim.schedule_at(1.0, [] {});
     stale.push_back(handle);
-    ASSERT_TRUE(handle.cancel());
+    ASSERT_TRUE(sim.cancel(handle));
   }
   bool ran = false;
   EventHandle live = sim.schedule_at(1.0, [&ran] { ran = true; });
-  for (EventHandle& handle : stale) {
-    EXPECT_FALSE(handle.pending());
-    EXPECT_FALSE(handle.cancel());
+  for (const EventHandle& handle : stale) {
+    EXPECT_FALSE(sim.pending(handle));
+    EXPECT_FALSE(sim.cancel(handle));
   }
-  EXPECT_TRUE(live.pending());
+  EXPECT_TRUE(sim.pending(live));
   sim.run();
   EXPECT_TRUE(ran);
 }
@@ -55,26 +56,25 @@ TEST(EventArena, StaleHandleAfterExecutionCannotCancelReuser) {
   Simulator sim;
   EventHandle first = sim.schedule_at(1.0, [] {});
   sim.run();
-  EXPECT_FALSE(first.pending());
+  EXPECT_FALSE(sim.pending(first));
 
   bool ran = false;
   sim.schedule_at(2.0, [&ran] { ran = true; });  // reuses the retired slot
-  EXPECT_FALSE(first.cancel());
+  EXPECT_FALSE(sim.cancel(first));
   sim.run();
   EXPECT_TRUE(ran);
 }
 
-TEST(EventArena, ScheduleCancelChurnStaysWithinOneSlab) {
+TEST(EventArena, ScheduleCancelChurnReusesOneSlot) {
   // Recycling means unbounded schedule/cancel churn with one live event
-  // never grows past the first slab.
+  // never grows the table past its first slot.
   Simulator sim;
   for (int i = 0; i < 10000; ++i) {
     EventHandle handle = sim.schedule_at(1.0, [] {});
-    ASSERT_TRUE(handle.cancel());
+    ASSERT_EQ(handle.slot, 0u);
+    ASSERT_TRUE(sim.cancel(handle));
   }
   const KernelStats& stats = sim.stats();
-  EXPECT_EQ(stats.arena_slabs, 1u);
-  EXPECT_EQ(stats.arena_capacity, detail::EventArena::kSlabSize);
   EXPECT_EQ(stats.events_scheduled, 10000u);
   EXPECT_EQ(stats.events_cancelled, 10000u);
   EXPECT_EQ(stats.events_fired, 0u);
@@ -85,15 +85,11 @@ TEST(EventArena, MillionEventBurstGrowsThenRecycles) {
   Simulator sim;
   std::uint64_t sum = 0;
   for (std::uint64_t i = 0; i < kBurst; ++i) {
-    sim.schedule_at(static_cast<double>((i * 7919) % kBurst), [&sum] { ++sum; });
+    const EventHandle handle =
+        sim.schedule_at(static_cast<double>((i * 7919) % kBurst), [&sum] { ++sum; });
+    ASSERT_EQ(handle.slot, i);  // a growing table hands out ascending slots
   }
-  const std::uint64_t slabs_after_burst = sim.stats().arena_slabs;
   EXPECT_EQ(sim.stats().heap_peak, kBurst);
-  EXPECT_GE(sim.stats().arena_capacity, kBurst);
-  // Capacity tracks the peak, not the schedule count: ceil(1M / slab).
-  const std::uint64_t expected_slabs =
-      (kBurst + detail::EventArena::kSlabSize - 1) / detail::EventArena::kSlabSize;
-  EXPECT_EQ(slabs_after_burst, expected_slabs);
 
   sim.run();
   EXPECT_EQ(sum, kBurst);
@@ -102,9 +98,8 @@ TEST(EventArena, MillionEventBurstGrowsThenRecycles) {
 
   // A second burst of the same size reuses the retired slots: zero growth.
   for (std::uint64_t i = 0; i < kBurst; ++i) {
-    sim.schedule_after(1.0, [&sum] { ++sum; });
+    ASSERT_LT(sim.schedule_after(1.0, [&sum] { ++sum; }).slot, kBurst);
   }
-  EXPECT_EQ(sim.stats().arena_slabs, slabs_after_burst);
   sim.run();
   EXPECT_EQ(sum, 2 * kBurst);
 }
@@ -115,7 +110,7 @@ TEST(EventArena, KernelStatsArithmetic) {
   for (int i = 0; i < 10; ++i) {
     handles.push_back(sim.schedule_at(static_cast<double>(i + 1), [] {}));
   }
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(handles[static_cast<std::size_t>(i)].cancel());
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(sim.cancel(handles[static_cast<std::size_t>(i)]));
   sim.run();
   const KernelStats& stats = sim.stats();
   EXPECT_EQ(stats.events_scheduled, 10u);
@@ -166,8 +161,6 @@ TEST(KernelStatsPlumbing, ResultAndObserverSeeTheSameCounters) {
   EXPECT_GE(result.kernel.events_scheduled,
             result.kernel.events_fired + result.kernel.events_cancelled);
   EXPECT_GT(result.kernel.heap_peak, 0u);
-  EXPECT_GT(result.kernel.arena_slabs, 0u);
-  EXPECT_GT(result.kernel.arena_capacity, 0u);
   // SchedStats rides along on the same hook and in the result.
   EXPECT_EQ(probe.sched_.triggers, result.sched.triggers);
   EXPECT_EQ(probe.sched_.selects, result.sched.selects);

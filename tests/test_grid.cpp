@@ -101,7 +101,7 @@ TEST(AvailabilityProcess, MachineAlternatesUpDown) {
   int failures = 0, repairs = 0;
   auto on_fail = [&](Machine&) { ++failures; };
   auto on_repair = [&](Machine&) { ++repairs; };
-  process.start(TransitionDelegate::bind(on_fail), TransitionDelegate::bind(on_repair));
+  process.start(on_fail, on_repair);
   sim.run_until(50000.0);
   EXPECT_GT(failures, 10);
   EXPECT_TRUE(repairs == failures || repairs == failures - 1);
@@ -125,7 +125,7 @@ TEST(AvailabilityProcess, DisabledFailuresNeverFire) {
   AvailabilityProcess process(sim, machine, AvailabilityModel::for_level(AvailabilityLevel::kAlways),
                               rng::RandomStream(56));
   auto on_fail = [](Machine&) { FAIL() << "failure fired with failures disabled"; };
-  process.start(TransitionDelegate::bind(on_fail), nullptr);
+  process.start(on_fail, nullptr);
   sim.run_until(1e9);
   EXPECT_TRUE(machine.up());
   EXPECT_EQ(process.failure_count(), 0u);

@@ -35,7 +35,7 @@ TEST(OutageProcess, HitsTheConfiguredFraction) {
   int edges_down = 0, edges_up = 0;
   auto on_down = [&](grid::Machine&) { ++edges_down; };
   auto on_up = [&](grid::Machine&) { ++edges_up; };
-  grid.start(grid::TransitionDelegate::bind(on_down), grid::TransitionDelegate::bind(on_up));
+  grid.start(on_down, on_up);
   sim.run_until(1e6);  // ~50 outages expected
   const auto& outages = grid.outage_process();
   EXPECT_GT(outages.outages(), 20u);
@@ -54,7 +54,7 @@ TEST(OutageProcess, DisabledByDefault) {
       grid::GridConfig::preset(grid::Heterogeneity::kHom, grid::AvailabilityLevel::kAlways);
   grid::DesktopGrid grid(config, sim, 2);
   auto on_down = [](grid::Machine&) { FAIL() << "unexpected failure"; };
-  grid.start(grid::TransitionDelegate::bind(on_down), nullptr);
+  grid.start(on_down, nullptr);
   sim.run_until(1e7);
   EXPECT_EQ(grid.outage_process().outages(), 0u);
 }

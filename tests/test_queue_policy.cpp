@@ -149,7 +149,7 @@ TEST(Simulator, CancelledEntriesAreSkippedAsStale) {
   for (int i = 0; i < 200; ++i) {
     handles.push_back(sim.schedule_at(static_cast<double>(i), [&fired] { ++fired; }));
   }
-  for (std::size_t i = 0; i < handles.size(); i += 2) EXPECT_TRUE(handles[i].cancel());
+  for (std::size_t i = 0; i < handles.size(); i += 2) EXPECT_TRUE(sim.cancel(handles[i]));
   sim.run();
   EXPECT_EQ(fired, 100);
   EXPECT_EQ(sim.executed_events(), 100u);

@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <sstream>
+#include <string>
 
 #include "grid/realization.hpp"
 #include "grid/trace.hpp"
@@ -112,6 +113,33 @@ TEST(AvailabilityTrace, LoadRejectsOverlappingIntervals) {
   EXPECT_THROW(grid::AvailabilityTrace::load_csv(bad), std::runtime_error);
 }
 
+void expect_availability_rows_rejected(const std::string& rows) {
+  std::istringstream bad("machine,down_start,down_end\n" + rows);
+  EXPECT_THROW((void)grid::AvailabilityTrace::load_csv(bad), std::runtime_error);
+}
+
+TEST(AvailabilityTrace, LoadRejectsSignedMachineId) {
+  // "-1" must not wrap to 2^64 - 1 and size the machine table from it.
+  expect_availability_rows_rejected("-1,1,2\n");
+}
+
+TEST(AvailabilityTrace, LoadRejectsMachineIdFarPastTheHighest) {
+  // One row must not size the machine table (4e9 machines: ~96 GB).
+  expect_availability_rows_rejected("4000000000,1,2\n");
+}
+
+TEST(AvailabilityTrace, LoadRejectsTrailingJunkInMachineId) {
+  expect_availability_rows_rejected("0,,\n1x,1,2\n");
+}
+
+TEST(AvailabilityTrace, LoadRejectsNanInterval) {
+  expect_availability_rows_rejected("0,nan,nan\n");
+}
+
+TEST(AvailabilityTrace, LoadRejectsInfiniteIntervalEnd) {
+  expect_availability_rows_rejected("0,1,inf\n");
+}
+
 TEST(TraceDriver, DrivesMachineTransitions) {
   des::Simulator sim;
   grid::GridConfig config;
@@ -127,7 +155,7 @@ TEST(TraceDriver, DrivesMachineTransitions) {
   int failures = 0, repairs = 0;
   auto on_fail = [&](grid::Machine&) { ++failures; };
   auto on_repair = [&](grid::Machine&) { ++repairs; };
-  driver.start(grid::TransitionDelegate::bind(on_fail), grid::TransitionDelegate::bind(on_repair));
+  driver.start(on_fail, on_repair);
   grid.start(nullptr, nullptr);
 
   sim.run_until(120.0);
@@ -194,6 +222,39 @@ TEST(WorkloadTrace, LoadRejectsNonPositiveWork) {
 TEST(WorkloadTrace, LoadRejectsTaskIndexGaps) {
   std::istringstream bad("bot,arrival,granularity,task,work\n0,0,100,0,10\n0,0,100,2,10\n");
   EXPECT_THROW(workload::load_workload_csv(bad), std::runtime_error);
+}
+
+void expect_workload_rows_rejected(const std::string& rows) {
+  std::istringstream bad("bot,arrival,granularity,task,work\n" + rows);
+  EXPECT_THROW((void)workload::load_workload_csv(bad), std::runtime_error);
+}
+
+TEST(WorkloadTrace, LoadRejectsSignedTaskIndex) {
+  // "-1" must not wrap to 2^64 - 1 and size the task table from it.
+  expect_workload_rows_rejected("0,0,100,-1,10\n");
+}
+
+TEST(WorkloadTrace, LoadRejectsTaskIndexFarPastTheHighest) {
+  // One row must not size the task table (3e9 tasks: ~24 GB).
+  expect_workload_rows_rejected("0,0,100,3000000000,10\n");
+}
+
+TEST(WorkloadTrace, LoadRejectsSignedBagId) {
+  // "-1" must not load as bag 4294967295.
+  expect_workload_rows_rejected("-1,0,100,0,10\n");
+}
+
+TEST(WorkloadTrace, LoadRejectsNanArrival) {
+  expect_workload_rows_rejected("0,nan,100,0,10\n");
+}
+
+TEST(WorkloadTrace, LoadRejectsNanWork) {
+  // NaN compares false with everything, so `work <= 0` alone lets it through.
+  expect_workload_rows_rejected("0,0,100,0,nan\n");
+}
+
+TEST(WorkloadTrace, LoadRejectsInfiniteGranularity) {
+  expect_workload_rows_rejected("0,0,inf,0,10\n");
 }
 
 // --- trace-driven Simulation ---

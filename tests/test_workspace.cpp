@@ -1,4 +1,4 @@
-// Workspace reuse: simulator/arena reset semantics and the bit-identity of
+// Workspace reuse: simulator reset semantics and the bit-identity of
 // replications run through a (warmed) sim::SimulationWorkspace vs the
 // historical fresh-construction path, across the policy/availability stress
 // matrix.
@@ -40,38 +40,31 @@ TEST(SimulatorReset, StaleHandlesFromBeforeResetAreInert) {
   Simulator sim;
   EventHandle pending = sim.schedule_at(5.0, [] { FAIL() << "event survived reset"; });
   sim.reset();
-  EXPECT_FALSE(pending.pending());
-  EXPECT_FALSE(pending.cancel());  // must not touch the recycled slot
+  EXPECT_FALSE(sim.pending(pending));
+  EXPECT_FALSE(sim.cancel(pending));  // must not touch the recycled slot
 
   // The slot is recycled by the next schedule; the stale handle still must
   // not be able to cancel the new occupant.
   bool ran = false;
-  sim.schedule_at(1.0, [&ran] { ran = true; });
-  EXPECT_FALSE(pending.cancel());
+  EXPECT_EQ(sim.schedule_at(1.0, [&ran] { ran = true; }).slot, pending.slot);
+  EXPECT_FALSE(sim.cancel(pending));
   sim.run();
   EXPECT_TRUE(ran);
 }
 
-TEST(SimulatorReset, ArenaKeepsCapacityAndCountsSlabsSinceReset) {
+TEST(SimulatorReset, HandsSlotsOutInAscendingOrder) {
   Simulator sim;
-  // Force growth past one slab (1024 slots) so capacity is interesting.
   for (int i = 0; i < 1500; ++i) sim.schedule_at(1.0, [] {});
+  // Firing in time order retires the slots, leaving the free list in firing
+  // order reversed; reset() must rebuild it in the order a fresh simulator
+  // hands slots out.
   sim.run();
-  const std::uint64_t grown_capacity = sim.stats().arena_capacity;
-  EXPECT_GE(grown_capacity, 1500u);
-  EXPECT_GT(sim.stats().arena_slabs, 1u);
-
   sim.reset();
-  // Slots are retained (no free), but the slab counter now reads
-  // "allocations since reset" — the steady-state heap-traffic signal.
-  EXPECT_EQ(sim.stats().arena_capacity, grown_capacity);
-  EXPECT_EQ(sim.stats().arena_slabs, 0u);
-
-  // A same-sized burst after reset needs no new slabs.
-  for (int i = 0; i < 1500; ++i) sim.schedule_at(1.0, [] {});
+  for (std::uint32_t i = 0; i < 1500; ++i) {
+    ASSERT_EQ(sim.schedule_at(1.0, [] {}).slot, i);
+  }
   sim.run();
-  EXPECT_EQ(sim.stats().arena_slabs, 0u);
-  EXPECT_EQ(sim.stats().arena_capacity, grown_capacity);
+  EXPECT_EQ(sim.stats().events_fired, 1500u);
 }
 
 }  // namespace
@@ -92,10 +85,7 @@ SimulationConfig matrix_config(sched::PolicyKind policy, grid::AvailabilityLevel
   return config;
 }
 
-/// Full semantic equality of two results. The only fields deliberately
-/// excluded are KernelStats::arena_slabs / arena_capacity: a warmed arena
-/// reports slabs-since-reset / slots-retained, which legitimately differ
-/// from a fresh arena's grow-from-zero counts (see sim/workspace.hpp).
+/// Full semantic equality of two results.
 void expect_identical(const SimulationResult& a, const SimulationResult& b) {
   ASSERT_EQ(a.bots.size(), b.bots.size());
   for (std::size_t i = 0; i < a.bots.size(); ++i) {
@@ -139,10 +129,7 @@ void expect_identical(const SimulationResult& a, const SimulationResult& b) {
   EXPECT_EQ(a.useful_compute_time, b.useful_compute_time);
   EXPECT_EQ(a.lost_work, b.lost_work);
   EXPECT_EQ(a.events_executed, b.events_executed);
-  EXPECT_EQ(a.kernel.events_scheduled, b.kernel.events_scheduled);
-  EXPECT_EQ(a.kernel.events_fired, b.kernel.events_fired);
-  EXPECT_EQ(a.kernel.events_cancelled, b.kernel.events_cancelled);
-  EXPECT_EQ(a.kernel.heap_peak, b.kernel.heap_peak);
+  EXPECT_EQ(a.kernel, b.kernel);
   EXPECT_EQ(a.sched.triggers, b.sched.triggers);
   EXPECT_EQ(a.sched.machines_examined, b.sched.machines_examined);
   EXPECT_EQ(a.sched.selects, b.sched.selects);

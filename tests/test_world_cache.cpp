@@ -62,8 +62,8 @@ TEST(WorldRealization, ReplayDriverMatchesLiveProcessTimeline) {
   grid::DesktopGrid live_grid(config, live_sim, kSeed);
   EdgeRecorder live;
   live.sim = &live_sim;
-  live_grid.start(grid::TransitionDelegate::to<&EdgeRecorder::on_failure>(live),
-                  grid::TransitionDelegate::to<&EdgeRecorder::on_repair>(live));
+  live_grid.start([&live](grid::Machine& machine) { live.on_failure(machine); },
+                  [&live](grid::Machine& machine) { live.on_repair(machine); });
   live_sim.run_until(kHorizon);
 
   // Replay: synthesized realization through the cursor driver.
@@ -75,8 +75,8 @@ TEST(WorldRealization, ReplayDriverMatchesLiveProcessTimeline) {
   grid::RealizedAvailabilityDriver driver(replay_sim, replay_grid, world, cursors);
   EdgeRecorder replay;
   replay.sim = &replay_sim;
-  driver.start(grid::TransitionDelegate::to<&EdgeRecorder::on_failure>(replay),
-               grid::TransitionDelegate::to<&EdgeRecorder::on_repair>(replay));
+  driver.start([&replay](grid::Machine& machine) { replay.on_failure(machine); },
+               [&replay](grid::Machine& machine) { replay.on_repair(machine); });
   replay_grid.start_outages(nullptr, nullptr);
   replay_sim.run_until(kHorizon);
 
@@ -208,10 +208,7 @@ void expect_bit_identical(const sim::SimulationResult& a, const sim::SimulationR
   EXPECT_EQ(a.wasted_compute_time, b.wasted_compute_time);
   EXPECT_EQ(a.lost_work, b.lost_work);
   EXPECT_EQ(a.events_executed, b.events_executed);
-  EXPECT_EQ(a.kernel.events_scheduled, b.kernel.events_scheduled);
-  EXPECT_EQ(a.kernel.events_fired, b.kernel.events_fired);
-  EXPECT_EQ(a.kernel.events_cancelled, b.kernel.events_cancelled);
-  EXPECT_EQ(a.kernel.heap_peak, b.kernel.heap_peak);
+  EXPECT_EQ(a.kernel, b.kernel);
   EXPECT_EQ(a.sched.triggers, b.sched.triggers);
   EXPECT_EQ(a.sched.machines_examined, b.sched.machines_examined);
   EXPECT_EQ(a.sched.selects, b.sched.selects);
@@ -276,8 +273,7 @@ TEST(WorldCacheBitIdentity, CoversCheckpointServerFaultReplay) {
 
 TEST(WorldCacheBitIdentity, WorkspaceRunsReplayIdentically) {
   // Both baseline and cached runs go through a warmed workspace so the
-  // comparison isolates the replay path (a fresh-vs-warmed comparison would
-  // trip over the documented arena_slabs reporting difference).
+  // comparison isolates the replay path.
   sim::SimulationConfig config =
       cached_matrix_config(sched::PolicyKind::kRoundRobin, grid::AvailabilityLevel::kLow, 25000.0);
   sim::SimulationWorkspace live_workspace;
@@ -649,8 +645,8 @@ TEST(WorldRealization, OutageReplayMatchesLiveProcessTimeline) {
   grid::DesktopGrid live_grid(config, live_sim, kSeed);
   EdgeRecorder live;
   live.sim = &live_sim;
-  live_grid.start(grid::TransitionDelegate::to<&EdgeRecorder::on_failure>(live),
-                  grid::TransitionDelegate::to<&EdgeRecorder::on_repair>(live));
+  live_grid.start([&live](grid::Machine& machine) { live.on_failure(machine); },
+                  [&live](grid::Machine& machine) { live.on_repair(machine); });
   live_sim.run_until(kHorizon);
 
   // Replay: both drivers off one synthesized realization.
@@ -664,10 +660,10 @@ TEST(WorldRealization, OutageReplayMatchesLiveProcessTimeline) {
   grid::RealizedOutageDriver outage_driver(replay_sim, replay_grid, world);
   EdgeRecorder replay;
   replay.sim = &replay_sim;
-  driver.start(grid::TransitionDelegate::to<&EdgeRecorder::on_failure>(replay),
-               grid::TransitionDelegate::to<&EdgeRecorder::on_repair>(replay));
-  outage_driver.start(grid::TransitionDelegate::to<&EdgeRecorder::on_failure>(replay),
-                      grid::TransitionDelegate::to<&EdgeRecorder::on_repair>(replay));
+  driver.start([&replay](grid::Machine& machine) { replay.on_failure(machine); },
+               [&replay](grid::Machine& machine) { replay.on_repair(machine); });
+  outage_driver.start([&replay](grid::Machine& machine) { replay.on_failure(machine); },
+                      [&replay](grid::Machine& machine) { replay.on_repair(machine); });
   replay_sim.run_until(kHorizon);
 
   ASSERT_GT(live_grid.outage_process().outages(), 2u);  // the outage path actually ran
