@@ -37,9 +37,9 @@ struct KernelStats {
 /// the slot's generation when it was scheduled. Read it only through that
 /// Simulator's cancel() or pending(); a default handle names no event.
 struct EventHandle {
-  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  static constexpr std::uint32_t kNullSlot = 0xffffffffu;
 
-  std::uint32_t slot = kNoSlot;
+  std::uint32_t slot = kNullSlot;
   std::uint32_t generation = 0;
 };
 

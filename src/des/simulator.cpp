@@ -11,8 +11,8 @@ EventHandle Simulator::schedule_at(SimTime time, Action action) {
   DG_ASSERT_MSG(time >= now_, "cannot schedule an event in the past");
   DG_ASSERT(action);
   std::uint32_t slot = free_head_;
-  if (slot == EventHandle::kNoSlot) {
-    DG_ASSERT_MSG(slots_.size() < EventHandle::kNoSlot, "event slot table exhausted");
+  if (slot == EventHandle::kNullSlot) {
+    DG_ASSERT_MSG(slots_.size() < EventHandle::kNullSlot, "event slot table exhausted");
     slot = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
   } else {
@@ -44,7 +44,7 @@ void Simulator::release(std::uint32_t slot) noexcept {
 }
 
 void Simulator::reset() noexcept {
-  free_head_ = EventHandle::kNoSlot;
+  free_head_ = EventHandle::kNullSlot;
   for (std::uint32_t slot = static_cast<std::uint32_t>(slots_.size()); slot-- > 0;) {
     ++slots_[slot].generation;
     slots_[slot].next_free = free_head_;

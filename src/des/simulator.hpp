@@ -106,7 +106,7 @@ class Simulator {
   struct Slot {
     Action action;
     std::uint32_t generation = 0;
-    std::uint32_t next_free = EventHandle::kNoSlot;
+    std::uint32_t next_free = EventHandle::kNullSlot;
   };
 
   /// Pushes the slot onto the free list, making its handles stale.
@@ -115,7 +115,7 @@ class Simulator {
   bool queue_skip_stale();
 
   std::vector<Slot> slots_;
-  std::uint32_t free_head_ = EventHandle::kNoSlot;
+  std::uint32_t free_head_ = EventHandle::kNullSlot;
   std::size_t live_ = 0;
   /// Physical entry count includes stale entries — heap_peak is defined
   /// over it.

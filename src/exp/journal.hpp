@@ -13,8 +13,10 @@
 //
 // File layout:
 //   header: magic "DGJL" + format version (u32) + campaign signature (u64)
-//   record: payload_size u32 | cell u32 | replication u32 | checksum u64
-//           | payload (serialized ReplicationSummary)
+//   record: payload_size u32 | cell u32 | replication u32 | reserved u32
+//           | checksum u64 | payload (serialized ReplicationSummary)
+// Version 2 stores the summary's quantile sketches sparsely (version 1
+// wrote every bucket); a version-1 file is refused like any foreign one.
 // where checksum = fnv1a64 over (cell, replication, payload). The campaign
 // signature hashes the cell labels, cell count, and the precision-relevant
 // RunOptions: a journal replayed against a *different* campaign is discarded
@@ -35,7 +37,7 @@ struct RunOptions;
 
 class CampaignJournal {
  public:
-  static constexpr std::uint32_t kFormatVersion = 1;
+  static constexpr std::uint32_t kFormatVersion = 2;
 
   /// Identity hash binding a journal to one campaign: cell labels and count,
   /// base seed, replication bounds, CI level, and target relative error.

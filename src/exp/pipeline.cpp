@@ -1,6 +1,8 @@
 #include "exp/pipeline.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "exp/journal.hpp"
@@ -36,7 +38,16 @@ PipelineState::PipelineState(const RunOptions& options, std::vector<CellResult>&
 
 void PipelineState::start() {
   if (journal_ != nullptr) {
+    // A checksummed record of a job no run of this campaign has: refuse the
+    // journal before anything folds or any record is appended.
+    const std::size_t max_reps = std::max(options_.min_replications, options_.max_replications);
     for (const CampaignJournal::Record& record : journal_->recovered()) {
+      if (record.cell >= cells_.size() || record.replication >= max_reps) {
+        throw std::runtime_error("journal '" + journal_->path() + "' holds a record for cell " +
+                                 std::to_string(record.cell) + ", replication " +
+                                 std::to_string(record.replication) +
+                                 ", which this campaign never runs");
+      }
       recovered_set_.emplace(record.cell, record.replication);
     }
   }

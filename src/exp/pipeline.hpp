@@ -88,7 +88,10 @@ class PipelineState {
 
   /// Seeds the initial launch window, then folds the journal's recovered
   /// records: a recovered (cell, replication) is never dispatched and its
-  /// record is never re-appended. Call exactly once.
+  /// record is never re-appended. Throws std::runtime_error, before folding
+  /// anything, when a record names a cell past the campaign's or a
+  /// replication at or past max(min_replications, max_replications). Call
+  /// exactly once.
   void start();
 
   /// True when a launchable job is queued (prunes stale entries first).

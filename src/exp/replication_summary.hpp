@@ -1,18 +1,19 @@
 // The unit of result transport between a replication and its cell fold.
 //
-// Both runners — the threaded ExperimentRunner and the multi-process
-// ShardedRunner — reduce one finished replication to this summary (scalars
-// plus copies of the tail sketches, so the worker never retains the full
-// SimulationResult whose buffers belong to a reused workspace), then fold
-// summaries into CellResults in per-cell replication order. The fold
-// sequence, not the execution schedule, is what makes results
-// bit-identical across threads, chunk shapes, process counts, and
-// kill/resume schedules — so the fold lives here, in exactly one place.
+// ExperimentRunner's lanes — threads or worker processes — reduce one
+// finished replication to this summary (scalars plus copies of the tail
+// sketches, so the lane never retains the full SimulationResult whose
+// buffers belong to a reused workspace), then fold summaries into
+// CellResults in per-cell replication order. The fold sequence, not the
+// execution schedule, is what makes results bit-identical across threads,
+// chunk shapes, process counts, and kill/resume schedules — so the fold
+// lives here, in exactly one place.
 //
-// serialize()/deserialize() move a summary across a process boundary (shard
-// protocol messages, journal records) with every double stored bitwise and
-// every sketch count exact; a deserialized summary folds to the same bits
-// as the original.
+// serialize()/deserialize() move a summary across a process boundary (a
+// worker's chunk reply, a journal record) with every double stored bitwise
+// and every sketch count exact; a deserialized summary folds to the same
+// bits as the original. Sketches serialize sparsely, so a summary is a few
+// hundred bytes on small campaigns and 1.1-2.3 KB at the figures' 100 bags.
 #pragma once
 
 #include <cstdint>

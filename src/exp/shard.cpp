@@ -11,10 +11,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <deque>
 #include <exception>
 #include <memory>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -27,27 +27,20 @@
 #include "sim/workspace.hpp"
 #include "util/binary_io.hpp"
 #include "util/logging.hpp"
-#include "util/shm_ring.hpp"
 
 namespace dg::exp {
 
 namespace {
 
 // ---------------------------------------------------------------------------
-// Shard protocol: framed control messages over a per-worker SOCK_STREAM
-// socketpair; bulk summary payloads through a per-worker shared-memory ring
-// (util/shm_ring.hpp) created before fork. Same-machine siblings of one
-// build, so payloads are host-endian PODs (util/binary_io.hpp); the frame
-// carries type + payload size.
+// Shard protocol: framed messages over a per-worker SOCK_STREAM socketpair.
+// Same-machine siblings of one build, so payloads are host-endian PODs
+// (util/binary_io.hpp); the frame carries type + payload size.
 //
-//   kAssign     C->W  chunk_id u64 | count u32
-//                     | count x (cell u32, rep u32, slot u32)
-//                     slot = ShmRing::kNoSlot means "reply inline".
+//   kAssign     C->W  chunk_id u64 | count u32 | count x (cell u32, rep u32)
 //   kChunkDone  W->C  chunk_id u64 | count u32
-//                     | count x (cell u32, rep u32, size u32 [, size bytes])
-//                     size == 0 means the summary is in the assigned ring
-//                     slot; size > 0 carries it inline (no slot was
-//                     assigned, or the summary outgrew the slot).
+//                     | count x (cell u32, rep u32, size u32, size bytes)
+//                     where the bytes are one serialized ReplicationSummary
 //   kShutdown   C->W  (empty) — worker replies kStats and exits
 //   kStats      W->C  8 x u64 WorldCacheStats counters, busy_ns u64,
 //                     jobs u64
@@ -61,8 +54,7 @@ enum MsgType : std::uint32_t {
 };
 
 constexpr std::size_t kStatsWords = 10;
-/// Upper bound on adaptive chunk size (jobs per kAssign); the ring is sized
-/// so a worker's two outstanding chunks of this size always fit.
+/// Upper bound on adaptive chunk size (jobs per kAssign).
 constexpr std::size_t kChunkCap = 32;
 
 struct MsgHeader {
@@ -114,17 +106,6 @@ struct MsgHeader {
   return header.size == 0 || read_exact(fd, payload.data(), payload.size());
 }
 
-/// Ring-slot payload capacity: the wire size of a default summary (the
-/// sketch geometry is fixed, so real summaries serialize to the same size)
-/// plus slack. A summary that still outgrows the slot falls back to inline
-/// transport — correctness never depends on this bound.
-[[nodiscard]] std::size_t ring_payload_capacity() {
-  ReplicationSummary probe;
-  std::vector<std::uint8_t> bytes;
-  probe.serialize(bytes);
-  return bytes.size() + 1024;
-}
-
 // ---------------------------------------------------------------------------
 // Worker process body. Never returns; never runs the parent's exit handlers
 // (_exit), so the fork leaves the coordinator's stdio/file state untouched.
@@ -132,7 +113,7 @@ struct MsgHeader {
 
 [[noreturn]] void worker_main(int fd, const RunOptions& options,
                               const std::vector<NamedConfig>& cells, const std::string& pool_dir,
-                              std::size_t kill_after_jobs, util::ShmRing* ring) {
+                              std::size_t kill_after_jobs) {
   try {
     std::shared_ptr<grid::WorldCache> world_cache;
     if (options.world_cache_bytes > 0) {
@@ -148,7 +129,6 @@ struct MsgHeader {
     MsgHeader header;
     std::vector<std::uint8_t> payload;
     std::vector<std::uint8_t> reply;
-    std::vector<std::uint8_t> summary_bytes;
     for (;;) {
       if (!read_msg(fd, header, payload)) std::_Exit(0);  // coordinator gone
       if (header.type == kShutdown) {
@@ -182,7 +162,6 @@ struct MsgHeader {
       for (std::uint32_t i = 0; i < count; ++i) {
         const auto cell = reader.pod<std::uint32_t>();
         const auto replication = reader.pod<std::uint32_t>();
-        const auto slot = reader.pod<std::uint32_t>();
 
         const auto job_start = std::chrono::steady_clock::now();
         const ReplicationSummary summary =
@@ -198,16 +177,13 @@ struct MsgHeader {
 
         util::put_pod(reply, cell);
         util::put_pod(reply, replication);
-        summary_bytes.clear();
-        summary.serialize(summary_bytes);
-        if (slot != util::ShmRing::kNoSlot && ring != nullptr &&
-            summary_bytes.size() <= ring->payload_capacity()) {
-          ring->write(slot, summary_bytes.data(), summary_bytes.size());
-          util::put_pod(reply, std::uint32_t{0});
-        } else {
-          util::put_pod(reply, static_cast<std::uint32_t>(summary_bytes.size()));
-          reply.insert(reply.end(), summary_bytes.begin(), summary_bytes.end());
-        }
+        // The size field precedes the summary; fill it in once it is known.
+        const std::size_t size_at = reply.size();
+        util::put_pod(reply, std::uint32_t{0});
+        summary.serialize(reply);
+        const auto size =
+            static_cast<std::uint32_t>(reply.size() - size_at - sizeof(std::uint32_t));
+        std::memcpy(reply.data() + size_at, &size, sizeof size);
       }
       if (!send_msg(fd, kChunkDone, reply.data(), reply.size())) std::_Exit(0);
     }
@@ -232,7 +208,6 @@ std::vector<WorkerLaneStats> run_process_lanes(const RunOptions& options,
   struct Chunk {
     std::uint64_t id = 0;
     std::vector<PipelineJob> jobs;
-    std::vector<std::uint32_t> slots;  ///< Assigned ring slot per job (or kNoSlot).
   };
   struct Worker {
     pid_t pid = -1;
@@ -242,26 +217,12 @@ std::vector<WorkerLaneStats> run_process_lanes(const RunOptions& options,
     bool spawned_once = false;      ///< Self-kill arms only the first incarnation.
   };
   std::vector<Worker> workers(procs);
-  // Per-worker shared-memory rings (created lazily at first spawn — always
-  // before that worker's fork, so every incarnation inherits the mapping)
-  // and their coordinator-side free-slot lists. Sized for two max-size
-  // chunks (a worker holds at most two), so every job gets a slot; were the
-  // free list ever empty, the job would fall back to inline socket bytes.
-  const std::size_t ring_slots = 2 * kChunkCap;
-  const std::size_t ring_capacity = ring_payload_capacity();
-  std::vector<std::unique_ptr<util::ShmRing>> rings(procs);
-  std::vector<std::vector<std::uint32_t>> free_slots(procs);
   std::size_t respawns = 0;
   // Generous for flaky deaths, finite for a replication that crashes
   // deterministically (every respawn re-crashes until this throws).
   const std::size_t respawn_cap = procs * 8 + 8;
 
   auto spawn = [&](std::size_t w) {
-    if (!rings[w]) {
-      rings[w] = std::make_unique<util::ShmRing>(ring_slots, ring_capacity);
-      free_slots[w].resize(ring_slots);
-      std::iota(free_slots[w].begin(), free_slots[w].end(), std::uint32_t{0});
-    }
     int sv[2];
     if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
       throw std::runtime_error("process lanes: socketpair failed");
@@ -281,21 +242,13 @@ std::vector<WorkerLaneStats> run_process_lanes(const RunOptions& options,
       for (const Worker& other : workers) {
         if (other.fd >= 0) ::close(other.fd);
       }
-      worker_main(sv[1], options, cells, shard.pool_dir, kill_after, rings[w].get());
+      worker_main(sv[1], options, cells, shard.pool_dir, kill_after);
     }
     ::close(sv[1]);
     workers[w].pid = pid;
     workers[w].fd = sv[0];
     workers[w].alive = true;
     workers[w].spawned_once = true;
-  };
-
-  auto reclaim_slots = [&](std::size_t w, const Chunk& chunk) {
-    for (const std::uint32_t slot : chunk.slots) {
-      if (slot == util::ShmRing::kNoSlot) continue;
-      rings[w]->release(slot);
-      free_slots[w].push_back(slot);
-    }
   };
 
   auto handle_death = [&](std::size_t w) {
@@ -308,10 +261,7 @@ std::vector<WorkerLaneStats> run_process_lanes(const RunOptions& options,
     worker.fd = -1;
     worker.pid = -1;
     worker.alive = false;
-    for (const Chunk& chunk : worker.outstanding) {
-      state.requeue(chunk.jobs);
-      reclaim_slots(w, chunk);
-    }
+    for (const Chunk& chunk : worker.outstanding) state.requeue(chunk.jobs);
     worker.outstanding.clear();
     if (++respawns > respawn_cap) {
       throw std::runtime_error(
@@ -335,7 +285,6 @@ std::vector<WorkerLaneStats> run_process_lanes(const RunOptions& options,
 
   std::vector<std::uint8_t> wire;
   std::vector<std::uint8_t> payload;
-  std::vector<std::uint8_t> summary_bytes;
 
   const auto any_outstanding = [&]() {
     for (const Worker& worker : workers) {
@@ -354,20 +303,12 @@ std::vector<WorkerLaneStats> run_process_lanes(const RunOptions& options,
         chunk.id = next_chunk_id++;
         chunk.jobs = state.pop_chunk(chunk_target());
         if (chunk.jobs.empty()) break;
-        chunk.slots.reserve(chunk.jobs.size());
         wire.clear();
         util::put_pod(wire, chunk.id);
         util::put_pod(wire, static_cast<std::uint32_t>(chunk.jobs.size()));
         for (const PipelineJob& job : chunk.jobs) {
-          std::uint32_t slot = util::ShmRing::kNoSlot;
-          if (!free_slots[w].empty()) {
-            slot = free_slots[w].back();
-            free_slots[w].pop_back();
-          }
-          chunk.slots.push_back(slot);
           util::put_pod(wire, static_cast<std::uint32_t>(job.cell));
           util::put_pod(wire, static_cast<std::uint32_t>(job.replication));
-          util::put_pod(wire, slot);
         }
         const int fd = workers[w].fd;
         workers[w].outstanding.push_back(std::move(chunk));
@@ -407,26 +348,15 @@ std::vector<WorkerLaneStats> run_process_lanes(const RunOptions& options,
       if (cell != chunk.jobs[i].cell || replication != chunk.jobs[i].replication) {
         throw std::runtime_error("process lanes: job mismatch in chunk reply");
       }
-      ReplicationSummary summary;
-      if (size == 0) {
-        // Summary travelled through the assigned shared-memory slot;
-        // validate-then-copy (a torn slot throws, never folds).
-        const std::uint32_t slot = chunk.slots[i];
-        if (slot == util::ShmRing::kNoSlot) {
-          throw std::runtime_error("process lanes: ring reply without an assigned slot");
-        }
-        rings[w]->read(slot, summary_bytes);
-        util::ByteReader summary_reader(summary_bytes.data(), summary_bytes.size());
-        summary = ReplicationSummary::deserialize(summary_reader);
-      } else {
-        util::ByteReader summary_reader(reader.skip(size), size);
-        summary = ReplicationSummary::deserialize(summary_reader);
-      }
-      if (chunk.slots[i] != util::ShmRing::kNoSlot) {
-        rings[w]->release(chunk.slots[i]);
-        free_slots[w].push_back(chunk.slots[i]);
+      util::ByteReader summary_reader(reader.skip(size), size);
+      ReplicationSummary summary = ReplicationSummary::deserialize(summary_reader);
+      if (!summary_reader.exhausted()) {
+        throw std::runtime_error("process lanes: summary size mismatch in chunk reply");
       }
       state.deliver(cell, replication, std::move(summary));
+    }
+    if (!reader.exhausted()) {
+      throw std::runtime_error("process lanes: trailing bytes after the last job in chunk reply");
     }
     if (journal != nullptr) journal->sync();
   };

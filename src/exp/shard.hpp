@@ -15,12 +15,9 @@
 // previous one runs) and chunk sizes shrink toward the campaign drain so
 // the final stragglers are single replications.
 //
-// Result transport: summaries carry multiple 768-bucket u64 quantile
-// sketches — tens of KB each — so they travel through a per-worker
-// shared-memory ring (util/shm_ring.hpp, created before fork) of two
-// max-size chunks' worth of slots, and the socketpair carries only small
-// control messages; a summary that outgrows its slot, or finds no free
-// slot, falls back to inline bytes on the socket.
+// Result transport: each chunk reply carries its summaries inline on the
+// worker's socket. Quantile sketches serialize sparsely, so a summary is at
+// most a few KB and a whole chunk's reply stays far below the socket buffer.
 //
 // Why processes at all: address-space isolation (one crashed replication
 // loses a chunk, not the campaign — the coordinator re-queues it and forks

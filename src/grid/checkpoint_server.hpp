@@ -60,14 +60,14 @@ struct CheckpointServerFaultModel {
 class CheckpointServer {
  public:
   /// Sentinel slot id for unlimited-capacity transfers (nothing to release).
-  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  static constexpr std::uint32_t kNullSlot = ~std::uint32_t{0};
 
   /// Handle to one scheduled transfer, used to release its slot reservation
   /// if the client dies before `completion`.
   struct Transfer {
     double completion = 0.0;  ///< Absolute completion time (incl. queueing).
     double start = 0.0;       ///< When the transfer occupies its slot.
-    std::uint32_t slot = kNoSlot;
+    std::uint32_t slot = kNullSlot;
   };
 
   explicit CheckpointServer(rng::UniformDist transfer_time = rng::UniformDist{240.0, 720.0},
@@ -102,7 +102,7 @@ class CheckpointServer {
   /// for unlimited capacity or when slot release is disabled (the documented
   /// historical leak, kept behind the flag for golden comparison).
   void cancel_transfer(const Transfer& transfer, double now) {
-    if (transfer.slot == kNoSlot || !release_slots_) return;
+    if (transfer.slot == kNullSlot || !release_slots_) return;
     const double unused = transfer.completion - std::max(now, transfer.start);
     if (unused <= 0.0) return;
     slot_ends_[transfer.slot] -= unused;

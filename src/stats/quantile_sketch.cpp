@@ -6,27 +6,14 @@
 
 namespace dg::stats {
 
-QuantileSketch::QuantileSketch(const Geometry& geometry) : geometry_(geometry) {
-  if (!(geometry.min_value > 0.0)) {
-    throw std::invalid_argument("QuantileSketch: min_value must be positive");
-  }
-  if (!(geometry.max_value > geometry.min_value)) {
-    throw std::invalid_argument("QuantileSketch: max_value must exceed min_value");
-  }
-  if (geometry.buckets_per_decade == 0) {
-    throw std::invalid_argument("QuantileSketch: need at least one bucket per decade");
-  }
-  const double decades = std::log10(geometry.max_value / geometry.min_value);
-  const std::size_t num_buckets = static_cast<std::size_t>(
-      std::ceil(decades * static_cast<double>(geometry.buckets_per_decade) - 1e-9));
-  if (num_buckets == 0) {
-    throw std::invalid_argument("QuantileSketch: geometry spans no buckets");
-  }
-  inv_log10_width_ =
-      static_cast<double>(geometry.buckets_per_decade) / std::log(10.0);
-  log_min_ = std::log(geometry.min_value);
-  counts_.assign(num_buckets, 0);
-}
+namespace {
+
+// The bucket index of x is floor((ln x - kLogMin) * kBucketsPerLn).
+const double kLogMin = std::log(QuantileSketch::kMinValue);
+const double kBucketsPerLn =
+    static_cast<double>(QuantileSketch::kBucketsPerDecade) / std::log(10.0);
+
+}  // namespace
 
 void QuantileSketch::add(double x) noexcept {
   if (count_ == 0) {
@@ -38,28 +25,23 @@ void QuantileSketch::add(double x) noexcept {
   }
   ++count_;
   sum_ += x;
-  if (!(x >= geometry_.min_value)) {  // negatives, zero, NaN -> underflow
+  if (!(x >= kMinValue)) {  // negatives, zero, NaN -> underflow
     ++underflow_;
     return;
   }
-  if (x >= geometry_.max_value) {
+  if (x >= kMaxValue) {
     ++overflow_;
     return;
   }
-  const double offset = (std::log(x) - log_min_) * inv_log10_width_;
+  const double offset = (std::log(x) - kLogMin) * kBucketsPerLn;
   std::size_t index = offset > 0.0 ? static_cast<std::size_t>(offset) : 0;
-  // Guard the ulp edge where log() rounds a value just under max_value into
+  // Guard the ulp edge where log() rounds a value just under kMaxValue into
   // the one-past-the-end bucket.
-  if (index >= counts_.size()) index = counts_.size() - 1;
+  if (index >= kNumBuckets) index = kNumBuckets - 1;
   ++counts_[index];
 }
 
-void QuantileSketch::merge(const QuantileSketch& other) {
-  if (geometry_.min_value != other.geometry_.min_value ||
-      geometry_.max_value != other.geometry_.max_value ||
-      geometry_.buckets_per_decade != other.geometry_.buckets_per_decade) {
-    throw std::invalid_argument("QuantileSketch::merge: geometry mismatch");
-  }
+void QuantileSketch::merge(const QuantileSketch& other) noexcept {
   if (other.count_ == 0) return;
   if (count_ == 0) {
     min_ = other.min_;
@@ -68,7 +50,7 @@ void QuantileSketch::merge(const QuantileSketch& other) {
     if (other.min_ < min_) min_ = other.min_;
     if (other.max_ > max_) max_ = other.max_;
   }
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
+  for (std::size_t i = 0; i < kNumBuckets; ++i) counts_[i] += other.counts_[i];
   count_ += other.count_;
   underflow_ += other.underflow_;
   overflow_ += other.overflow_;
@@ -76,11 +58,14 @@ void QuantileSketch::merge(const QuantileSketch& other) {
 }
 
 void QuantileSketch::serialize(std::vector<std::uint8_t>& out) const {
-  util::put_pod(out, geometry_.min_value);
-  util::put_pod(out, geometry_.max_value);
-  util::put_pod(out, static_cast<std::uint64_t>(geometry_.buckets_per_decade));
-  util::put_pod(out, static_cast<std::uint64_t>(counts_.size()));
-  util::put_array(out, counts_.data(), counts_.size());
+  const auto entries = static_cast<std::uint32_t>(
+      std::count_if(counts_.begin(), counts_.end(), [](std::uint64_t c) { return c != 0; }));
+  util::put_pod(out, entries);
+  for (std::size_t i = 0; i < kNumBuckets; ++i) {
+    if (counts_[i] == 0) continue;
+    util::put_pod(out, static_cast<std::uint32_t>(i));
+    util::put_pod(out, counts_[i]);
+  }
   util::put_pod(out, count_);
   util::put_pod(out, underflow_);
   util::put_pod(out, overflow_);
@@ -90,22 +75,22 @@ void QuantileSketch::serialize(std::vector<std::uint8_t>& out) const {
 }
 
 QuantileSketch QuantileSketch::deserialize(util::ByteReader& reader) {
-  Geometry geometry;
-  geometry.min_value = reader.pod<double>();
-  geometry.max_value = reader.pod<double>();
-  geometry.buckets_per_decade = static_cast<std::size_t>(reader.pod<std::uint64_t>());
-  QuantileSketch sketch = [&geometry] {
-    try {
-      return QuantileSketch(geometry);
-    } catch (const std::invalid_argument& e) {
-      throw std::runtime_error(e.what());  // corrupt input, not caller error
-    }
-  }();
-  const auto num_buckets = static_cast<std::size_t>(reader.pod<std::uint64_t>());
-  if (num_buckets != sketch.counts_.size()) {
-    throw std::runtime_error("QuantileSketch: stored bucket count disagrees with geometry");
+  QuantileSketch sketch;
+  const auto entries = reader.pod<std::uint32_t>();
+  if (entries > kNumBuckets) {
+    throw std::runtime_error("QuantileSketch: more entries than buckets");
   }
-  reader.array(sketch.counts_.data(), num_buckets);
+  std::size_t next_index = 0;  // indices strictly ascend
+  for (std::uint32_t e = 0; e < entries; ++e) {
+    const auto index = reader.pod<std::uint32_t>();
+    const auto count = reader.pod<std::uint64_t>();
+    if (index < next_index || index >= kNumBuckets) {
+      throw std::runtime_error("QuantileSketch: bucket index out of order or range");
+    }
+    if (count == 0) throw std::runtime_error("QuantileSketch: zero bucket count");
+    sketch.counts_[index] = count;
+    next_index = std::size_t{index} + 1;
+  }
   sketch.count_ = reader.pod<std::uint64_t>();
   sketch.underflow_ = reader.pod<std::uint64_t>();
   sketch.overflow_ = reader.pod<std::uint64_t>();
@@ -133,10 +118,9 @@ double QuantileSketch::mean() const noexcept {
   return count_ > 0 ? sum_ / static_cast<double>(count_) : 0.0;
 }
 
-double QuantileSketch::bucket_lower(std::size_t i) const noexcept {
-  return geometry_.min_value *
-         std::pow(10.0, static_cast<double>(i) /
-                            static_cast<double>(geometry_.buckets_per_decade));
+double QuantileSketch::bucket_lower(std::size_t i) noexcept {
+  return kMinValue *
+         std::pow(10.0, static_cast<double>(i) / static_cast<double>(kBucketsPerDecade));
 }
 
 double QuantileSketch::quantile(double q) const {
@@ -149,7 +133,7 @@ double QuantileSketch::quantile(double q) const {
   // The underflow mass has no bucket structure; everything in it is between
   // the observed min and the first bucket edge — clamp to the exact min.
   if (target <= cumulative) return min_;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
+  for (std::size_t i = 0; i < kNumBuckets; ++i) {
     if (counts_[i] == 0) continue;
     const double next = cumulative + static_cast<double>(counts_[i]);
     if (target <= next) {

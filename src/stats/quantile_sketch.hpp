@@ -2,14 +2,14 @@
 //
 // The columnar tail-metrics pipeline (docs/METRICS.md) streams per-bag
 // observations (turnarounds, slowdowns, completion gaps) into one
-// QuantileSketch per column. A sketch is a fixed-size histogram over
-// log-spaced buckets: adds are O(1) and allocation-free, the memory footprint
-// is decided once at construction (so a sketch retained in a
-// sim::SimulationWorkspace keeps the warmed run loop zero-alloc), and two
-// sketches with the same geometry merge by exact integer bucket addition —
-// the merged p50/p95/p99 are bit-identical regardless of merge order, thread
-// count, or batch shape. See ClickHouse's AggregateFunctionQuantileHistogram
-// for the production shape this mirrors.
+// QuantileSketch per column. A sketch is a fixed-size histogram over one
+// fixed set of log-spaced buckets: adds are O(1) and allocation-free, the
+// bucket storage is allocated once at construction (so a sketch retained in
+// a sim::SimulationWorkspace keeps the warmed run loop zero-alloc), and two
+// sketches merge by exact integer bucket addition — the merged p50/p95/p99
+// are bit-identical regardless of merge order, thread count, or batch shape.
+// See ClickHouse's AggregateFunctionQuantileHistogram for the production
+// shape this mirrors.
 #pragma once
 
 #include <cstdint>
@@ -29,16 +29,17 @@ struct TailQuantiles {
 
 /// Fixed-memory quantile estimator over log-spaced buckets.
 ///
-/// Bucket `i` covers `[min_value * 10^(i/bpd), min_value * 10^((i+1)/bpd))`
-/// where `bpd = buckets_per_decade`; values below `min_value` (including
-/// zero and negatives) land in a dedicated underflow counter, values at or
-/// above `max_value` in an overflow counter. Quantile estimates interpolate
-/// linearly within a bucket and are clamped to the exact observed
-/// `[min(), max()]`, so `quantile(0)` / `quantile(1)` are exact and the
-/// under/overflow counters never leak bucket edges into the estimate. The
-/// per-bucket relative width `10^(1/bpd) - 1` bounds the relative error of
-/// any interior quantile (~3.7% at the default 64 buckets/decade, roughly
-/// halved by the midpoint interpolation).
+/// Bucket `i` covers `[kMinValue * 10^(i/64), kMinValue * 10^((i+1)/64))`:
+/// `[1e-3, 1e9)` at 64 buckets per decade, 768 buckets (~6 KiB), sized for
+/// the simulator's second-scale turnaround/gap observations and unitless
+/// slowdowns. Values below `kMinValue` (including zero and negatives) land
+/// in a dedicated underflow counter, values at or above `kMaxValue` in an
+/// overflow counter. Quantile estimates interpolate linearly within a bucket
+/// and are clamped to the exact observed `[min(), max()]`, so `quantile(0)` /
+/// `quantile(1)` are exact and the under/overflow counters never leak bucket
+/// edges into the estimate. The per-bucket relative width `10^(1/64) - 1`
+/// (~3.7%, roughly halved by the midpoint interpolation) bounds the
+/// relative error of any interior quantile.
 ///
 /// Counts are exact 64-bit integers and the min/max/sum trackers merge
 /// exactly, so merging partial sketches is deterministic and
@@ -46,33 +47,23 @@ struct TailQuantiles {
 /// fold-in-build-order contract relies on (src/exp/runner.hpp).
 class QuantileSketch {
  public:
-  /// Bucket layout of a sketch. Two sketches merge only if their geometries
-  /// are identical.
-  struct Geometry {
-    /// Lower edge of the first bucket; values below it count as underflow.
-    double min_value = 1e-3;
-    /// Upper edge of the last bucket; values at or above it count as
-    /// overflow. Must exceed `min_value` by at least one decade.
-    double max_value = 1e9;
-    /// Buckets per decade of value; resolution/memory trade-off.
-    std::size_t buckets_per_decade = 64;
-  };
+  /// Lower edge of the first bucket; smaller values count as underflow.
+  static constexpr double kMinValue = 1e-3;
+  /// Upper edge of the last bucket; values at or above it count as overflow.
+  static constexpr double kMaxValue = 1e9;
+  /// Buckets per decade of value.
+  static constexpr std::size_t kBucketsPerDecade = 64;
+  /// Number of log-spaced buckets: the 12 decades of [kMinValue, kMaxValue).
+  static constexpr std::size_t kNumBuckets = 12 * kBucketsPerDecade;
 
-  /// Sketch with the default geometry: [1e-3, 1e9) at 64 buckets/decade
-  /// (768 buckets, ~6 KiB) — sized for the simulator's second-scale
-  /// turnaround/gap observations and unitless slowdowns.
-  QuantileSketch() : QuantileSketch(Geometry{}) {}
-
-  /// Sketch with an explicit geometry. Throws std::invalid_argument when the
-  /// geometry is degenerate (non-positive bounds, max <= min, zero buckets).
-  explicit QuantileSketch(const Geometry& geometry);
+  /// Empty sketch; allocates its bucket storage once.
+  QuantileSketch() : counts_(kNumBuckets, 0) {}
 
   /// Records one observation. O(1), allocation-free, never throws.
   void add(double x) noexcept;
 
   /// Folds `other` into this sketch by exact bucket-wise addition.
-  /// Throws std::invalid_argument when the geometries differ.
-  void merge(const QuantileSketch& other);
+  void merge(const QuantileSketch& other) noexcept;
 
   /// Zeroes every counter while keeping the bucket storage — a reset sketch
   /// behaves like a freshly constructed one but performs no allocation.
@@ -103,30 +94,29 @@ class QuantileSketch {
   /// Exact mean of all observations; 0 when empty.
   [[nodiscard]] double mean() const noexcept;
 
-  /// Appends the sketch's full state (geometry, bucket counts, exact
-  /// trackers) to `out`. Counts are integers and the double trackers are
+  /// Appends the sketch's state to `out`, sparsely: a u32 count of non-zero
+  /// buckets, then one (u32 index, u64 count) pair per non-zero bucket in
+  /// ascending index order, then the exact trackers (count, underflow,
+  /// overflow, sum, min, max). A sketch of n observations therefore costs at
+  /// most 52 + 12 n bytes. Counts are integers and the double trackers are
   /// stored bitwise, so deserialize() reconstructs a sketch whose every
   /// subsequent merge/quantile is bit-identical to the original's — the
-  /// property the multi-process runner's cross-process fold relies on
-  /// (src/exp/shard.hpp).
+  /// property process lanes and the journal rely on (src/exp/shard.hpp).
   void serialize(std::vector<std::uint8_t>& out) const;
   /// Reconstructs a sketch serialized by serialize(). Throws
-  /// std::runtime_error on truncated input or a degenerate stored geometry.
+  /// std::runtime_error on truncated input, on more entries than buckets,
+  /// on an index out of range or not strictly ascending, and on a zero
+  /// count. Nothing read from `reader` sizes an allocation.
   [[nodiscard]] static QuantileSketch deserialize(util::ByteReader& reader);
 
-  /// The sketch's bucket layout.
-  [[nodiscard]] const Geometry& geometry() const noexcept { return geometry_; }
   /// Number of log-spaced buckets (excluding the under/overflow counters).
-  [[nodiscard]] std::size_t num_buckets() const noexcept { return counts_.size(); }
+  [[nodiscard]] static constexpr std::size_t num_buckets() noexcept { return kNumBuckets; }
   /// Count in bucket `i` (bounds-checked).
   [[nodiscard]] std::uint64_t bucket_count(std::size_t i) const { return counts_.at(i); }
   /// Lower value edge of bucket `i`.
-  [[nodiscard]] double bucket_lower(std::size_t i) const noexcept;
+  [[nodiscard]] static double bucket_lower(std::size_t i) noexcept;
 
  private:
-  Geometry geometry_;
-  double inv_log10_width_ = 0.0;  // buckets_per_decade / ln(10)
-  double log_min_ = 0.0;          // ln(min_value)
   std::vector<std::uint64_t> counts_;
   std::uint64_t count_ = 0;
   std::uint64_t underflow_ = 0;

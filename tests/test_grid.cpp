@@ -287,7 +287,7 @@ TEST(CheckpointServer, UnlimitedCapacityHasNoSlotToRelease) {
   CheckpointServer server(rng::UniformDist{100.0, 100.0});
   rng::RandomStream stream(11);
   const CheckpointServer::Transfer transfer = server.begin_save(0.0, stream);
-  EXPECT_EQ(transfer.slot, CheckpointServer::kNoSlot);
+  EXPECT_EQ(transfer.slot, CheckpointServer::kNullSlot);
   server.cancel_transfer(transfer, 10.0);
   EXPECT_EQ(server.slots_released(), 0u);
 }

@@ -1,9 +1,10 @@
 // Completion journal (exp/journal.hpp): append/recover round trips are
 // bitwise, a journal truncated at ANY byte — in particular at every record
 // boundary — recovers exactly the longest valid record prefix and truncates
-// the torn tail away (satellite: kill/resume), a signature mismatch restarts
-// the file rather than folding foreign records, and foreign files are
-// refused outright.
+// the torn tail away (a kill mid-append), a checksummed record whose
+// summary does not parse is dropped with its suffix, a signature mismatch
+// restarts the file rather than folding foreign records, and foreign files
+// (older format versions included) are refused outright.
 #include <gtest/gtest.h>
 
 #include <sys/resource.h>
@@ -31,6 +32,7 @@
 
 #include "exp/journal.hpp"
 #include "exp/runner.hpp"
+#include "util/binary_io.hpp"
 
 namespace dg::exp {
 namespace {
@@ -259,6 +261,70 @@ TEST(CampaignJournal, RecordLongerThanTheFileIsATornTailNotAnAllocation) {
   EXPECT_EQ(std::filesystem::file_size(file.path), 16u);
 }
 
+TEST(CampaignJournal, SketchListLongerThanTheBucketsIsCorruptNotAnAllocation) {
+#ifdef DG_TEST_SANITIZED
+  GTEST_SKIP() << "an address-space limit starves the sanitizer runtime";
+#endif
+  // Three records; record 1's first sketch is forged to claim 0xFFFFFFFF
+  // non-zero buckets and its checksum recomputed, so only the sketch parser
+  // can tell. Recovery must keep record 0, drop record 1 and its suffix, and
+  // size nothing from the claim (12 bytes x 2^32 entries would be 48 GiB).
+  JournalPath file("sketch_entries");
+  constexpr std::uint64_t kSignature = 111;
+  {
+    CampaignJournal journal(file.path, kSignature);
+    for (std::uint32_t r = 0; r < 3; ++r) journal.append(0, r, make_summary(r));
+    journal.sync();
+  }
+  const std::vector<std::uintmax_t> boundaries = record_boundaries(file.path);
+  ASSERT_EQ(boundaries.size(), 4u);
+  {
+    std::fstream f(file.path, std::ios::in | std::ios::out | std::ios::binary);
+    const auto record = static_cast<std::streamoff>(boundaries[1]);
+    std::uint32_t header[6] = {};  // payload size, cell, replication, reserved, checksum
+    f.seekg(record);
+    f.read(reinterpret_cast<char*>(header), sizeof header);
+    std::vector<std::uint8_t> payload(header[0]);
+    f.read(reinterpret_cast<char*>(payload.data()), static_cast<std::streamsize>(payload.size()));
+    // The summary's ten leading doubles, then the first sketch's entry count.
+    const std::uint32_t entries = 0xFFFFFFFFu;
+    std::memcpy(payload.data() + 10 * sizeof(double), &entries, sizeof entries);
+    std::uint64_t checksum = util::fnv1a64_bytes(&header[1], sizeof header[1]);
+    checksum = util::fnv1a64_bytes(&header[2], sizeof header[2], checksum);
+    checksum = util::fnv1a64_bytes(payload.data(), payload.size(), checksum);
+    std::memcpy(&header[4], &checksum, sizeof checksum);
+    f.seekp(record);
+    f.write(reinterpret_cast<const char*>(header), sizeof header);
+    f.write(reinterpret_cast<const char*>(payload.data()),
+            static_cast<std::streamsize>(payload.size()));
+  }
+
+  // Recover in a child allowed 1 GiB of address space beyond what it already
+  // maps, as in RecordLongerThanTheFileIsATornTailNotAnAllocation.
+  const std::uintmax_t limit = mapped_bytes() + (std::uintmax_t{1} << 30);
+  const ::pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    const ::rlimit address_space{limit, limit};
+    if (::setrlimit(RLIMIT_AS, &address_space) != 0) ::_exit(10);
+    try {
+      const CampaignJournal journal(file.path, kSignature);
+      if (journal.recovered().size() != 1) ::_exit(11);
+    } catch (...) {
+      ::_exit(12);
+    }
+    ::_exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "recovery died of signal " << WTERMSIG(status);
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "10: setrlimit, 11: not exactly record 0, 12: threw";
+  EXPECT_EQ(std::filesystem::file_size(file.path), boundaries[1]);
+  CampaignJournal journal(file.path, kSignature);
+  ASSERT_EQ(journal.recovered().size(), 1u);
+  expect_summary_bitwise(journal.recovered()[0].summary, make_summary(0));
+}
+
 TEST(CampaignJournal, SignatureMismatchRestartsTheFile) {
   JournalPath file("signature");
   {
@@ -293,17 +359,22 @@ TEST(CampaignJournal, ForeignFilesAreRefusedNotOverwritten) {
   }
   EXPECT_THROW(CampaignJournal(file.path, 3), std::runtime_error);
 
-  // Right magic, future format version: also not ours to rewrite.
-  {
-    std::ofstream out(file.path, std::ios::binary | std::ios::trunc);
-    const char magic[4] = {'D', 'G', 'J', 'L'};
-    const std::uint32_t version = CampaignJournal::kFormatVersion + 1;
-    const std::uint64_t signature = 3;
-    out.write(magic, sizeof magic);
-    out.write(reinterpret_cast<const char*>(&version), sizeof version);
-    out.write(reinterpret_cast<const char*>(&signature), sizeof signature);
+  // Right magic, but the previous format version (dense sketches) or a
+  // future one: also not ours to rewrite.
+  for (const std::uint32_t version :
+       {CampaignJournal::kFormatVersion - 1, CampaignJournal::kFormatVersion + 1}) {
+    SCOPED_TRACE(version);
+    {
+      std::ofstream out(file.path, std::ios::binary | std::ios::trunc);
+      const char magic[4] = {'D', 'G', 'J', 'L'};
+      const std::uint64_t signature = 3;
+      out.write(magic, sizeof magic);
+      out.write(reinterpret_cast<const char*>(&version), sizeof version);
+      out.write(reinterpret_cast<const char*>(&signature), sizeof signature);
+    }
+    EXPECT_THROW(CampaignJournal(file.path, 3), std::runtime_error);
+    EXPECT_EQ(std::filesystem::file_size(file.path), 16u);
   }
-  EXPECT_THROW(CampaignJournal(file.path, 3), std::runtime_error);
 }
 
 TEST(CampaignJournal, CampaignSignatureBindsCellsAndPrecisionOptions) {

@@ -2,8 +2,9 @@
 // ExperimentRunner's results must be bit-identical to its thread lanes for
 // any worker count, chunk shape, worker-death schedule, or kill/resume
 // point; journal bytes must not depend on the lane kind, and a journal
-// written on one lane kind must resume on the other; the mmap pool must
-// serve worlds across runs; and the env knobs must parse.
+// written on one lane kind must resume on the other, while a journal naming
+// a job the campaign never runs is refused; the mmap pool must serve worlds
+// across runs; and the env knobs must parse.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -18,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "exp/journal.hpp"
 #include "exp/runner.hpp"
 #include "sim/simulation.hpp"
 
@@ -392,6 +394,42 @@ TEST(ShardedRunner, SpeculativeResumeFromEveryBoundaryIsByteIdentical) {
       EXPECT_EQ(resumed.exec_stats().recovered, k);
       EXPECT_EQ(file_bytes(resume.journal_path), reference_journal);
     }
+  }
+}
+
+TEST(ShardedRunner, JournalRecordOfAJobTheCampaignNeverRunsIsRefused) {
+  // A checksummed, correctly signed record for a cell past the campaign's,
+  // or for a replication at or past max(min, max) replications, is no
+  // resume point: run() must throw naming the journal before it folds or
+  // appends anything, and leave the file as it was. Folding the cell-7
+  // record would index past the campaign's cells.
+  ShardDir dir("impossible");
+  std::vector<NamedConfig> cells = tiny_cells();
+  cells.resize(1);
+  const RunOptions options = tiny_options();  // exactly 3 replications
+  struct Forged {
+    const char* name;
+    std::uint32_t cell;
+    std::uint32_t replication;
+  };
+  const Forged forged[] = {{"cell past the campaign's", 7, 0}, {"replication past the cap", 0, 3}};
+  for (const Forged& record : forged) {
+    SCOPED_TRACE(record.name);
+    const std::string path = dir.file("forged.journal");
+    std::filesystem::remove(path);
+    {
+      CampaignJournal journal(path, CampaignJournal::campaign_signature(cells, options));
+      journal.append(record.cell, record.replication, ReplicationSummary{});
+      journal.sync();
+    }
+    const std::vector<std::uint8_t> before = file_bytes(path);
+    try {
+      (void)ExperimentRunner(options, lanes(0, path)).run(cells);
+      ADD_FAILURE() << "the journal was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(file_bytes(path), before);
   }
 }
 
