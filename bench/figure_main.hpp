@@ -3,7 +3,8 @@
 // figure's cell matrix, runs it through one ExperimentRunner — so runner
 // features like speculation and the opt-in world cache land in every
 // figure binary at once — prints the panel tables plus runner/cache
-// statistics, and writes a CSV next to the binary's working directory.
+// statistics and where each cell's precision loop stopped, and writes a CSV
+// next to the binary's working directory.
 #pragma once
 
 #include <cstdio>
@@ -33,7 +34,8 @@ inline int run_figure_main(exp::FigureSpec spec, const std::string& csv_name) {
             << ", world_cache=" << (options.world_cache_bytes >> 20) << " MiB\n"
             << "  (env: DGSCHED_BOTS, DGSCHED_MIN_REPS, DGSCHED_MAX_REPS, DGSCHED_TRE,"
             << " DGSCHED_THREADS, DGSCHED_SEED, DGSCHED_WORLD_CACHE, DGSCHED_SPECULATE;"
-            << " paper fidelity: DGSCHED_TRE=0.025)\n\n";
+            << " the paper's 2.5% CI needs DGSCHED_TRE=0.025 and a DGSCHED_MAX_REPS"
+            << " no unsaturated cell reaches)\n\n";
 
   exp::ExperimentRunner runner(options);
   const std::vector<exp::CellResult> results = runner.run(exp::figure_cells(spec));
@@ -55,6 +57,26 @@ inline int run_figure_main(exp::FigureSpec spec, const std::string& csv_name) {
         static_cast<double>(stats.bytes) / (1024.0 * 1024.0),
         static_cast<double>(stats.peak_bytes) / (1024.0 * 1024.0));
   }
+
+  // Where each cell's precision loop stopped: only the first count reached
+  // the CI target; a capped cell's interval is wider than asked for.
+  std::size_t met = 0;
+  std::size_t capped = 0;
+  std::size_t saturated = 0;
+  for (const exp::CellResult& cell : results) {
+    if (cell.saturated()) {
+      ++saturated;
+    } else if (cell.turnaround.precise_enough()) {
+      ++met;
+    } else {
+      ++capped;
+    }
+  }
+  std::fprintf(stderr,
+               "precision: %zu of %zu cells met the %g%% CI target, %zu stopped at the "
+               "replication cap (%zu), %zu saturated\n",
+               met, results.size(), options.target_relative_error * 100.0, capped,
+               options.max_replications, saturated);
   return 0;
 }
 

@@ -24,8 +24,8 @@ namespace dg::des {
 /// Invariants: events fire in ascending (time, sequence) order; now() never
 /// goes backwards; an action may schedule/cancel freely, including at the
 /// current time (it runs after all already-queued same-time events).
-/// Thread-safety: none — one Simulator per thread (replications each own a
-/// private Simulator; see util::ThreadPool).
+/// Thread-safety: none — one Simulator per thread (each runner lane owns a
+/// private Simulator in its sim::SimulationWorkspace).
 class Simulator {
  public:
   Simulator() = default;

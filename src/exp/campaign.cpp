@@ -2,16 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <exception>
-#include <future>
 #include <limits>
-#include <memory>
 #include <stdexcept>
 #include <utility>
-
-#include "rng/splitmix64.hpp"
-#include "sim/workspace.hpp"
-#include "util/thread_pool.hpp"
 
 namespace dg::exp {
 
@@ -170,50 +163,19 @@ SeedSpreadReport seed_sensitivity(const sim::SimulationConfig& config, const Run
   if (num_seeds < 2) {
     throw std::invalid_argument("seed_sensitivity: need at least 2 seeds for a spread");
   }
+  // One cell whose replications are the seeds: replication i runs seed
+  // mix_seed(base_seed, i), and the runner folds them in seed order.
+  RunOptions seed_options = options;
+  seed_options.min_replications = num_seeds;
+  seed_options.max_replications = num_seeds;
+  const std::vector<CellResult> results =
+      ExperimentRunner(seed_options).run({NamedConfig{"seed sensitivity", config}});
+  const CellResult& cell = results.front();
   SeedSpreadReport report;
   report.seeds = num_seeds;
-  report.p95.resize(num_seeds);
-  report.mean_turnaround.resize(num_seeds);
-  std::vector<std::uint8_t> saturated(num_seeds, 0);
-
-  // Per-seed slots are preallocated and each worker writes only its own, so
-  // the fold below (ascending seed index) is bit-identical for any thread
-  // count or completion order — the PR 6 five-shape pattern.
-  // Workspaces before the pool: jobs reference them, so the pool's
-  // destructor (which joins the workers) must run first.
-  std::vector<std::unique_ptr<sim::SimulationWorkspace>> workspaces;
-  util::ThreadPool pool(options.threads);
-  workspaces.resize(pool.size());
-
-  auto run_seed = [&](std::size_t index) {
-    sim::SimulationConfig seed_config = config;
-    seed_config.seed = rng::mix_seed(options.base_seed, index);
-    // Jobs only ever run on pool workers, so the index is in range.
-    std::unique_ptr<sim::SimulationWorkspace>& workspace =
-        workspaces[util::ThreadPool::current_worker_index()];
-    if (!workspace) workspace = std::make_unique<sim::SimulationWorkspace>();
-    const sim::SimulationResult& result = sim::Simulation(std::move(seed_config)).run(*workspace);
-    report.p95[index] = result.turnaround_tail.quantile(0.95);
-    report.mean_turnaround[index] = result.turnaround.mean();
-    saturated[index] = result.saturated ? 1 : 0;
-  };
-
-  std::vector<std::future<void>> futures;
-  futures.reserve(num_seeds);
-  for (std::size_t i = 0; i < num_seeds; ++i) {
-    futures.push_back(pool.submit([&run_seed, i] { run_seed(i); }));
-  }
-  std::exception_ptr error;
-  for (std::future<void>& future : futures) {
-    try {
-      future.get();
-    } catch (...) {
-      if (!error) error = std::current_exception();
-    }
-  }
-  if (error) std::rethrow_exception(error);
-
-  for (std::uint8_t flag : saturated) report.saturated_seeds += flag;
+  report.p95 = cell.replication_p95;
+  report.mean_turnaround = cell.turnaround.samples();
+  report.saturated_seeds = cell.saturated_replications;
 
   std::vector<double> sorted = report.p95;
   std::sort(sorted.begin(), sorted.end());

@@ -11,11 +11,10 @@
 // under many base seeds and reports the inter-seed spread of the p95 — how
 // much of an observed "cliff" is stochastic luck.
 //
-// Everything here is deterministic: cell expansion order is fixed, the sweep
-// reuses exp::ExperimentRunner (ordered per-cell commits), and the
-// seed-sensitivity fan-out writes into preallocated per-seed slots folded in
-// ascending seed index — results are bit-identical across DGSCHED_THREADS /
-// DGSCHED_PROCS / world-cache on-off.
+// Everything here is deterministic: cell expansion order is fixed, and both
+// the sweep and the seed-sensitivity pass run on exp::ExperimentRunner
+// (ordered per-cell commits) — results are bit-identical across
+// DGSCHED_THREADS / DGSCHED_PROCS / world-cache on-off.
 #pragma once
 
 #include <cstdint>
@@ -125,10 +124,12 @@ struct SeedSpreadReport {
 };
 
 /// Runs `config` once per seed (num_seeds >= 2, else std::invalid_argument)
-/// across options.threads workers, one reusable workspace per worker, and
-/// folds the spread in ascending seed index — bit-identical for any thread
-/// count. options.base_seed anchors the seed sequence; the cell's own
-/// world_cache setting is honored per run.
+/// as one ExperimentRunner cell of exactly num_seeds replications on
+/// options.threads thread lanes, folded in ascending seed index —
+/// bit-identical for any thread count. options.base_seed anchors the seed
+/// sequence. The runner's world cache (options.world_cache_bytes) replaces
+/// the cell's own world_cache; results are bit-identical either way. A
+/// replication that throws stops the pass and its exception is rethrown.
 [[nodiscard]] SeedSpreadReport seed_sensitivity(const sim::SimulationConfig& config,
                                                 const RunOptions& options, std::size_t num_seeds);
 

@@ -79,6 +79,7 @@ void fold(CellResult& cell, const ReplicationSummary& summary) {
   cell.slowdown_tail.merge(summary.slowdown_tail);
   cell.completion_gap_tail.merge(summary.completion_gap_tail);
   cell.events_executed += summary.events_executed;
+  cell.replication_p95.push_back(summary.turnaround_tail.quantile(0.95));
   ++cell.replications;
   if (summary.saturated) ++cell.saturated_replications;
 }

@@ -5,12 +5,12 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <exception>
-#include <future>
 #include <limits>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "exp/journal.hpp"
@@ -20,7 +20,6 @@
 #include "sim/workspace.hpp"
 #include "util/logging.hpp"
 #include "util/parse.hpp"
-#include "util/thread_pool.hpp"
 
 namespace dg::exp {
 
@@ -72,7 +71,11 @@ ShardOptions ShardOptions::from_env(ShardOptions defaults) {
   return defaults;
 }
 
-std::optional<std::size_t> env_num_bots() { return env_size("DGSCHED_BOTS"); }
+std::optional<std::size_t> env_num_bots() {
+  const auto bots = env_size("DGSCHED_BOTS");
+  if (bots == std::size_t{0}) bad_env("DGSCHED_BOTS", "0", "an integer >= 1");
+  return bots;
+}
 
 namespace {
 
@@ -80,42 +83,48 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
-/// Thread lanes: options.threads long-lived pool workers, each with a private
-/// workspace, pull one job at a time from `state` and deliver its summary
-/// under one mutex; the fold happens inside deliver() in canonical per-cell
-/// order, so accumulator sequences are bitwise-equal to a sequential run no
-/// matter which worker finishes when. A delivery that appended journal
-/// records syncs the journal after the mutex is released. Returns one
-/// WorkerLaneStats per worker.
+/// Thread lanes: options.threads lanes (0 = max(1, hardware concurrency)),
+/// each a plain thread with a private workspace, pull one job at a time from
+/// `state` and deliver its summary under one mutex; the fold happens inside
+/// deliver() in canonical per-cell order, so accumulator sequences are
+/// bitwise-equal to a sequential run no matter which lane finishes when. A
+/// delivery that appended journal records syncs the journal after the mutex
+/// is released. The first exception a lane throws stops every lane and is
+/// rethrown once all have joined. Returns one WorkerLaneStats per lane.
 std::vector<WorkerLaneStats> run_thread_lanes(const RunOptions& options,
                                               const std::vector<NamedConfig>& cells,
                                               PipelineState& state, CampaignJournal* journal,
                                               const std::shared_ptr<grid::WorldCache>& cache) {
-  util::ThreadPool pool(options.threads);
+  const std::size_t lane_count =
+      options.threads > 0 ? options.threads
+                          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
   std::mutex mutex;
   std::condition_variable ready_cv;
   std::exception_ptr error;
-  std::vector<WorkerLaneStats> lanes(pool.size());
+  std::vector<WorkerLaneStats> lanes(lane_count);
 
-  auto worker_loop = [&] {
-    const std::size_t lane = util::ThreadPool::current_worker_index();
-    sim::SimulationWorkspace workspace;
+  // The whole lane body is guarded: an exception escaping a thread's entry
+  // function would end the program, and a lane that died silently would
+  // leave the others waiting for its job forever.
+  auto worker_loop = [&](std::size_t lane) {
     WorkerLaneStats local;
-    std::unique_lock<std::mutex> lock(mutex);
-    for (;;) {
-      while (!error && !state.finished() && !state.has_ready()) {
-        const auto wait_start = std::chrono::steady_clock::now();
-        ready_cv.wait(lock);
-        local.stall_s += seconds_since(wait_start);
-      }
-      if (error || state.finished()) break;
-      // One job at a time: a lane returns for more the moment it finishes,
-      // so there is nothing to balance.
-      const std::vector<PipelineJob> popped = state.pop_chunk(1);
-      if (popped.empty()) continue;
-      const PipelineJob job = popped.front();
-      lock.unlock();
-      try {
+    std::unique_lock<std::mutex> lock(mutex, std::defer_lock);
+    try {
+      sim::SimulationWorkspace workspace;
+      lock.lock();
+      for (;;) {
+        while (!error && !state.finished() && !state.has_ready()) {
+          const auto wait_start = std::chrono::steady_clock::now();
+          ready_cv.wait(lock);
+          local.stall_s += seconds_since(wait_start);
+        }
+        if (error || state.finished()) break;
+        // One job at a time: a lane returns for more the moment it finishes,
+        // so there is nothing to balance.
+        const std::vector<PipelineJob> popped = state.pop_chunk(1);
+        if (popped.empty()) continue;
+        const PipelineJob job = popped.front();
+        lock.unlock();
         const auto job_start = std::chrono::steady_clock::now();
         ReplicationSummary summary =
             run_job(cells[job.cell].config, job.replication, options.base_seed, cache, workspace);
@@ -130,20 +139,27 @@ std::vector<WorkerLaneStats> run_thread_lanes(const RunOptions& options,
           journal->sync();
           lock.lock();
         }
-      } catch (...) {
-        if (!lock.owns_lock()) lock.lock();
-        if (!error) error = std::current_exception();
-        ready_cv.notify_all();
-        break;
       }
+    } catch (...) {
+      if (!lock.owns_lock()) lock.lock();
+      if (!error) error = std::current_exception();
+      ready_cv.notify_all();
     }
-    lanes[lane] = local;  // lock is held on every break path
+    lanes[lane] = local;  // the lock is held on both exits
   };
 
-  std::vector<std::future<void>> futures;
-  futures.reserve(pool.size());
-  for (std::size_t i = 0; i < pool.size(); ++i) futures.push_back(pool.submit(worker_loop));
-  for (std::future<void>& future : futures) future.get();
+  {
+    std::vector<std::jthread> threads;
+    try {
+      threads.reserve(lane_count);
+      for (std::size_t lane = 0; lane < lane_count; ++lane) threads.emplace_back(worker_loop, lane);
+    } catch (...) {
+      // A lane failed to start: stop the running ones after their current job.
+      std::scoped_lock lock(mutex);
+      if (!error) error = std::current_exception();
+      ready_cv.notify_all();
+    }
+  }  // every lane joins here
   if (error) std::rethrow_exception(error);
   return lanes;
 }

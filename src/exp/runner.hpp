@@ -31,7 +31,7 @@ struct RunOptions {
   /// DGSCHED_TRE=0.025 to match the paper.
   double target_relative_error = 0.05;
   std::uint64_t base_seed = 0x5eedULL;
-  /// 0 = hardware concurrency.
+  /// Thread lanes; 0 = max(1, hardware concurrency).
   std::size_t threads = 0;
   /// Budget (bytes) of the shared world-realization cache: each replication
   /// seed's availability / server-fault timelines are synthesized once and
@@ -55,7 +55,8 @@ struct RunOptions {
   [[nodiscard]] static RunOptions from_env() { return from_env(RunOptions{}); }
 };
 
-/// Env override for workload sizes used by the figure benches (DGSCHED_BOTS).
+/// Env override for workload sizes used by the figure benches (DGSCHED_BOTS);
+/// 0 is rejected like a malformed value, since a run needs at least one bag.
 [[nodiscard]] std::optional<std::size_t> env_num_bots();
 
 // Environment-knob helpers shared by the figure and campaign drivers: read a
@@ -73,8 +74,8 @@ struct NamedConfig {
   sim::SimulationConfig config;  // seed is overwritten per replication
 };
 
-/// Wall-clock accounting for one execution lane (a pool worker thread, or a
-/// worker process). busy_s is time spent executing replications; stall_s is
+/// Wall-clock accounting for one execution lane (a thread, or a worker
+/// process). busy_s is time spent executing replications; stall_s is
 /// time spent waiting for launchable work (the straggler penalty). A worker
 /// process self-reports busy_s, and its stall_s is derived as wall - busy (it
 /// includes protocol overhead, not just idleness).
@@ -136,6 +137,9 @@ struct CellResult {
   /// Total DES events executed across the cell's replications (raw count, not
   /// a mean) — the numerator of events-per-second throughput reporting.
   std::uint64_t events_executed = 0;
+  /// Each replication's own p95 turnaround, in replication order (the
+  /// per-seed spread of exp::seed_sensitivity).
+  std::vector<double> replication_p95;
   std::size_t replications = 0;
   std::size_t saturated_replications = 0;
 
@@ -175,8 +179,8 @@ struct ShardOptions {
 /// recovers) the journal, drives one PipelineState (exp/pipeline.hpp) from
 /// its lanes, and accounts for them:
 ///
-///  * thread lanes (ShardOptions::procs == 0): RunOptions::threads pool
-///    workers pull one job at a time and deliver summaries under one mutex,
+///  * thread lanes (ShardOptions::procs == 0): RunOptions::threads plain
+///    threads pull one job at a time and deliver summaries under one mutex,
 ///    sharing one world cache;
 ///  * process lanes (procs > 0): a single-threaded fork/poll coordinator
 ///    (exp/shard.hpp) hands chunks to forked workers, each with a private
@@ -200,8 +204,9 @@ class ExperimentRunner {
   /// Replication `i` of every cell uses seed mix_seed(base_seed, i) —
   /// deliberately independent of the cell, so cells are compared under
   /// common random numbers (and share one cached world realization when the
-  /// world cache is on). On process lanes, must be called from a process
-  /// where forking is safe.
+  /// world cache is on). On thread lanes, the first exception a job throws
+  /// stops every lane and is rethrown once all have joined. On process
+  /// lanes, must be called from a process where forking is safe.
   [[nodiscard]] std::vector<CellResult> run(const std::vector<NamedConfig>& cells);
 
   /// World-cache statistics after the most recent run(): the shared cache's

@@ -24,6 +24,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory_resource>
 #include <vector>
 
 #include "des/simulator.hpp"
@@ -70,11 +71,15 @@ class CheckpointServer {
     std::uint32_t slot = kNullSlot;
   };
 
+  /// Slots are created as transfers first need them, from `mem` (default:
+  /// global heap), so `capacity` bounds them without sizing an allocation.
   explicit CheckpointServer(rng::UniformDist transfer_time = rng::UniformDist{240.0, 720.0},
-                            std::size_t capacity = 0, bool release_slots = true)
-      : transfer_time_(transfer_time), capacity_(capacity), release_slots_(release_slots) {
-    if (capacity_ > 0) slot_ends_.reserve(capacity_);
-  }
+                            std::size_t capacity = 0, bool release_slots = true,
+                            std::pmr::memory_resource* mem = std::pmr::get_default_resource())
+      : transfer_time_(transfer_time),
+        capacity_(capacity),
+        release_slots_(release_slots),
+        slot_ends_(mem) {}
 
   /// Schedules a checkpoint save starting no earlier than `now`; the returned
   /// ticket's `completion` includes any queueing for a transfer slot.
@@ -224,7 +229,7 @@ class CheckpointServer {
   std::uint64_t slots_released_ = 0;
   double total_queueing_ = 0.0;
   // Per-slot end-of-reservation-chain times (only used when capacity_ > 0).
-  std::vector<double> slot_ends_;
+  std::pmr::vector<double> slot_ends_;
 };
 
 /// Drives the checkpoint server through alternating UP (exponential MTBF)

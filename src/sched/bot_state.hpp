@@ -100,13 +100,6 @@ class BotState {
   /// (the bucket entry is keyed by the still-current replica count).
   void on_task_completed(TaskState& task);
 
-  /// Attaches the scheduler's DispatchIndex; every mutator above (and the
-  /// push_* pools) refresh this bag's index memberships before returning.
-  /// Wired at the BotState level — not the policy-hook level — because
-  /// sibling-replica stops of completed tasks bypass the policy hooks yet
-  /// still change total_running(). nullptr detaches.
-  void set_dispatch_index(DispatchIndex* index) noexcept { dispatch_index_ = index; }
-
   // --- bag-level status ---
 
   [[nodiscard]] std::size_t completed_tasks() const noexcept { return completed_count_; }
@@ -183,6 +176,13 @@ class BotState {
   double first_dispatch_time_ = 0.0;
   double completion_time_ = 0.0;
 
+  // The index this bag is registered in (set and cleared only by
+  // DispatchIndex::register_bot / unregister_bot). Every mutator above (and
+  // the push_* pools) refreshes the bag's memberships before returning —
+  // wired here, not at the policy-hook level, because sibling-replica stops
+  // of completed tasks bypass the policy hooks yet still change
+  // total_running().
+  friend class DispatchIndex;
   DispatchIndex* dispatch_index_ = nullptr;
   void refresh_dispatch_index();
 

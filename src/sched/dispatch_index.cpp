@@ -20,27 +20,26 @@ void DispatchIndex::set_threshold(int threshold) {
   threshold_ = threshold;
   if (stats_ != nullptr) ++stats_->index_rebuilds;
   dispatchable_.clear();
-  for (const auto& [id, bot] : bots_) {
-    if (is_dispatchable(*bot)) dispatchable_.emplace(id, bot);
+  for (BotState* bot : bots_) {
+    if (is_dispatchable(*bot)) dispatchable_.emplace(bot->id(), bot);
   }
 }
 
 void DispatchIndex::register_bot(BotState& bot) {
-  const bool inserted = bots_.emplace(bot.id(), &bot).second;
-  DG_ASSERT_MSG(inserted, "bot already registered in dispatch index");
+  DG_ASSERT_MSG(bot.dispatch_index_ == nullptr, "bot already registered in a dispatch index");
+  bot.dispatch_index_ = this;
   refresh(bot);
 }
 
 void DispatchIndex::unregister_bot(BotState& bot) {
-  const auto erased = bots_.erase(bot.id());
-  DG_ASSERT_MSG(erased == 1, "bot not registered in dispatch index");
+  DG_ASSERT_MSG(bot.dispatch_index_ == this, "bot not registered in this dispatch index");
+  bot.dispatch_index_ = nullptr;
   dispatchable_.erase(bot.id());
   no_running_.erase(bot.id());
   stale_.erase(bot.id());
 }
 
 void DispatchIndex::refresh(BotState& bot) {
-  if (!bots_.contains(bot.id())) return;
   if (stats_ != nullptr) ++stats_->index_updates;
   // try_emplace, not emplace: libstdc++'s emplace builds (and frees) a node
   // before finding the key, so refreshing a member would still allocate.

@@ -20,8 +20,11 @@
 // completion, pool pushes), so the index is current by the time a policy
 // runs — including after sibling-replica stops of completed tasks, which
 // never reach the policy observer hooks. The threshold is pushed in by the
-// scheduler at the top of each trigger; a change rebuilds dispatchable_ in
-// O(B log B) (rare: only dynamic-replication runs ever change it).
+// scheduler at the top of each trigger; a change rebuilds dispatchable_ from
+// the scheduler's ActiveBotList in O(B log B) (rare: only
+// dynamic-replication runs ever change it). The index keeps no bag list of
+// its own: a bag is registered exactly while it is in that list, and only a
+// registered bag holds the index pointer that reaches refresh().
 //
 // Stale bags and the drain_stale_* calls: the per-bag resubmission queues
 // are pruned lazily — a probe (IndividualScheduler::pick) pops invalid
@@ -48,16 +51,20 @@
 
 namespace dg::sched {
 
+class ActiveBotList;
 class BotState;
 class IndividualScheduler;
 struct SchedStats;
 
 class DispatchIndex {
  public:
-  /// The membership maps allocate from `mem` (default: global heap); pass a
-  /// per-replication pool to recycle their nodes across runs.
-  explicit DispatchIndex(std::pmr::memory_resource* mem = std::pmr::get_default_resource())
-      : bots_(mem), dispatchable_(mem), no_running_(mem), stale_(mem) {}
+  /// Indexes the bags registered out of `bots` (the scheduler's active
+  /// list, which must outlive the index). The membership maps allocate from
+  /// `mem` (default: global heap); pass a per-replication pool to recycle
+  /// their nodes across runs.
+  explicit DispatchIndex(const ActiveBotList& bots,
+                         std::pmr::memory_resource* mem = std::pmr::get_default_resource())
+      : bots_(bots), dispatchable_(mem), no_running_(mem), stale_(mem) {}
   DispatchIndex(const DispatchIndex&) = delete;
   DispatchIndex& operator=(const DispatchIndex&) = delete;
 
@@ -69,14 +76,15 @@ class DispatchIndex {
   void set_threshold(int threshold);
   [[nodiscard]] int threshold() const noexcept { return threshold_; }
 
-  /// Starts tracking `bot` and computes its memberships.
+  /// Starts tracking `bot` (already in the active list): points the bag at
+  /// this index and computes its memberships.
   void register_bot(BotState& bot);
-  /// Stops tracking `bot` (call at bag completion).
+  /// Stops tracking `bot` (call at bag completion, before it leaves the
+  /// active list): drops its memberships and detaches the bag, so mutators
+  /// firing during the completion teardown no longer reach the index.
   void unregister_bot(BotState& bot);
 
-  /// Recomputes `bot`'s memberships from its current state. No-op for
-  /// unregistered bags (BotState mutators may still fire during the
-  /// completion teardown, after unregister_bot).
+  /// Recomputes a registered `bot`'s memberships from its current state.
   void refresh(BotState& bot);
 
   // --- queries (all O(log B) or better; arrival order throughout) ---
@@ -106,7 +114,7 @@ class DispatchIndex {
   [[nodiscard]] bool is_dispatchable(const BotState& bot) const;
   void probe_stale(BotState& bot, const IndividualScheduler& individual);
 
-  std::pmr::map<workload::BotId, BotState*> bots_;          // registered bags
+  const ActiveBotList& bots_;                               // registered bags
   std::pmr::map<workload::BotId, BotState*> dispatchable_;  // can accept a machine
   std::pmr::map<workload::BotId, BotState*> no_running_;    // total_running() == 0
   std::pmr::map<workload::BotId, BotState*> stale_;         // has_stale_queue_entries()

@@ -12,7 +12,7 @@ MultiBotScheduler::MultiBotScheduler(des::Simulator& sim, grid::DesktopGrid& gri
                                      std::unique_ptr<ReplicationController> replication,
                                      std::pmr::memory_resource* mem)
     : sim_(sim), grid_(grid), policy_(std::move(policy)), individual_(std::move(individual)),
-      replication_(std::move(replication)), index_(mem) {
+      replication_(std::move(replication)), index_(active_bots_, mem) {
   DG_ASSERT(policy_ != nullptr);
   DG_ASSERT(individual_ != nullptr);
   DG_ASSERT(replication_ != nullptr);
@@ -32,7 +32,6 @@ void MultiBotScheduler::submit(BotState& bot) {
   DG_ASSERT_MSG(active_bots_.empty() || active_bots_.back()->arrival_time() <= bot.arrival_time(),
                 "bags must be submitted in arrival order");
   active_bots_.push_back(bot);
-  bot.set_dispatch_index(&index_);
   index_.register_bot(bot);
   policy_->on_bot_arrival(bot, sim_.now());
   trigger();
@@ -104,10 +103,10 @@ void MultiBotScheduler::notify_task_completed(TaskState& task) {
   if (bot.completed()) {
     bot.note_completion(sim_.now());
     policy_->on_bot_completion(bot, sim_.now());
+    // Detaches the bag before the completed task's sibling replicas are
+    // stopped: those stops still mutate it but must not resurrect index
+    // entries.
     index_.unregister_bot(bot);
-    // Detach before the completed task's sibling replicas are stopped: those
-    // stops still mutate the bag but must not resurrect index entries.
-    bot.set_dispatch_index(nullptr);
     active_bots_.erase(bot);  // O(1): intrusive links
     ++bots_completed_;
     if (on_bot_completed_) on_bot_completed_(bot);

@@ -1,12 +1,17 @@
 #include "sim/config_io.hpp"
 
+#include <limits>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "util/ini.hpp"
+#include "util/parse.hpp"
 
 namespace dg::sim {
 
@@ -14,6 +19,23 @@ namespace {
 
 [[noreturn]] void fail(const std::string& message) {
   throw std::runtime_error("simulation config: " + message);
+}
+
+/// Fails naming [section] key and its value unless `ok`.
+void require(bool ok, const util::IniFile& ini, std::string_view section, std::string_view key,
+             std::string_view requirement) {
+  if (!ok) {
+    fail("[" + std::string(section) + "] " + std::string(key) + " must be " +
+         std::string(requirement) + ", got '" + ini.get(section, key).value_or("") + "'");
+  }
+}
+
+/// [section] key as a positive finite number, or nullopt when absent.
+std::optional<double> get_positive(const util::IniFile& ini, std::string_view section,
+                                   std::string_view key) {
+  const auto value = ini.get_double(section, key);
+  if (value) require(*value > 0.0, ini, section, key, "positive");
+  return value;
 }
 
 void check_known_keys(const util::IniFile& ini, std::string_view section,
@@ -25,14 +47,18 @@ void check_known_keys(const util::IniFile& ini, std::string_view section,
   }
 }
 
-std::vector<double> parse_number_list(const std::string& text) {
+/// The comma-separated [workload] granularities, each a positive number.
+std::vector<double> parse_granularities(const util::IniFile& ini, const std::string& text) {
   std::vector<double> values;
   std::istringstream iss(text);
   std::string item;
   while (std::getline(iss, item, ',')) {
-    const std::string trimmed{util::trim(item)};
+    const std::string_view trimmed = util::trim(item);
     if (trimmed.empty()) continue;
-    values.push_back(std::stod(trimmed));
+    const auto value = util::parse_finite(trimmed);
+    require(value && *value > 0.0, ini, "workload", "granularities",
+            "a list of positive numbers");
+    values.push_back(*value);
   }
   return values;
 }
@@ -49,6 +75,7 @@ SimulationConfig load_simulation_config(std::istream& is) {
     }
   }
   SimulationConfig config;
+  constexpr auto kIntMax = static_cast<std::uint64_t>(std::numeric_limits<int>::max());
 
   // --- [grid] ---
   check_known_keys(ini, "grid",
@@ -69,34 +96,36 @@ SimulationConfig load_simulation_config(std::istream& is) {
     if (auto level = grid::parse_availability_level(*text)) {
       config.grid.availability = grid::AvailabilityModel::for_level(*level);
     } else {
-      try {
-        const double target = std::stod(*text);
-        config.grid.availability = grid::AvailabilityModel::from_availability(target);
-      } catch (const std::invalid_argument&) {
-        fail("availability must be high|med|low|always or a number in (0,1), got '" + *text +
-             "'");
-      }
+      const auto target = util::parse_finite(*text);
+      require(target && *target > 0.0 && *target < 1.0, ini, "grid", "availability",
+              "high|med|low|always or a number in (0, 1)");
+      config.grid.availability = grid::AvailabilityModel::from_availability(*target);
     }
   }
-  if (auto v = ini.get_double("grid", "total_power")) config.grid.total_power = *v;
-  if (auto v = ini.get_double("grid", "hom_power")) config.grid.hom_power = *v;
-  if (auto v = ini.get_double("grid", "het_power_lo")) config.grid.het_power_lo = *v;
-  if (auto v = ini.get_double("grid", "het_power_hi")) config.grid.het_power_hi = *v;
+  if (auto v = get_positive(ini, "grid", "total_power")) config.grid.total_power = *v;
+  if (auto v = get_positive(ini, "grid", "hom_power")) config.grid.hom_power = *v;
+  if (auto v = get_positive(ini, "grid", "het_power_lo")) config.grid.het_power_lo = *v;
+  if (auto v = get_positive(ini, "grid", "het_power_hi")) config.grid.het_power_hi = *v;
+  if (config.grid.het_power_lo > config.grid.het_power_hi) {
+    fail("het_power_lo must be <= het_power_hi");
+  }
+  // The grid adds machines until it reaches total_power; their ids must fit.
+  const double smallest_power = config.grid.heterogeneity == grid::Heterogeneity::kHom
+                                    ? config.grid.hom_power
+                                    : config.grid.het_power_lo;
+  if (!(config.grid.total_power / smallest_power <
+        static_cast<double>(grid::DesktopGrid::kNoMachine))) {
+    fail("total_power / machine power needs more machines than a grid can hold");
+  }
   if (auto v = ini.get_bool("grid", "outages")) config.grid.outages.enabled = *v;
   if (auto v = ini.get_double("grid", "outage_fraction")) {
-    if (!(*v > 0.0 && *v <= 1.0)) {
-      fail("outage_fraction must be in (0, 1], got " + *ini.get("grid", "outage_fraction"));
-    }
+    require(*v > 0.0 && *v <= 1.0, ini, "grid", "outage_fraction", "in (0, 1]");
     config.grid.outages.fraction = *v;
   }
-  if (auto v = ini.get_double("grid", "outage_interarrival")) {
-    if (!(*v > 0.0)) {
-      fail("outage_interarrival must be positive, got " +
-           *ini.get("grid", "outage_interarrival"));
-    }
+  if (auto v = get_positive(ini, "grid", "outage_interarrival")) {
     config.grid.outages.mean_interarrival = *v;
   }
-  if (auto v = ini.get_int("grid", "checkpoint_server_capacity")) {
+  if (auto v = ini.get_unsigned("grid", "checkpoint_server_capacity")) {
     config.grid.checkpoint_server_capacity = static_cast<std::size_t>(*v);
   }
   {
@@ -118,7 +147,7 @@ SimulationConfig load_simulation_config(std::istream& is) {
                    {"capacity", "release_slots", "faults", "mtbf", "mttr", "abort_transfers",
                     "lose_data", "retry_max_attempts", "retry_backoff_base",
                     "retry_backoff_cap", "attempt_timeout"});
-  if (auto v = ini.get_int("checkpoint_server", "capacity")) {
+  if (auto v = ini.get_unsigned("checkpoint_server", "capacity")) {
     if (ini.get("grid", "checkpoint_server_capacity")) {
       fail("give checkpoint-server capacity in [grid] or [checkpoint_server], not both");
     }
@@ -129,51 +158,26 @@ SimulationConfig load_simulation_config(std::istream& is) {
   }
   auto& faults = config.grid.checkpoint_server_faults;
   if (auto v = ini.get_bool("checkpoint_server", "faults")) faults.enabled = *v;
-  if (auto v = ini.get_double("checkpoint_server", "mtbf")) {
-    if (!(*v > 0.0)) {
-      fail("checkpoint_server mtbf must be positive, got " +
-           *ini.get("checkpoint_server", "mtbf"));
-    }
-    faults.mtbf = *v;
-  }
-  if (auto v = ini.get_double("checkpoint_server", "mttr")) {
-    if (!(*v > 0.0)) {
-      fail("checkpoint_server mttr must be positive, got " +
-           *ini.get("checkpoint_server", "mttr"));
-    }
-    faults.mttr = *v;
-  }
+  if (auto v = get_positive(ini, "checkpoint_server", "mtbf")) faults.mtbf = *v;
+  if (auto v = get_positive(ini, "checkpoint_server", "mttr")) faults.mttr = *v;
   if (auto v = ini.get_bool("checkpoint_server", "abort_transfers")) faults.abort_transfers = *v;
   if (auto v = ini.get_bool("checkpoint_server", "lose_data")) faults.lose_data = *v;
-  if (auto v = ini.get_int("checkpoint_server", "retry_max_attempts")) {
-    if (*v < 1) {
-      fail("retry_max_attempts must be >= 1, got " +
-           *ini.get("checkpoint_server", "retry_max_attempts"));
-    }
+  if (auto v = ini.get_unsigned("checkpoint_server", "retry_max_attempts", kIntMax)) {
+    require(*v >= 1, ini, "checkpoint_server", "retry_max_attempts", ">= 1");
     config.checkpoint_retry.max_attempts = static_cast<int>(*v);
   }
-  if (auto v = ini.get_double("checkpoint_server", "retry_backoff_base")) {
-    if (!(*v > 0.0)) {
-      fail("retry_backoff_base must be positive, got " +
-           *ini.get("checkpoint_server", "retry_backoff_base"));
-    }
+  if (auto v = get_positive(ini, "checkpoint_server", "retry_backoff_base")) {
     config.checkpoint_retry.backoff_base = *v;
   }
-  if (auto v = ini.get_double("checkpoint_server", "retry_backoff_cap")) {
-    if (!(*v > 0.0)) {
-      fail("retry_backoff_cap must be positive, got " +
-           *ini.get("checkpoint_server", "retry_backoff_cap"));
-    }
+  if (auto v = get_positive(ini, "checkpoint_server", "retry_backoff_cap")) {
     config.checkpoint_retry.backoff_cap = *v;
   }
   if (config.checkpoint_retry.backoff_cap < config.checkpoint_retry.backoff_base) {
     fail("retry_backoff_cap must be >= retry_backoff_base");
   }
   if (auto v = ini.get_double("checkpoint_server", "attempt_timeout")) {
-    if (*v < 0.0) {
-      fail("attempt_timeout must be >= 0 (0 disables the timeout), got " +
-           *ini.get("checkpoint_server", "attempt_timeout"));
-    }
+    require(*v >= 0.0, ini, "checkpoint_server", "attempt_timeout",
+            ">= 0 (0 disables the timeout)");
     config.checkpoint_retry.attempt_timeout = *v;
   }
 
@@ -183,31 +187,33 @@ SimulationConfig load_simulation_config(std::istream& is) {
                     "utilization", "arrival_rate", "arrivals", "burst_intensity",
                     "burst_fraction"});
   const double spread = ini.get_double("workload", "spread").value_or(0.5);
+  require(spread >= 0.0 && spread < 1.0, ini, "workload", "spread", "in [0, 1)");
   if (ini.get("workload", "granularity") && ini.get("workload", "granularities")) {
     fail("give either granularity or granularities, not both");
   }
-  if (auto v = ini.get_double("workload", "granularity")) {
+  if (auto v = get_positive(ini, "workload", "granularity")) {
     config.workload.types = {workload::BotType{*v, spread}};
   } else if (auto text = ini.get("workload", "granularities")) {
     config.workload.types.clear();
-    for (double g : parse_number_list(*text)) {
+    for (double g : parse_granularities(ini, *text)) {
       config.workload.types.push_back(workload::BotType{g, spread});
     }
     if (config.workload.types.empty()) fail("granularities list is empty");
   } else {
     config.workload.types = {workload::BotType{5000.0, spread}};
   }
-  if (auto v = ini.get_double("workload", "bag_size")) config.workload.bag_size = *v;
-  if (auto v = ini.get_int("workload", "num_bots")) {
+  if (auto v = get_positive(ini, "workload", "bag_size")) config.workload.bag_size = *v;
+  if (auto v = ini.get_unsigned("workload", "num_bots")) {
+    require(*v >= 1, ini, "workload", "num_bots", ">= 1");
     config.workload.num_bots = static_cast<std::size_t>(*v);
   }
   if (ini.get("workload", "utilization") && ini.get("workload", "arrival_rate")) {
     fail("give either utilization or arrival_rate, not both");
   }
-  if (auto v = ini.get_double("workload", "utilization")) {
+  if (auto v = get_positive(ini, "workload", "utilization")) {
     config.workload.arrival_rate = workload::arrival_rate_for_utilization(
         *v, config.workload.bag_size, workload::effective_grid_power(config.grid));
-  } else if (auto v2 = ini.get_double("workload", "arrival_rate")) {
+  } else if (auto v2 = get_positive(ini, "workload", "arrival_rate")) {
     config.workload.arrival_rate = *v2;
   } else {
     config.workload.arrival_rate = workload::arrival_rate_for_utilization(
@@ -221,9 +227,13 @@ SimulationConfig load_simulation_config(std::istream& is) {
     }
   }
   if (auto v = ini.get_double("workload", "burst_intensity")) {
+    require(*v > 1.0, ini, "workload", "burst_intensity", "> 1");
     config.workload.burst_intensity = *v;
   }
-  if (auto v = ini.get_double("workload", "burst_fraction")) config.workload.burst_fraction = *v;
+  if (auto v = ini.get_double("workload", "burst_fraction")) {
+    require(*v > 0.0 && *v < 1.0, ini, "workload", "burst_fraction", "in (0, 1)");
+    config.workload.burst_fraction = *v;
+  }
 
   // --- [scheduler] ---
   check_known_keys(ini, "scheduler",
@@ -242,7 +252,7 @@ SimulationConfig load_simulation_config(std::istream& is) {
       fail("unknown individual scheduler '" + *text + "'");
     }
   }
-  if (auto v = ini.get_int("scheduler", "replication_threshold")) {
+  if (auto v = ini.get_unsigned("scheduler", "replication_threshold", kIntMax)) {
     config.replication_threshold = static_cast<int>(*v);
   }
   if (auto v = ini.get_bool("scheduler", "dynamic_replication")) {
@@ -255,53 +265,38 @@ SimulationConfig load_simulation_config(std::istream& is) {
                     "burst_intensity", "hit_machines", "outage_fraction", "hit_server"});
   auto& adversary = config.adversary;
   if (auto v = ini.get_bool("robustness", "adversary")) adversary.enabled = *v;
-  if (auto v = ini.get_int("robustness", "num_windows")) {
-    if (*v < 1) {
-      fail("num_windows must be >= 1, got " + *ini.get("robustness", "num_windows"));
-    }
+  if (auto v = ini.get_unsigned("robustness", "num_windows")) {
+    require(*v >= 1, ini, "robustness", "num_windows", ">= 1");
     adversary.num_windows = static_cast<std::size_t>(*v);
   }
-  if (auto v = ini.get_double("robustness", "window_duration")) {
-    if (!(*v > 0.0)) {
-      fail("window_duration must be positive, got " +
-           *ini.get("robustness", "window_duration"));
-    }
+  if (auto v = get_positive(ini, "robustness", "window_duration")) {
     adversary.window_duration = *v;
   }
   if (auto v = ini.get_double("robustness", "lead_fraction")) {
-    if (!(*v >= 0.0 && *v < 1.0)) {
-      fail("lead_fraction must be in [0, 1), got " + *ini.get("robustness", "lead_fraction"));
-    }
+    require(*v >= 0.0 && *v < 1.0, ini, "robustness", "lead_fraction", "in [0, 1)");
     adversary.lead_fraction = *v;
   }
   if (auto v = ini.get_double("robustness", "spacing")) {
-    if (!(*v >= 0.0)) {
-      fail("spacing must be >= 0 (0 = spread over the arrival span), got " +
-           *ini.get("robustness", "spacing"));
-    }
+    require(*v >= 0.0, ini, "robustness", "spacing", ">= 0 (0 = spread over the arrival span)");
     adversary.spacing = *v;
   }
   if (auto v = ini.get_double("robustness", "burst_intensity")) {
-    if (!(*v >= 1.0)) {
-      fail("robustness burst_intensity must be >= 1, got " +
-           *ini.get("robustness", "burst_intensity"));
-    }
+    require(*v >= 1.0, ini, "robustness", "burst_intensity", ">= 1");
     adversary.burst_intensity = *v;
   }
   if (auto v = ini.get_bool("robustness", "hit_machines")) adversary.hit_machines = *v;
   if (auto v = ini.get_double("robustness", "outage_fraction")) {
-    if (!(*v > 0.0 && *v <= 1.0)) {
-      fail("robustness outage_fraction must be in (0, 1], got " +
-           *ini.get("robustness", "outage_fraction"));
-    }
+    require(*v > 0.0 && *v <= 1.0, ini, "robustness", "outage_fraction", "in (0, 1]");
     adversary.outage_fraction = *v;
   }
   if (auto v = ini.get_bool("robustness", "hit_server")) adversary.hit_server = *v;
 
   // --- [run] ---
   check_known_keys(ini, "run", {"seed", "warmup_bots", "max_sim_time", "monitor_interval"});
-  if (auto v = ini.get_int("run", "seed")) config.seed = static_cast<std::uint64_t>(*v);
-  if (auto v = ini.get_int("run", "warmup_bots")) {
+  if (auto v = ini.get_unsigned("run", "seed")) config.seed = *v;
+  if (auto v = ini.get_unsigned("run", "warmup_bots")) {
+    require(*v < config.workload.num_bots, ini, "run", "warmup_bots",
+            "below [workload] num_bots (" + std::to_string(config.workload.num_bots) + ")");
     config.warmup_bots = static_cast<std::size_t>(*v);
   }
   if (auto v = ini.get_double("run", "max_sim_time")) config.max_sim_time = *v;
@@ -333,6 +328,12 @@ void save_simulation_config(std::ostream& os, const SimulationConfig& config) {
     ini.set("grid", "outages", "true");
     ini.set("grid", "outage_fraction", number(config.grid.outages.fraction));
     ini.set("grid", "outage_interarrival", number(config.grid.outages.mean_interarrival));
+    config.grid.outages.duration.visit([&](const auto& duration) {
+      if constexpr (std::is_same_v<std::decay_t<decltype(duration)>, rng::UniformDist>) {
+        ini.set("grid", "outage_duration_lo", number(duration.lo));
+        ini.set("grid", "outage_duration_hi", number(duration.hi));
+      }
+    });
   }
   if (config.grid.checkpoint_server_capacity != 0) {
     ini.set("grid", "checkpoint_server_capacity",
@@ -341,13 +342,16 @@ void save_simulation_config(std::ostream& os, const SimulationConfig& config) {
   if (!config.grid.checkpoint_server_release_slots) {
     ini.set("checkpoint_server", "release_slots", "false");
   }
-  if (config.grid.checkpoint_server_faults.enabled) {
-    const auto& faults = config.grid.checkpoint_server_faults;
+  const auto& faults = config.grid.checkpoint_server_faults;
+  if (faults.enabled) {
     ini.set("checkpoint_server", "faults", "true");
     ini.set("checkpoint_server", "mtbf", number(faults.mtbf));
     ini.set("checkpoint_server", "mttr", number(faults.mttr));
     ini.set("checkpoint_server", "abort_transfers", faults.abort_transfers ? "true" : "false");
     ini.set("checkpoint_server", "lose_data", faults.lose_data ? "true" : "false");
+  }
+  // The retry policy applies whenever the server can go down.
+  if (faults.enabled || (config.adversary.enabled && config.adversary.hit_server)) {
     ini.set("checkpoint_server", "retry_max_attempts",
             std::to_string(config.checkpoint_retry.max_attempts));
     ini.set("checkpoint_server", "retry_backoff_base",

@@ -8,6 +8,8 @@
 //   outages = true               ; optional correlated-outage block
 //   outage_fraction = 0.25
 //   outage_interarrival = 5000
+//   outage_duration_lo = 1800    ; outage length ~ U[lo, hi] seconds
+//   outage_duration_hi = 7200
 //
 //   [workload]
 //   granularity = 25000          ; or "granularities = 1000, 25000" for a mix
@@ -27,7 +29,9 @@
 //   warmup_bots = 10
 //
 // Unknown keys are an error (typo protection); every section is optional and
-// defaults match SimulationConfig's defaults.
+// defaults match SimulationConfig's defaults. A number must span its whole
+// value and be finite; integer keys (counts, seeds, thresholds) are decimal
+// digits only; out-of-range values are refused.
 #pragma once
 
 #include <iosfwd>
@@ -36,8 +40,9 @@
 
 namespace dg::sim {
 
-/// Parses an INI experiment description; throws std::runtime_error with a
-/// descriptive message on unknown keys/values or inconsistent combinations.
+/// Parses an INI experiment description; throws std::runtime_error naming
+/// the key on unknown keys, malformed or out-of-range values, or
+/// inconsistent combinations.
 [[nodiscard]] SimulationConfig load_simulation_config(std::istream& is);
 
 /// Serializes a config back to INI (lossless for everything the format

@@ -21,8 +21,8 @@
 //
 // Ownership and threading rules:
 //   * One workspace per thread — a workspace is as thread-unsafe as the
-//     Simulator it wraps. ExperimentRunner keys workspaces by pool-worker
-//     index (util::ThreadPool::current_worker_index()).
+//     Simulator it wraps. Each ExperimentRunner lane (a thread or a worker
+//     process) owns one for the whole run.
 //   * The workspace must outlive the SimulationResult reference returned by
 //     Simulation::run(workspace): the result lives inside the workspace and
 //     is overwritten by the next run.

@@ -3,6 +3,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/parse.hpp"
+
 namespace dg::util {
 
 std::string_view trim(std::string_view text) noexcept {
@@ -95,30 +97,20 @@ std::optional<double> IniFile::get_double(std::string_view section,
                                           std::string_view key) const {
   auto value = get(section, key);
   if (!value) return std::nullopt;
-  try {
-    std::size_t used = 0;
-    const double parsed = std::stod(*value, &used);
-    if (used != value->size()) throw std::invalid_argument("trailing");
-    return parsed;
-  } catch (const std::exception&) {
-    throw std::runtime_error("ini: [" + std::string(section) + "] " + std::string(key) +
-                             " = '" + *value + "' is not a number");
-  }
+  if (auto parsed = parse_finite(*value)) return parsed;
+  throw std::runtime_error("ini: [" + std::string(section) + "] " + std::string(key) +
+                           " = '" + *value + "' is not a finite number");
 }
 
-std::optional<std::int64_t> IniFile::get_int(std::string_view section,
-                                             std::string_view key) const {
+std::optional<std::uint64_t> IniFile::get_unsigned(std::string_view section,
+                                                   std::string_view key,
+                                                   std::uint64_t max) const {
   auto value = get(section, key);
   if (!value) return std::nullopt;
-  try {
-    std::size_t used = 0;
-    const std::int64_t parsed = std::stoll(*value, &used);
-    if (used != value->size()) throw std::invalid_argument("trailing");
-    return parsed;
-  } catch (const std::exception&) {
-    throw std::runtime_error("ini: [" + std::string(section) + "] " + std::string(key) +
-                             " = '" + *value + "' is not an integer");
-  }
+  if (auto parsed = parse_digits(*value, max)) return parsed;
+  throw std::runtime_error("ini: [" + std::string(section) + "] " + std::string(key) +
+                           " = '" + *value + "' is not an integer in [0, " +
+                           std::to_string(max) + "]");
 }
 
 std::optional<bool> IniFile::get_bool(std::string_view section, std::string_view key) const {

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <istream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -29,11 +30,14 @@ class IniFile {
 
   [[nodiscard]] std::optional<std::string> get(std::string_view section,
                                                std::string_view key) const;
-  /// Typed getters; throw std::runtime_error when present but unparsable.
+  /// Typed getters; throw std::runtime_error naming the key when present
+  /// but unparsable. Numbers must span the whole value (util/parse.hpp): a
+  /// double is finite, an unsigned is decimal digits only, at most `max`.
   [[nodiscard]] std::optional<double> get_double(std::string_view section,
                                                  std::string_view key) const;
-  [[nodiscard]] std::optional<std::int64_t> get_int(std::string_view section,
-                                                    std::string_view key) const;
+  [[nodiscard]] std::optional<std::uint64_t> get_unsigned(
+      std::string_view section, std::string_view key,
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const;
   [[nodiscard]] std::optional<bool> get_bool(std::string_view section,
                                              std::string_view key) const;
 

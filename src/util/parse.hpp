@@ -1,5 +1,5 @@
 // Strict numeric field parsers for text from outside the program: trace CSV
-// rows and DGSCHED_* environment variables.
+// rows, INI config values and DGSCHED_* environment variables.
 //
 // std::stoull and std::stod skip leading whitespace, accept a sign (stoull
 // wraps "-1" to 2^64 - 1), stop at trailing junk ("1x" reads as 1) and read

@@ -71,11 +71,16 @@ TEST(AllocationFree, WarmedWorkspaceRunLoopMakesZeroHeapAllocations) {
 TEST(AllocationFree, WarmedWorkspaceIsAllocationFreeWithFailuresToo) {
   // Failures exercise the checkpoint/retrieve/restart paths; the event
   // lambdas there must stay within std::function's small-buffer size and
-  // every container within the warmed pool.
-  const SimulationConfig config = metered_config(grid::AvailabilityLevel::kHigh);
-  SimulationWorkspace workspace;
-  (void)run_loop_allocs(config, workspace);  // warm
-  EXPECT_EQ(run_loop_allocs(config, workspace), 0u);
+  // every container within the warmed pool. A finite server capacity adds
+  // transfer slots, created as transfers first need them from the pool.
+  for (const std::size_t capacity : {std::size_t{0}, std::size_t{2}}) {
+    SCOPED_TRACE(capacity);
+    SimulationConfig config = metered_config(grid::AvailabilityLevel::kHigh);
+    config.grid.checkpoint_server_capacity = capacity;
+    SimulationWorkspace workspace;
+    (void)run_loop_allocs(config, workspace);  // warm
+    EXPECT_EQ(run_loop_allocs(config, workspace), 0u);
+  }
 }
 
 TEST(AllocationFree, WorldCacheReplayRunLoopIsAllocationFreeToo) {

@@ -4,12 +4,14 @@
 // batching, world cache on/off).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
 #include <vector>
 
 #include "exp/campaign.hpp"
 #include "exp/runner.hpp"
+#include "rng/splitmix64.hpp"
 
 namespace dg::exp {
 namespace {
@@ -194,6 +196,48 @@ TEST(Campaign, SeedSpreadIsDeterministicAcrossThreadCounts) {
     EXPECT_EQ(report.saturated_seeds, reference.saturated_seeds);
   }
   EXPECT_THROW((void)seed_sensitivity(config, options, 1), std::invalid_argument);
+  // A seed that throws surfaces its exception, not a spread: Simulation::run
+  // rejects the adversary on non-Poisson arrivals.
+  sim::SimulationConfig failing = config;
+  failing.workload.arrivals = workload::ArrivalProcess::kUniformJitter;
+  failing.adversary.enabled = true;
+  options.threads = 3;
+  EXPECT_THROW((void)seed_sensitivity(failing, options, 4), std::invalid_argument);
+}
+
+TEST(Campaign, SeedSpreadMatchesADirectLoopOverSeeds) {
+  // The pass runs on runner lanes; its per-seed values must be exactly those
+  // of running each seed mix_seed(base_seed, i) by hand.
+  const std::vector<CampaignCell> cells = expand_campaign(tiny_axes());
+  RunOptions options = tiny_options();
+  options.threads = 3;
+  constexpr std::size_t kSeeds = 5;
+  const auto expect_direct_loop = [&](const sim::SimulationConfig& config) {
+    const SeedSpreadReport report = seed_sensitivity(config, options, kSeeds);
+    EXPECT_EQ(report.p95.size(), kSeeds);
+    EXPECT_EQ(report.mean_turnaround.size(), kSeeds);
+    std::size_t saturated = 0;
+    const std::size_t checked =
+        std::min({kSeeds, report.p95.size(), report.mean_turnaround.size()});
+    for (std::size_t i = 0; i < checked; ++i) {
+      SCOPED_TRACE(i);
+      sim::SimulationConfig seeded = config;
+      seeded.seed = rng::mix_seed(options.base_seed, i);
+      const sim::SimulationResult result = sim::Simulation(seeded).run();
+      EXPECT_EQ(report.p95[i], result.turnaround_tail.quantile(0.95));  // bitwise
+      EXPECT_EQ(report.mean_turnaround[i], result.turnaround.mean());
+      if (result.saturated) ++saturated;
+    }
+    EXPECT_EQ(report.saturated_seeds, saturated);
+    return saturated;
+  };
+  EXPECT_EQ(expect_direct_loop(cells[1].config), 0u);
+  // A horizon that cuts 4 of the 5 seeds short: the count is per seed.
+  sim::SimulationConfig cut_short = cells[1].config;
+  cut_short.max_sim_time = 30000.0;
+  const std::size_t saturated = expect_direct_loop(cut_short);
+  EXPECT_GT(saturated, 0u);
+  EXPECT_LT(saturated, kSeeds);
 }
 
 TEST(CampaignOptions, FromEnvParsesAndValidates) {

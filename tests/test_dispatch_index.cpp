@@ -74,7 +74,7 @@ class DispatchIndexTest : public ::testing::Test {
     const auto id = static_cast<workload::BotId>(bots_.size());
     bots_.push_back(std::make_unique<BotState>(make_spec(std::move(works), id)));
     BotState& bot = *bots_.back();
-    bot.set_dispatch_index(&index_);
+    active_.push_back(bot);
     index_.register_bot(bot);
     return bot;
   }
@@ -91,7 +91,8 @@ class DispatchIndexTest : public ::testing::Test {
   }
 
   std::vector<std::unique_ptr<BotState>> bots_;
-  DispatchIndex index_;
+  ActiveBotList active_;
+  DispatchIndex index_{active_};
 };
 
 TEST_F(DispatchIndexTest, MembershipsFollowTaskTransitions) {
@@ -141,7 +142,7 @@ TEST_F(DispatchIndexTest, UnregisterRemovesFromAllSets) {
   BotState& a = add_bot({10.0});
   BotState& b = add_bot({10.0});
   index_.unregister_bot(a);
-  a.set_dispatch_index(nullptr);
+  active_.erase(a);
   EXPECT_EQ(index_.first_dispatchable(), &b);
   EXPECT_EQ(index_.first_no_running(), &b);
   // Late mutations of an unregistered bag are ignored, not resurrected.

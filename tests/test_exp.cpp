@@ -2,11 +2,14 @@
 // table rendering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "exp/paper.hpp"
 #include "exp/pipeline.hpp"
@@ -411,6 +414,42 @@ TEST(ExperimentRunner, ExecStatsAccountForEveryReplication) {
   (void)results;
 }
 
+TEST(ExperimentRunner, ZeroThreadsRunsOneLanePerHardwareThread) {
+  RunOptions options;
+  options.min_replications = 1;
+  options.max_replications = 1;
+  options.threads = 0;
+  ExperimentRunner runner(options);
+  (void)runner.run({{"a", tiny_config(sched::PolicyKind::kFcfsShare)}});
+  EXPECT_EQ(runner.exec_stats().lanes.size(),
+            std::max<std::size_t>(1, std::thread::hardware_concurrency()));
+}
+
+TEST(ExperimentRunner, JobExceptionStopsEveryLaneThenRethrows) {
+  // Simulation::run rejects the adversary on non-Poisson arrivals, so every
+  // replication of "bad" throws while the other lanes run healthy jobs.
+  sim::SimulationConfig bad = tiny_config(sched::PolicyKind::kFcfsShare);
+  bad.adversary.enabled = true;
+  bad.workload.arrivals = workload::ArrivalProcess::kUniformJitter;
+  std::atomic<int> in_loop{0};
+  sim::SimulationConfig healthy = tiny_config(sched::PolicyKind::kRoundRobin, 30);
+  healthy.before_run_loop = [&in_loop] { ++in_loop; };
+  healthy.after_run_loop = [&in_loop] { --in_loop; };
+  RunOptions options;
+  options.min_replications = 4;
+  options.max_replications = 4;
+  options.threads = 3;
+  ExperimentRunner runner(options);
+  EXPECT_THROW((void)runner.run({{"a", healthy}, {"bad", bad}, {"b", healthy}}),
+               std::invalid_argument);
+  // run() returned only after every lane finished its job and joined.
+  EXPECT_EQ(in_loop.load(), 0);
+  // The runner is reusable afterwards.
+  const auto results = runner.run({{"a", tiny_config(sched::PolicyKind::kFcfsShare)}});
+  EXPECT_EQ(results[0].replications, 4u);
+  EXPECT_EQ(runner.exec_stats().lanes.size(), 3u);
+}
+
 TEST(RunOptions, SpeculateEnvOverride) {
   EXPECT_EQ(RunOptions::from_env().speculate, 1u);  // default window
   ::setenv("DGSCHED_SPECULATE", "4", 1);
@@ -431,6 +470,15 @@ TEST(RunOptions, MalformedPipelineEnvFailsWithClearMessage) {
 TEST(EnvNumBots, ReadsOverride) {
   ::setenv("DGSCHED_BOTS", "42", 1);
   EXPECT_EQ(env_num_bots().value(), 42u);
+  // Zero bags is no workload: rejected up front, naming the variable.
+  ::setenv("DGSCHED_BOTS", "0", 1);
+  try {
+    (void)env_num_bots();
+    ADD_FAILURE() << "DGSCHED_BOTS=0 was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("DGSCHED_BOTS"), std::string::npos) << error.what();
+    EXPECT_NE(std::string(error.what()).find("\"0\""), std::string::npos) << error.what();
+  }
   ::unsetenv("DGSCHED_BOTS");
   EXPECT_FALSE(env_num_bots().has_value());
 }

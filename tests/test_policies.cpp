@@ -28,7 +28,6 @@ class PolicyHarness {
     bots_.push_back(std::make_unique<BotState>(spec, individual_->task_order()));
     BotState& bot = *bots_.back();
     active_.push_back(bot);
-    bot.set_dispatch_index(&index_);
     index_.register_bot(bot);
     policy_->on_bot_arrival(bot, arrival);
     return bot;
@@ -65,7 +64,6 @@ class PolicyHarness {
     if (bot.completed()) {
       policy_->on_bot_completion(bot, now);
       index_.unregister_bot(bot);
-      bot.set_dispatch_index(nullptr);
       active_.erase(bot);
     }
   }
@@ -89,7 +87,7 @@ class PolicyHarness {
   std::unique_ptr<IndividualScheduler> individual_;
   std::vector<std::unique_ptr<BotState>> bots_;
   ActiveBotList active_;
-  DispatchIndex index_;
+  DispatchIndex index_{active_};
 };
 
 // --- IndividualScheduler pick order ---

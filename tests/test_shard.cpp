@@ -93,6 +93,8 @@ void expect_cells_bitwise(const std::vector<CellResult>& a, const std::vector<Ce
     EXPECT_EQ(a[c].turnaround_tail.tails().p95, b[c].turnaround_tail.tails().p95);
     EXPECT_EQ(a[c].slowdown_tail.sum(), b[c].slowdown_tail.sum());
     EXPECT_EQ(a[c].completion_gap_tail.sum(), b[c].completion_gap_tail.sum());
+    EXPECT_EQ(a[c].turnaround.samples(), b[c].turnaround.samples());  // per replication
+    EXPECT_EQ(a[c].replication_p95, b[c].replication_p95);
   }
 }
 

@@ -1,7 +1,6 @@
-// Utility substrate: thread pool, argument parser, tables, logging.
+// Utility substrate: argument parser, tables, logging.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -10,71 +9,9 @@
 #include "util/arg_parser.hpp"
 #include "util/logging.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 
 namespace dg::util {
 namespace {
-
-TEST(ThreadPool, ExecutesSubmittedJobs) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 50; ++i) {
-    futures.push_back(pool.submit([&counter] { counter.fetch_add(1); }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ThreadPool, ReturnsValuesThroughFutures) {
-  ThreadPool pool(3);
-  auto future = pool.submit([](int a, int b) { return a * b; }, 6, 7);
-  EXPECT_EQ(future.get(), 42);
-}
-
-TEST(ThreadPool, PropagatesExceptions) {
-  ThreadPool pool(1);
-  auto future = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, WaitIdleBlocksUntilDone) {
-  ThreadPool pool(4);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 20; ++i) {
-    (void)pool.submit([&done] { done.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 20);
-}
-
-TEST(ThreadPool, ZeroMeansHardwareConcurrency) {
-  ThreadPool pool(0);
-  EXPECT_GE(pool.size(), 1u);
-}
-
-TEST(ThreadPool, DestructorDrainsQueue) {
-  std::atomic<int> done{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 30; ++i) {
-      (void)pool.submit([&done] { done.fetch_add(1); });
-    }
-  }  // destructor joins after draining submitted jobs
-  EXPECT_EQ(done.load(), 30);
-}
-
-TEST(ThreadPool, ManySmallJobsStress) {
-  ThreadPool pool(4);
-  std::atomic<long> sum{0};
-  std::vector<std::future<void>> futures;
-  futures.reserve(2000);
-  for (int i = 1; i <= 2000; ++i) {
-    futures.push_back(pool.submit([&sum, i] { sum.fetch_add(i); }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(sum.load(), 2000L * 2001L / 2);
-}
 
 // --- ArgParser ---
 
