@@ -6,16 +6,19 @@
 //   * a priority FIFO of failed tasks awaiting resubmission (WQR-FT),
 //   * a plain re-queue for fault re-execution without priority (WQR/WorkQueue),
 //   * replica-count buckets answering "least-replicated incomplete task below
-//     the replication threshold" in O(log) time.
-// All structures are deterministic (ordered containers, stable tie-breaks).
+//     the replication threshold": one bitmap per running-replica count over
+//     the tasks' ranks in the bag's dispatch order, so the answer is the
+//     first set bit of the smallest non-empty count.
+// Per-pool counts of the tasks whose live entry sits in each pool make
+// has_pending() and has_stale_queue_entries() O(1). All structures are
+// deterministic (dispatch-order ranks, FIFO pools).
 #pragma once
 
+#include <climits>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <memory_resource>
-#include <set>
 #include <vector>
 
 #include "sched/task_state.hpp"
@@ -42,6 +45,7 @@ class BotState {
 
   BotState(const BotState&) = delete;
   BotState& operator=(const BotState&) = delete;
+  ~BotState();
 
   [[nodiscard]] workload::BotId id() const noexcept { return id_; }
   [[nodiscard]] double arrival_time() const noexcept { return arrival_time_; }
@@ -63,6 +67,8 @@ class BotState {
   /// Oldest task re-queued without priority (WQR / WorkQueue), or nullptr.
   [[nodiscard]] TaskState* peek_requeued() const;
 
+  /// Queue a zero-replica incomplete task. A bag feeds one of the two pools
+  /// only (the individual scheduler's resubmission_priority() decides which).
   void push_resubmission(TaskState& task);
   void push_requeue(TaskState& task);
 
@@ -70,24 +76,25 @@ class BotState {
   /// peeks this never pops queue entries: a stale entry whose task is merely
   /// running keeps its position and revalidates if the task fails again —
   /// the priority-resubmission order the probing pick path relies on.
+  /// Amortized O(1): the pool counts, then the unstarted cursor.
   [[nodiscard]] bool has_pending() const;
 
   /// True if a resubmission/requeue pool is non-empty yet holds no currently
   /// dispatchable entry — every entry's task is running or completed. Such a
   /// bag is exactly one the positional policy scans used to probe (and
   /// thereby prune) on their way to the selected bag; the dispatch index
-  /// tracks these so the probes can be replayed without a full scan.
-  [[nodiscard]] bool has_stale_queue_entries() const;
+  /// tracks these so the probes can be replayed without a full scan. O(1).
+  [[nodiscard]] bool has_stale_queue_entries() const noexcept;
 
   // --- replication candidates ---
 
   /// Incomplete task with >= 1 and < `threshold` running replicas, fewest
   /// replicas first (ties by the bag's TaskOrder). nullptr if none.
-  [[nodiscard]] TaskState* least_replicated_below(int threshold) const;
+  [[nodiscard]] TaskState* least_replicated_below(int threshold) const noexcept;
 
   /// Smallest running-replica count among incomplete tasks with >= 1 replica,
-  /// or INT_MAX when no task is running. O(1): the bucket map's first key.
-  [[nodiscard]] int min_replicated_count() const noexcept;
+  /// or INT_MAX when no task is running. O(1).
+  [[nodiscard]] int min_replicated_count() const noexcept { return min_count_; }
 
   // --- bookkeeping driven by the scheduler ---
 
@@ -133,25 +140,30 @@ class BotState {
   }
 
  private:
-  struct OrderedLess {
-    // Comparison by the bag's dispatch order; pointers carry the key data.
-    bool operator()(const TaskState* a, const TaskState* b) const noexcept {
-      if (descending_work) {
-        if (a->work() != b->work()) return a->work() > b->work();
-      }
-      return a->index() < b->index();
-    }
-    bool descending_work = false;
+  /// One running-replica count's tasks: a bitmap over dispatch ranks, drawn
+  /// from the memory resource while the count is non-empty and given back
+  /// when it empties (FCFS-Excl drives counts towards the machine count).
+  struct Bucket {
+    std::uint64_t* bits = nullptr;  // words_ words; null while empty
+    std::uint32_t population = 0;
+    std::uint32_t first_word = 0;   // lowest non-zero word while non-empty
   };
+  /// Which pool holds a task's live entry (TaskState::pool_).
+  enum Pool : std::uint8_t { kNoPool, kResubmissionPool, kRequeuePool };
 
+  /// Position in the bag's dispatch order: the index under kArrival, the
+  /// rank_ table under kDescendingWork.
+  [[nodiscard]] std::uint32_t rank(const TaskState& task) const noexcept {
+    return rank_.empty() ? task.index() : rank_[task.index()];
+  }
   void bucket_insert(TaskState& task, int count);
   void bucket_erase(TaskState& task, int count);
+  void set_pool(TaskState& task, Pool pool) noexcept;
 
   workload::BotId id_;
   double arrival_time_;
   double granularity_;
   double total_work_ = 0.0;
-  TaskOrder order_;
   /// Allocator for every container below (see the constructor).
   std::pmr::memory_resource* mem_;
   /// Task slab: reserved once at construction and never resized, so the
@@ -159,15 +171,26 @@ class BotState {
   std::pmr::vector<TaskState> tasks_;
 
   // Unstarted cursor: precomputed dispatch order, advanced lazily (mutable:
-  // the const peeks skip already-consumed entries; see the peek docs).
+  // the const peeks skip already-consumed entries; see the peek docs). Also
+  // maps a dispatch rank back to its task.
   std::pmr::vector<TaskState*> unstarted_order_;
   mutable std::size_t unstarted_cursor_ = 0;
+  /// Task index -> dispatch rank; empty under kArrival (rank == index).
+  std::pmr::vector<std::uint32_t> rank_;
 
   mutable std::pmr::deque<TaskState*> resubmission_queue_;
   mutable std::pmr::deque<TaskState*> requeue_;
+  /// Tasks whose live entry sits in each pool: such a task has zero replicas
+  /// and is incomplete, so its entry is valid and never popped, and a pool
+  /// holds a dispatchable entry exactly when its count is non-zero.
+  std::uint32_t live_resubmissions_ = 0;
+  std::uint32_t live_requeues_ = 0;
 
-  // running-replica-count -> candidate tasks (counts >= 1 only).
-  std::pmr::map<int, std::pmr::set<TaskState*, OrderedLess>> buckets_;
+  // Replica-count buckets: buckets_[c - 1] holds the incomplete tasks with c
+  // running replicas (c >= 1); min_count_ is the smallest non-empty c.
+  std::size_t words_;  // bitmap words per bucket
+  std::pmr::vector<Bucket> buckets_;
+  int min_count_ = INT_MAX;
 
   std::size_t completed_count_ = 0;
   double completed_work_ = 0.0;

@@ -21,7 +21,7 @@
 // runs — including after sibling-replica stops of completed tasks, which
 // never reach the policy observer hooks. The threshold is pushed in by the
 // scheduler at the top of each trigger; a change rebuilds dispatchable_ from
-// the scheduler's ActiveBotList in O(B log B) (rare: only
+// the scheduler's ActiveBotList in O(B) (rare: only
 // dynamic-replication runs ever change it). The index keeps no bag list of
 // its own: a bag is registered exactly while it is in that list, and only a
 // registered bag holds the index pointer that reaches refresh().
@@ -39,13 +39,17 @@
 // all-valid pools pops nothing), which keeps the replay amortized O(1):
 // every pop is paid for by an earlier push.
 //
-// All sets are std::map<BotId, BotState*> so iteration order is bag-arrival
-// order — the determinism contract shared with ActiveBotList.
+// Each set is a bitmap over bag id, so every query is a find-first-set from
+// a position and iteration order is bag-id order (arrival order wherever ids
+// are handed out in arrival order, as the workload generator and the
+// examples do); a slot table maps an id back to its bag. The tables grow in
+// register_bot, one id at a time (bags may arrive on the fly), or up front
+// through reserve().
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory_resource>
+#include <vector>
 
 #include "workload/bot.hpp"
 
@@ -59,12 +63,12 @@ struct SchedStats;
 class DispatchIndex {
  public:
   /// Indexes the bags registered out of `bots` (the scheduler's active
-  /// list, which must outlive the index). The membership maps allocate from
-  /// `mem` (default: global heap); pass a per-replication pool to recycle
-  /// their nodes across runs.
+  /// list, which must outlive the index). The bitmaps and the slot table
+  /// allocate from `mem` (default: global heap); pass a per-replication pool
+  /// to recycle their memory across runs.
   explicit DispatchIndex(const ActiveBotList& bots,
                          std::pmr::memory_resource* mem = std::pmr::get_default_resource())
-      : bots_(bots), dispatchable_(mem), no_running_(mem), stale_(mem) {}
+      : bots_(bots), slots_(mem), dispatchable_(mem), no_running_(mem), stale_(mem) {}
   DispatchIndex(const DispatchIndex&) = delete;
   DispatchIndex& operator=(const DispatchIndex&) = delete;
 
@@ -76,8 +80,14 @@ class DispatchIndex {
   void set_threshold(int threshold);
   [[nodiscard]] int threshold() const noexcept { return threshold_; }
 
+  /// Sizes the tables for bag ids below `bags`, which may then register in
+  /// any order.
+  void reserve(std::size_t bags);
+
   /// Starts tracking `bot` (already in the active list): points the bag at
-  /// this index and computes its memberships.
+  /// this index and computes its memberships. Precondition: the id is below
+  /// the reserved size or at most one past the highest registered so far,
+  /// so no id value can size an allocation.
   void register_bot(BotState& bot);
   /// Stops tracking `bot` (call at bag completion, before it leaves the
   /// active list): drops its memberships and detaches the bag, so mutators
@@ -87,7 +97,7 @@ class DispatchIndex {
   /// Recomputes a registered `bot`'s memberships from its current state.
   void refresh(BotState& bot);
 
-  // --- queries (all O(log B) or better; arrival order throughout) ---
+  // --- queries (find-first-set over B/64 words; arrival order throughout) ---
 
   /// Earliest-arrived dispatchable bag, or nullptr.
   [[nodiscard]] BotState* first_dispatchable() const noexcept;
@@ -111,13 +121,19 @@ class DispatchIndex {
   void drain_stale_all(const IndividualScheduler& individual);
 
  private:
-  [[nodiscard]] bool is_dispatchable(const BotState& bot) const;
-  void probe_stale(BotState& bot, const IndividualScheduler& individual);
+  using Bitmap = std::pmr::vector<std::uint64_t>;
 
-  const ActiveBotList& bots_;                               // registered bags
-  std::pmr::map<workload::BotId, BotState*> dispatchable_;  // can accept a machine
-  std::pmr::map<workload::BotId, BotState*> no_running_;    // total_running() == 0
-  std::pmr::map<workload::BotId, BotState*> stale_;         // has_stale_queue_entries()
+  [[nodiscard]] bool is_dispatchable(const BotState& bot) const;
+  /// Registered bag with the lowest id >= `from` in `set`, or nullptr.
+  [[nodiscard]] BotState* first_from(const Bitmap& set, std::size_t from) const noexcept;
+  /// Probes and removes every stale bag with id in [from, to).
+  void drain_range(const IndividualScheduler& individual, std::size_t from, std::size_t to);
+
+  const ActiveBotList& bots_;                // registered bags
+  std::pmr::vector<BotState*> slots_;        // bag id -> registered bag, or nullptr
+  Bitmap dispatchable_;                      // can accept a machine
+  Bitmap no_running_;                        // total_running() == 0
+  Bitmap stale_;                             // has_stale_queue_entries()
   int threshold_ = 0;
   SchedStats* stats_ = nullptr;
 };

@@ -57,6 +57,10 @@ class MultiBotScheduler {
     on_bot_completed_ = callback;
   }
 
+  /// Sizes the dispatch index for bag ids below `bags`, which may then be
+  /// submitted in any id order (see DispatchIndex::reserve).
+  void reserve_bags(std::size_t bags) { index_.reserve(bags); }
+
   /// Registers an arriving bag (caller keeps ownership) and dispatches.
   /// Precondition: `bot` was not submitted before and is incomplete.
   void submit(BotState& bot);

@@ -113,11 +113,15 @@ class TaskState {
   bool ever_started_ = false;
   bool completed_ = false;
   bool needs_resubmission_ = false;
+  // Which of the bag's pools holds this task's live entry (BotState's
+  // bookkeeping); fills the padding after needs_resubmission_.
+  friend class BotState;
+  std::uint8_t pool_ = 0;
   double completion_time_ = 0.0;
   double idle_accum_ = 0.0;
   double idle_since_;
 };
 
-static_assert(sizeof(TaskState) <= 64, "the replica chain head must not grow the task slab");
+static_assert(sizeof(TaskState) <= 64, "the task slab must stay at 64 bytes a task");
 
 }  // namespace dg::sched

@@ -135,6 +135,15 @@ const SimulationResult& Simulation::run(SimulationWorkspace& workspace,
   std::vector<workload::BotSpec>& specs = workspace.specs();
   if (config_.trace_bots != nullptr) {
     specs = *config_.trace_bots;
+    // The scheduler's dispatch index is a table over bag id, sized by the
+    // bag count below; ids may come in any order.
+    for (const workload::BotSpec& spec : specs) {
+      if (spec.id >= specs.size()) {
+        throw std::invalid_argument("Simulation: trace bag id " + std::to_string(spec.id) +
+                                    " is not below the bag count " +
+                                    std::to_string(specs.size()));
+      }
+    }
   } else if (config_.adversary.enabled && config_.adversary.burst_intensity > 1.0) {
     // Burst modulation consumes the same "workload" stream through the
     // piecewise-rate path; arrivals inside a window come ~burst_intensity
@@ -292,6 +301,7 @@ const SimulationResult& Simulation::run(SimulationWorkspace& workspace,
   for (const workload::BotSpec& spec : specs) {
     bots.emplace_back(spec, task_order, mem);
   }
+  scheduler.reserve_bags(bots.size());
 
   ArrivalContext ctx{&scheduler, observer, &columns, &sim, 0, bots.size()};
   scheduler.set_bot_completed_callback([&ctx](sched::BotState& bot) {
