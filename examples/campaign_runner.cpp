@@ -6,8 +6,11 @@
 // replicates it with derived seeds, prints a comparison table, and (with
 // --out) writes per-bag and monitor CSVs for every experiment — the glue
 // that turns the library into a batch experimentation tool.
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "rng/splitmix64.hpp"
@@ -35,7 +38,15 @@ int main(int argc, char** argv) {
     }
     std::cout << "(no files given; running the bundled " << files.back() << ")\n\n";
   }
-  const auto reps = static_cast<std::size_t>(parser.get_int("reps"));
+  std::size_t reps = 0;
+  try {
+    reps = static_cast<std::size_t>(
+        parser.get_unsigned("reps", std::numeric_limits<std::uint32_t>::max()));
+    if (reps == 0) throw std::invalid_argument("--reps must be at least 1");
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "campaign_runner: " << e.what() << "\n";
+    return 1;
+  }
 
   util::Table table({"experiment", "policy", "mean turnaround [s]", "95% CI +-",
                      "utilization", "saturated"});

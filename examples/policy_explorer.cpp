@@ -6,9 +6,13 @@
 // Exposes every public configuration knob (grid, workload, policy,
 // individual scheduler, replication control) and prints the aggregate
 // metrics plus, with --verbose, a per-bag table.
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "sim/config_io.hpp"
@@ -17,6 +21,9 @@
 #include "util/table.hpp"
 
 namespace {
+
+/// Bag ids are 32-bit, so a run holds at most this many bags.
+constexpr std::uint64_t kMaxBots = std::numeric_limits<dg::workload::BotId>::max();
 
 dg::sched::PolicyKind parse_policy(const std::string& name) {
   using dg::sched::PolicyKind;
@@ -109,16 +116,19 @@ int main(int argc, char** argv) {
       config.grid = grid::GridConfig::preset(
           parser.get_flag("het") ? grid::Heterogeneity::kHet : grid::Heterogeneity::kHom,
           parse_availability(parser.get("availability")));
+      const std::uint64_t bots = parser.get_unsigned("bots", kMaxBots);
+      if (bots == 0) throw std::invalid_argument("--bots must be at least 1");
       config.workload = sim::make_paper_workload(
-          config.grid, parser.get_double("granularity"),
-          parse_intensity(parser.get("intensity")),
-          static_cast<std::size_t>(parser.get_int("bots")), parser.get_double("bag-size"));
+          config.grid, parser.get_positive("granularity"),
+          parse_intensity(parser.get("intensity")), static_cast<std::size_t>(bots),
+          parser.get_positive("bag-size"));
       config.workload.arrivals = parse_arrivals(parser.get("arrivals"));
       config.policy = parse_policy(parser.get("policy"));
       config.individual = parse_individual(parser.get("individual"));
-      config.replication_threshold = static_cast<int>(parser.get_int("threshold"));
+      config.replication_threshold = static_cast<int>(
+          parser.get_unsigned("threshold", static_cast<std::uint64_t>(INT_MAX)));
       config.dynamic_replication = parser.get_flag("dynamic-replication");
-      config.seed = static_cast<std::uint64_t>(parser.get_int("seed"));
+      config.seed = parser.get_unsigned("seed");
     }
     if (const std::string path = parser.get("save-config"); !path.empty()) {
       std::ofstream out(path);

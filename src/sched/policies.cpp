@@ -59,7 +59,7 @@ std::unique_ptr<BagSelectionPolicy> make_policy(PolicyKind kind, std::uint64_t s
     case PolicyKind::kRoundRobin: return std::make_unique<RoundRobinPolicy>();
     case PolicyKind::kRoundRobinNrf: return std::make_unique<RoundRobinNrfPolicy>();
     case PolicyKind::kLongIdle: return std::make_unique<LongIdlePolicy>(mem);
-    case PolicyKind::kRandom: return std::make_unique<RandomPolicy>(seed);
+    case PolicyKind::kRandom: return std::make_unique<RandomPolicy>(seed, mem);
     case PolicyKind::kShortestBagFirst: return std::make_unique<ShortestBagFirstPolicy>(mem);
     case PolicyKind::kPendingFirst: return std::make_unique<PendingFirstPolicy>();
   }
@@ -239,25 +239,25 @@ TaskState* PendingFirstPolicy::select(SchedulerContext& ctx) {
   }
   // Pass 2: every task everywhere has a replica — replicate, but spread
   // across bags with a persistent circular cursor instead of favouring the
-  // oldest bag.
-  const std::size_t n = ctx.bots->size();
-  if (n == 0) return nullptr;
-  std::vector<BotState*> bots;
-  bots.reserve(n);
-  for (BotState* bot : *ctx.bots) bots.push_back(bot);
-  std::size_t start = 0;
-  while (start < n && static_cast<std::uint64_t>(bots[start]->id()) <= replication_cursor_) {
+  // oldest bag: from the first bag past the cursor to the back, then from
+  // the front up to it.
+  ActiveBotList::iterator start = ctx.bots->begin();
+  while (start != ctx.bots->end() &&
+         static_cast<std::uint64_t>((*start)->id()) <= replication_cursor_) {
     ++start;
   }
-  if (start == n) start = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    BotState* bot = bots[(start + i) % n];
-    if (TaskState* task = ctx.pick_from(*bot)) {
-      replication_cursor_ = bot->id();
-      return task;
+  if (start == ctx.bots->end()) start = ctx.bots->begin();
+  const auto probe = [&](ActiveBotList::iterator from, ActiveBotList::iterator to) -> TaskState* {
+    for (auto it = from; it != to; ++it) {
+      if (TaskState* task = ctx.pick_from(**it)) {
+        replication_cursor_ = (*it)->id();
+        return task;
+      }
     }
-  }
-  return nullptr;
+    return nullptr;
+  };
+  if (TaskState* task = probe(start, ctx.bots->end())) return task;
+  return probe(ctx.bots->begin(), start);
 }
 
 // --- SJF-Bag (knowledge-based baseline) ---
@@ -302,15 +302,14 @@ TaskState* RandomPolicy::select(SchedulerContext& ctx) {
   // bag prunes every resubmission pool each select, and no range-limited
   // drain reproduces that. Random is a baseline outside the paper's policy
   // set and off the hot-path suites, so it keeps the O(B) loop verbatim.
-  std::vector<BotState*> dispatchable;
-  dispatchable.reserve(ctx.bots->size());
+  dispatchable_.clear();
   for (BotState* bot : *ctx.bots) {
-    if (ctx.pick_from(*bot) != nullptr) dispatchable.push_back(bot);
+    if (ctx.pick_from(*bot) != nullptr) dispatchable_.push_back(bot);
   }
-  if (dispatchable.empty()) return nullptr;
+  if (dispatchable_.empty()) return nullptr;
   const auto choice =
-      static_cast<std::size_t>(stream_.uniform_int(0, dispatchable.size() - 1));
-  return ctx.pick_from(*dispatchable[choice]);
+      static_cast<std::size_t>(stream_.uniform_int(0, dispatchable_.size() - 1));
+  return ctx.pick_from(*dispatchable_[choice]);
 }
 
 }  // namespace dg::sched

@@ -189,13 +189,17 @@ class ShortestBagFirstPolicy final : public BagSelectionPolicy {
 /// baseline from the literature; statistically equivalent to RR).
 class RandomPolicy final : public BagSelectionPolicy {
  public:
-  explicit RandomPolicy(std::uint64_t seed)
-      : stream_(rng::RandomStream::derive(seed, "policy.random")) {}
+  /// The candidate buffer allocates from `mem`.
+  explicit RandomPolicy(std::uint64_t seed,
+                        std::pmr::memory_resource* mem = std::pmr::get_default_resource())
+      : stream_(rng::RandomStream::derive(seed, "policy.random")), dispatchable_(mem) {}
   [[nodiscard]] std::string name() const override { return "Random"; }
   [[nodiscard]] TaskState* select(SchedulerContext& ctx) override;
 
  private:
   rng::RandomStream stream_;
+  /// select()'s dispatchable bags, kept so its capacity is reused.
+  std::pmr::vector<BotState*> dispatchable_;
 };
 
 }  // namespace dg::sched

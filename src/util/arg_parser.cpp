@@ -4,6 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/parse.hpp"
+
 namespace dg::util {
 
 ArgParser::ArgParser(std::string program_name, std::string description)
@@ -74,9 +76,26 @@ std::string ArgParser::get(std::string_view name) const {
   return it->second.value.value_or(it->second.default_value);
 }
 
-double ArgParser::get_double(std::string_view name) const { return std::stod(get(name)); }
+double ArgParser::get_double(std::string_view name) const {
+  const std::string value = get(name);
+  if (const auto parsed = parse_finite(value)) return *parsed;
+  throw std::invalid_argument("--" + std::string(name) + " '" + value +
+                              "' is not a finite number");
+}
 
-std::int64_t ArgParser::get_int(std::string_view name) const { return std::stoll(get(name)); }
+double ArgParser::get_positive(std::string_view name) const {
+  const double value = get_double(name);
+  if (value > 0.0) return value;
+  throw std::invalid_argument("--" + std::string(name) + " '" + get(name) +
+                              "' is not positive");
+}
+
+std::uint64_t ArgParser::get_unsigned(std::string_view name, std::uint64_t max) const {
+  const std::string value = get(name);
+  if (const auto parsed = parse_digits(value, max)) return *parsed;
+  throw std::invalid_argument("--" + std::string(name) + " '" + value +
+                              "' is not an integer in [0, " + std::to_string(max) + "]");
+}
 
 bool ArgParser::get_flag(std::string_view name) const {
   std::string v = get(name);

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -27,8 +28,17 @@ class ArgParser {
   [[nodiscard]] bool parse(int argc, const char* const* argv);
 
   [[nodiscard]] std::string get(std::string_view name) const;
+  /// The value as a finite number (util::parse_finite). Throws
+  /// std::invalid_argument naming the option and the value otherwise.
   [[nodiscard]] double get_double(std::string_view name) const;
-  [[nodiscard]] std::int64_t get_int(std::string_view name) const;
+  /// get_double, and the value must be > 0.
+  [[nodiscard]] double get_positive(std::string_view name) const;
+  /// The value as decimal digits <= `max` (util::parse_digits): no sign, no
+  /// junk suffix. Throws std::invalid_argument naming the option and the
+  /// value otherwise.
+  [[nodiscard]] std::uint64_t get_unsigned(
+      std::string_view name,
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const;
   [[nodiscard]] bool get_flag(std::string_view name) const;
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
     return positional_;

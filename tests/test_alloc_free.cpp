@@ -54,7 +54,12 @@ std::uint64_t run_loop_allocs(const SimulationConfig& base, SimulationWorkspace&
 }
 
 TEST(AllocationFree, WarmedWorkspaceRunLoopMakesZeroHeapAllocations) {
-  for (const sched::PolicyKind policy : sched::paper_policies()) {
+  // The paper's five policies and the three baselines beyond it.
+  for (const sched::PolicyKind policy :
+       {sched::PolicyKind::kFcfsExcl, sched::PolicyKind::kFcfsShare,
+        sched::PolicyKind::kRoundRobin, sched::PolicyKind::kRoundRobinNrf,
+        sched::PolicyKind::kLongIdle, sched::PolicyKind::kRandom,
+        sched::PolicyKind::kShortestBagFirst, sched::PolicyKind::kPendingFirst}) {
     SCOPED_TRACE(sched::to_string(policy));
     SimulationConfig config = metered_config(grid::AvailabilityLevel::kAlways);
     config.policy = policy;

@@ -21,7 +21,7 @@ TEST(ArgParser, ParsesOptionsAndDefaults) {
   parser.add_option("policy", "RR", "policy");
   const char* argv[] = {"prog", "--bots", "25"};
   ASSERT_TRUE(parser.parse(3, argv));
-  EXPECT_EQ(parser.get_int("bots"), 25);
+  EXPECT_EQ(parser.get_unsigned("bots"), 25u);
   EXPECT_EQ(parser.get("policy"), "RR");
 }
 
@@ -48,6 +48,66 @@ TEST(ArgParser, CollectsPositionalArguments) {
   const char* argv[] = {"prog", "alpha", "beta"};
   ASSERT_TRUE(parser.parse(3, argv));
   EXPECT_EQ(parser.positional(), (std::vector<std::string>{"alpha", "beta"}));
+}
+
+/// Parses `--name value` and returns the parser, for the getter checks below.
+ArgParser parsed_with(const char* name, const char* value) {
+  ArgParser parser("prog", "test");
+  parser.add_option(name, "1", "option under test");
+  const std::string flag = std::string("--") + name;
+  const char* argv[] = {"prog", flag.c_str(), value};
+  EXPECT_TRUE(parser.parse(3, argv));
+  return parser;
+}
+
+TEST(ArgParser, UnsignedRejectsANegativeCount) {
+  // "--bots -1" used to wrap and die on std::length_error inside the run.
+  const ArgParser parser = parsed_with("bots", "-1");
+  EXPECT_THROW((void)parser.get_unsigned("bots"), std::invalid_argument);
+}
+
+TEST(ArgParser, UnsignedRejectsAJunkSuffix) {
+  // "--bots 5x" used to run 5 bags.
+  const ArgParser parser = parsed_with("bots", "5x");
+  EXPECT_THROW((void)parser.get_unsigned("bots"), std::invalid_argument);
+}
+
+TEST(ArgParser, UnsignedRejectsASignedSeed) {
+  // "--seed -3" used to be accepted and wrap to 2^64 - 3.
+  const ArgParser parser = parsed_with("seed", "-3");
+  EXPECT_THROW((void)parser.get_unsigned("seed"), std::invalid_argument);
+}
+
+TEST(ArgParser, UnsignedHonorsItsBound) {
+  const ArgParser parser = parsed_with("threshold", "2147483648");
+  EXPECT_THROW((void)parser.get_unsigned("threshold", 2147483647), std::invalid_argument);
+  EXPECT_EQ(parser.get_unsigned("threshold"), 2147483648u);
+}
+
+TEST(ArgParser, PositiveRejectsAZeroGranularity) {
+  // "--granularity 0" used to reach a DG_ASSERT in the workload generator.
+  const ArgParser parser = parsed_with("granularity", "0");
+  EXPECT_THROW((void)parser.get_positive("granularity"), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(parser.get_double("granularity"), 0.0);
+}
+
+TEST(ArgParser, DoubleRejectsJunkAndNonFiniteValues) {
+  for (const char* bad : {"2.5x", "nan", "inf", " 1", "", "+1"}) {
+    SCOPED_TRACE(bad);
+    const ArgParser parser = parsed_with("rate", bad);
+    EXPECT_THROW((void)parser.get_double("rate"), std::invalid_argument);
+  }
+}
+
+TEST(ArgParser, ErrorsNameTheOptionAndTheValue) {
+  const ArgParser parser = parsed_with("bots", "5x");
+  try {
+    (void)parser.get_unsigned("bots");
+    FAIL() << "no exception";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--bots"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("'5x'"), std::string::npos) << e.what();
+  }
 }
 
 TEST(ArgParser, RejectsUnknownOption) {
