@@ -4,7 +4,9 @@
 
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "grid/realization.hpp"
 #include "grid/trace.hpp"
@@ -295,6 +297,34 @@ TEST(TraceSimulation, ReplaysIdenticallyAcrossPolicies) {
   const double a_rate = static_cast<double>(a.machine_failures) / a.end_time;
   const double c_rate = static_cast<double>(c.machine_failures) / c.end_time;
   EXPECT_NEAR(a_rate / c_rate, 1.0, 0.2);
+}
+
+TEST(TraceSimulation, BagIdsMayComeInAnyOrderBelowTheBagCount) {
+  // The scheduler's dispatch index is a table over bag id, sized for the
+  // bag count before the run: ids need not follow arrival order, but an id
+  // at or past the count is rejected up front instead of sizing the table.
+  const grid::GridConfig grid_config =
+      grid::GridConfig::preset(grid::Heterogeneity::kHom, grid::AvailabilityLevel::kHigh);
+  const workload::WorkloadConfig workload_config =
+      sim::make_paper_workload(grid_config, 25000.0, workload::Intensity::kLow, 6);
+  workload::WorkloadGenerator generator(workload_config, rng::RandomStream(5));
+  auto bots = std::make_shared<std::vector<workload::BotSpec>>(generator.generate());
+  for (std::size_t i = 0; i < bots->size(); ++i) {
+    (*bots)[i].id = static_cast<workload::BotId>(bots->size() - 1 - i);
+  }
+  sim::SimulationConfig config;
+  config.grid = grid_config;
+  config.workload = workload_config;
+  config.trace_bots = bots;
+  config.policy = sched::PolicyKind::kRoundRobin;
+  config.seed = 3;
+  const sim::SimulationResult result = sim::Simulation(config).run();
+  EXPECT_EQ(result.bots_completed, bots->size());
+
+  auto sparse = std::make_shared<std::vector<workload::BotSpec>>(*bots);
+  sparse->front().id = 1000000;
+  config.trace_bots = sparse;
+  EXPECT_THROW((void)sim::Simulation(config).run(), std::invalid_argument);
 }
 
 TEST(TraceSimulation, CompletesAndUsesCheckpointing) {
