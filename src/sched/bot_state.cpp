@@ -107,9 +107,9 @@ bool BotState::has_stale_queue_entries() const noexcept {
 TaskState* BotState::least_replicated_below(int threshold) const noexcept {
   if (min_count_ >= threshold) return nullptr;
   const Bucket& bucket = buckets_[static_cast<std::size_t>(min_count_ - 1)];
-  const std::size_t rank = bucket.first_word * std::size_t{64} +
-                           static_cast<std::size_t>(std::countr_zero(bucket.bits[bucket.first_word]));
-  return unstarted_order_[rank];
+  const std::uint64_t word = bucket.bits[bucket.first_word];
+  return unstarted_order_[bucket.first_word * std::size_t{64} +
+                          static_cast<std::size_t>(std::countr_zero(word))];
 }
 
 void BotState::bucket_insert(TaskState& task, int count) {

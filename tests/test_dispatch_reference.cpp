@@ -85,7 +85,9 @@ BagScan scan(BotState& bot, TaskOrder order) {
     if (!task.ever_started() && (out.unstarted == nullptr || before(task, *out.unstarted, order))) {
       out.unstarted = &task;
     }
-    if (task.running_replicas() >= 1) out.min_count = std::min(out.min_count, task.running_replicas());
+    if (task.running_replicas() >= 1) {
+      out.min_count = std::min(out.min_count, task.running_replicas());
+    }
   }
   return out;
 }
@@ -131,7 +133,8 @@ class ReferenceIndividual final : public IndividualScheduler {
 class StateWorld {
  public:
   StateWorld(std::uint64_t seed, bool resubmit, TaskOrder task_order)
-      : stream(seed), priority(resubmit), order(task_order), individual(*this, resubmit, task_order) {}
+      : stream(seed), priority(resubmit), order(task_order),
+        individual(*this, resubmit, task_order) {}
 
   void add_bag() {
     workload::BotSpec spec;
@@ -141,7 +144,8 @@ class StateWorld {
     const bool wide = stream.uniform01() < 0.2;
     const std::size_t tasks = wide ? 65 + stream.uniform_int(0, 70) : 1 + stream.uniform_int(0, 11);
     for (std::size_t t = 0; t < tasks; ++t) {
-      spec.tasks.push_back(workload::TaskSpec{10.0 * static_cast<double>(1 + stream.uniform_int(0, 4))});
+      const double work = 10.0 * static_cast<double>(1 + stream.uniform_int(0, 4));
+      spec.tasks.push_back(workload::TaskSpec{work});
     }
     bags.push_back(std::make_unique<BotState>(spec, order));
     shadows.emplace_back();
@@ -239,7 +243,8 @@ class StateWorld {
     std::vector<workload::BotId> out;
     for (BotState* bot : active) {
       const ShadowPools& pools = shadows[bot->id()];
-      if (bot->id() >= lo && bot->id() < hi && (stale(pools.resubmission) || stale(pools.requeue))) {
+      const bool is_stale = stale(pools.resubmission) || stale(pools.requeue);
+      if (bot->id() >= lo && bot->id() < hi && is_stale) {
         out.push_back(bot->id());
       }
     }
@@ -313,7 +318,9 @@ TaskState* ReferenceIndividual::pick(const BotState& const_bot, int threshold) c
   TaskState* expected = priority_ ? front_in_pool(pools.resubmission) : nullptr;
   if (expected == nullptr) expected = scan(bot, order_).unstarted;
   if (expected == nullptr) expected = front_in_pool(pools.requeue);
-  if (expected == nullptr && threshold > 1) expected = least_replicated_scan(bot, threshold, order_);
+  if (expected == nullptr && threshold > 1) {
+    expected = least_replicated_scan(bot, threshold, order_);
+  }
   TaskState* actual = IndividualScheduler::pick(const_bot, threshold);
   EXPECT_EQ(actual, expected) << "pick from bag " << bot.id();
   return actual;
