@@ -502,9 +502,14 @@ INSTANTIATE_TEST_SUITE_P(
     IndexedPolicies, PositionalScanReference,
     ::testing::Combine(::testing::Values(PolicyKind::kFcfsExcl, PolicyKind::kFcfsShare,
                                          PolicyKind::kRoundRobin, PolicyKind::kRoundRobinNrf),
+                       // WorkQueue's threshold of 1 is what exercises the
+                       // stale-pool drains end to end: every replica
+                       // failure re-queues its task, and with threshold 2
+                       // the picks prune the pools before a drain matters.
                        ::testing::Values(IndividualSchedulerKind::kWqrFt,
                                          IndividualSchedulerKind::kWqr,
-                                         IndividualSchedulerKind::kKnowledgeBased),
+                                         IndividualSchedulerKind::kKnowledgeBased,
+                                         IndividualSchedulerKind::kWorkQueue),
                        ::testing::Values(World::kAlways, World::kLow, World::kLowServerFaults)),
     sim_name);
 
