@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -70,22 +69,17 @@ struct TimedRun {
 
 /// One timed runner call over (threads, procs): `threads` thread lanes when
 /// `procs` is 0, otherwise `procs` worker processes (each single-threaded).
-/// Process lanes turn the opt-in world cache on and share worlds through a
-/// fresh mmap pool under `out_dir`, so pool_hit_rate measures sharing within
-/// the run: every world is synthesized by exactly one worker and mapped by
-/// the others. Results are bit-identical on either lane kind; only the
-/// clock moves.
+/// Process lanes turn the opt-in world cache on, one private cache per
+/// worker, so cache_hit_rate measures the replay of each worker's worlds
+/// across the cells sharing a seed. Results are bit-identical on either
+/// lane kind; only the clock moves.
 TimedRun timed_run(const std::string& benchmark, const std::string& config,
                    const std::vector<dg::exp::NamedConfig>& cells, dg::exp::RunOptions options,
-                   std::size_t threads, std::size_t procs, const std::string& out_dir) {
+                   std::size_t threads, std::size_t procs) {
   options.threads = threads;
   dg::exp::ShardOptions shard;
   shard.procs = procs;
-  if (procs > 0) {
-    options.world_cache_bytes = dg::grid::WorldCache::kDefaultBudgetBytes;
-    shard.pool_dir = out_dir + "/replication_throughput.worldpool";
-    std::filesystem::remove_all(shard.pool_dir);
-  }
+  if (procs > 0) options.world_cache_bytes = dg::grid::WorldCache::kDefaultBudgetBytes;
 
   const std::uint64_t allocs_before = allocs_now();
   Stopwatch timer;
@@ -93,7 +87,6 @@ TimedRun timed_run(const std::string& benchmark, const std::string& config,
   const auto results = runner.run(cells);
   const double wall = timer.seconds();
   const std::uint64_t allocs = allocs_now() - allocs_before;
-  if (procs > 0) std::filesystem::remove_all(shard.pool_dir);
 
   std::size_t replications = 0;
   std::uint64_t events = 0;
@@ -184,14 +177,14 @@ int main(int argc, char** argv) {
 
   std::vector<PerfRecord> records;
   for (const std::size_t threads : thread_counts) {
-    TimedRun run = timed_run("replication/throughput/workspace", sweep_config, cells, sweep,
-                             threads, 0, out_dir);
+    TimedRun run =
+        timed_run("replication/throughput/workspace", sweep_config, cells, sweep, threads, 0);
     run.record.allocs_per_replication = run.allocs_per_replication;
     records.push_back(run.record);
   }
 
-  // Process-count axis: the same sweep on forked worker processes
-  // sharing an mmap world pool. DGSCHED_PROCS overrides the top of the
+  // Process-count axis: the same sweep on forked worker processes, each
+  // with a private world cache. DGSCHED_PROCS overrides the top of the
   // ladder; the default reaches 4 even on smaller machines so the 4-vs-1
   // scaling row always exists (oversubscribed on fewer cores).
   std::vector<std::size_t> proc_counts;
@@ -202,11 +195,9 @@ int main(int argc, char** argv) {
   proc_counts.push_back(top_procs);
   std::cout << "sharded (multi-process) throughput: procs 1.." << top_procs << "\n";
   for (const std::size_t procs : proc_counts) {
-    TimedRun run = timed_run("replication/throughput/sharded",
-                             sweep_config + ", mmap pool, cost-major", cells, sweep, 1, procs,
-                             out_dir);
+    TimedRun run = timed_run("replication/throughput/sharded", sweep_config + ", cost-major",
+                             cells, sweep, 1, procs);
     run.record.cache_hit_rate = run.cache.hit_rate();
-    run.record.pool_hit_rate = run.cache.pool_hit_rate();
     records.push_back(run.record);
   }
 
@@ -222,13 +213,11 @@ int main(int argc, char** argv) {
   rounds.target_relative_error = 1e-9;  // unreachable: identical work per shape
   const std::string rounds_config = "reps=2..4 (uncapped tre)";
   records.push_back(
-      timed_run("replication/rounds/pipelined", rounds_config, cells, rounds, top, 0, out_dir)
-          .record);
+      timed_run("replication/rounds/pipelined", rounds_config, cells, rounds, top, 0).record);
   for (const std::size_t procs : proc_counts) {
-    TimedRun run = timed_run("replication/campaign/pipelined", rounds_config, cells, rounds, 1,
-                             procs, out_dir);
-    run.record.pool_hit_rate = run.cache.pool_hit_rate();
-    records.push_back(run.record);
+    records.push_back(
+        timed_run("replication/campaign/pipelined", rounds_config, cells, rounds, 1, procs)
+            .record);
   }
 
   records.push_back(steady_state_allocs());

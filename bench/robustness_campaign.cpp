@@ -24,20 +24,20 @@
 //
 // DGSCHED_PROCS=N (N > 0) runs the risk-cliff grid's lanes as N forked
 // worker processes instead of threads (exp/shard.hpp); with
-// DGSCHED_WORLD_CACHE set they share synthesized worlds through an mmap
-// pool. Process lanes journal every completed replication by default, so a
-// killed campaign resumes from the journal; thread lanes journal only when
+// DGSCHED_WORLD_CACHE set each worker keeps a private world cache. Process
+// lanes journal every completed replication by default, so a killed
+// campaign resumes from the journal; thread lanes journal only when
 // DGSCHED_JOURNAL names a file, since every record is fsync'd. Output stays
 // byte-identical to an uninterrupted run — CI's shard-smoke job cuts a
 // 2-worker campaign's journal back to its third record, resumes it, and
-// diffs against the thread-lane reference. The journal and pool live next
-// to the outputs by default and are removed on successful completion unless
+// diffs against the thread-lane reference. The journal lives next to the
+// outputs by default and is removed on successful completion unless
 // --keep-journal is passed.
 //
 // Usage: ./robustness_campaign [output_dir] [--keep-journal]   # default: cwd
 // Env:   DGSCHED_CAMPAIGN_GRID=smoke|full, DGSCHED_CAMPAIGN_SEEDS=N,
 //        DGSCHED_ADVERSARY=0|1, DGSCHED_BOTS=N, DGSCHED_PROCS=N,
-//        DGSCHED_JOURNAL=path, DGSCHED_POOL=dir, plus the usual runner knobs.
+//        DGSCHED_JOURNAL=path, plus the usual runner knobs.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -146,12 +146,11 @@ int main(int argc, char** argv) {
   }
   const exp::RunOptions options = exp::RunOptions::from_env();
   const exp::CampaignOptions campaign = exp::CampaignOptions::from_env();
-  // Process lanes journal and pool next to the outputs unless DGSCHED_JOURNAL
-  // / DGSCHED_POOL say otherwise; thread lanes journal only when asked to.
+  // Process lanes journal next to the outputs unless DGSCHED_JOURNAL says
+  // otherwise; thread lanes journal only when asked to.
   exp::ShardOptions shard = exp::ShardOptions::from_env();
-  if (shard.procs > 0) {
-    if (shard.journal_path.empty()) shard.journal_path = out_dir + "/robustness_campaign.journal";
-    if (shard.pool_dir.empty()) shard.pool_dir = out_dir + "/robustness_campaign.worldpool";
+  if (shard.procs > 0 && shard.journal_path.empty()) {
+    shard.journal_path = out_dir + "/robustness_campaign.journal";
   }
 
   exp::CampaignAxes axes = campaign.smoke ? exp::CampaignAxes::smoke() : exp::CampaignAxes{};
@@ -188,12 +187,7 @@ int main(int argc, char** argv) {
   const std::vector<exp::CellResult> results = runner.run(named);
   const exp::ExecutionStats& exec = runner.exec_stats();
   if (!shard.journal_path.empty()) {
-    std::cout << "journal: " << exec.recovered << " replications resumed";
-    // Only worker processes map worlds from the pool.
-    if (shard.procs > 0) {
-      std::cout << ", pool hit rate " << 100.0 * runner.cache_stats().pool_hit_rate() << "%";
-    }
-    std::cout << "\n";
+    std::cout << "journal: " << exec.recovered << " replications resumed\n";
   }
   // Execution-shape banner (stdout is not part of the byte-diffed artifacts;
   // wall-clock numbers legitimately differ between bit-identical runs).
@@ -269,14 +263,12 @@ int main(int argc, char** argv) {
   std::cout << "\nwrote " << out_dir << "/robustness_heatmap.csv, robustness_seeds.csv, "
             << "robustness_campaign.json\n";
 
-  // The campaign completed and its outputs are on disk: the journal (and the
-  // world pool the worker processes shared) have served their purpose.
-  // --keep-journal retains them, e.g. to rerun with more seeds or inspect the
-  // records.
-  if (!keep_journal) {
+  // The campaign completed and its outputs are on disk: the journal has
+  // served its purpose. --keep-journal retains it, e.g. to rerun with more
+  // seeds or inspect the records.
+  if (!keep_journal && !shard.journal_path.empty()) {
     std::error_code ec;
-    if (!shard.journal_path.empty()) std::filesystem::remove(shard.journal_path, ec);
-    if (shard.procs > 0) std::filesystem::remove_all(shard.pool_dir, ec);
+    std::filesystem::remove(shard.journal_path, ec);
   }
   return 0;
 }

@@ -21,7 +21,10 @@
 #include "util/arg_parser.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+/// The whole CLI; main() reports anything it throws.
+int run_campaign(int argc, char** argv) {
   using namespace dg;
   util::ArgParser parser("campaign_runner", "run a batch of INI experiment files");
   parser.add_option("reps", "3", "replications per experiment");
@@ -38,15 +41,9 @@ int main(int argc, char** argv) {
     }
     std::cout << "(no files given; running the bundled " << files.back() << ")\n\n";
   }
-  std::size_t reps = 0;
-  try {
-    reps = static_cast<std::size_t>(
-        parser.get_unsigned("reps", std::numeric_limits<std::uint32_t>::max()));
-    if (reps == 0) throw std::invalid_argument("--reps must be at least 1");
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "campaign_runner: " << e.what() << "\n";
-    return 1;
-  }
+  const auto reps = static_cast<std::size_t>(
+      parser.get_unsigned("reps", std::numeric_limits<std::uint32_t>::max()));
+  if (reps == 0) throw std::invalid_argument("--reps must be at least 1");
 
   util::Table table({"experiment", "policy", "mean turnaround [s]", "95% CI +-",
                      "utilization", "saturated"});
@@ -97,4 +94,15 @@ int main(int argc, char** argv) {
   }
   table.render(std::cout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run_campaign(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "campaign_runner: " << e.what() << "\n";
+    return 1;
+  }
 }

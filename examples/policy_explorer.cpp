@@ -78,9 +78,8 @@ dg::workload::Intensity parse_intensity(const std::string& name) {
   throw std::invalid_argument("unknown intensity: " + name + " (low|med|high)");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+/// The whole CLI; main() reports anything it throws.
+int explore(int argc, char** argv) {
   using namespace dg;
   util::ArgParser parser("policy_explorer",
                          "simulate one multi-BoT scheduling scenario end to end");
@@ -104,40 +103,32 @@ int main(int argc, char** argv) {
   if (!parser.parse(argc, argv)) return 1;
 
   sim::SimulationConfig config;
-  try {
-    if (const std::string path = parser.get("config"); !path.empty()) {
-      std::ifstream file(path);
-      if (!file) {
-        std::fprintf(stderr, "policy_explorer: cannot open %s\n", path.c_str());
-        return 1;
-      }
-      config = sim::load_simulation_config(file);
-    } else {
-      config.grid = grid::GridConfig::preset(
-          parser.get_flag("het") ? grid::Heterogeneity::kHet : grid::Heterogeneity::kHom,
-          parse_availability(parser.get("availability")));
-      const std::uint64_t bots = parser.get_unsigned("bots", kMaxBots);
-      if (bots == 0) throw std::invalid_argument("--bots must be at least 1");
-      config.workload = sim::make_paper_workload(
-          config.grid, parser.get_positive("granularity"),
-          parse_intensity(parser.get("intensity")), static_cast<std::size_t>(bots),
-          parser.get_positive("bag-size"));
-      config.workload.arrivals = parse_arrivals(parser.get("arrivals"));
-      config.policy = parse_policy(parser.get("policy"));
-      config.individual = parse_individual(parser.get("individual"));
-      config.replication_threshold = static_cast<int>(
-          parser.get_unsigned("threshold", static_cast<std::uint64_t>(INT_MAX)));
-      config.dynamic_replication = parser.get_flag("dynamic-replication");
-      config.seed = parser.get_unsigned("seed");
-    }
-    if (const std::string path = parser.get("save-config"); !path.empty()) {
-      std::ofstream out(path);
-      sim::save_simulation_config(out, config);
-      std::printf("configuration written to %s\n", path.c_str());
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "policy_explorer: %s\n", e.what());
-    return 1;
+  if (const std::string path = parser.get("config"); !path.empty()) {
+    std::ifstream file(path);
+    if (!file) throw std::runtime_error("cannot open " + path);
+    config = sim::load_simulation_config(file);
+  } else {
+    config.grid = grid::GridConfig::preset(
+        parser.get_flag("het") ? grid::Heterogeneity::kHet : grid::Heterogeneity::kHom,
+        parse_availability(parser.get("availability")));
+    const std::uint64_t bots = parser.get_unsigned("bots", kMaxBots);
+    if (bots == 0) throw std::invalid_argument("--bots must be at least 1");
+    config.workload = sim::make_paper_workload(
+        config.grid, parser.get_positive("granularity"),
+        parse_intensity(parser.get("intensity")), static_cast<std::size_t>(bots),
+        parser.get_positive("bag-size"));
+    config.workload.arrivals = parse_arrivals(parser.get("arrivals"));
+    config.policy = parse_policy(parser.get("policy"));
+    config.individual = parse_individual(parser.get("individual"));
+    config.replication_threshold = static_cast<int>(
+        parser.get_unsigned("threshold", static_cast<std::uint64_t>(INT_MAX)));
+    config.dynamic_replication = parser.get_flag("dynamic-replication");
+    config.seed = parser.get_unsigned("seed");
+  }
+  if (const std::string path = parser.get("save-config"); !path.empty()) {
+    std::ofstream out(path);
+    sim::save_simulation_config(out, config);
+    std::printf("configuration written to %s\n", path.c_str());
   }
 
   std::printf("grid      : %s (%zu machines expected)\n", config.grid.name().c_str(),
@@ -182,4 +173,15 @@ int main(int argc, char** argv) {
     table.render(std::cout);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return explore(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "policy_explorer: %s\n", e.what());
+    return 1;
+  }
 }

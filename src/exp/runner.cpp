@@ -67,7 +67,6 @@ RunOptions RunOptions::from_env(RunOptions defaults) {
 ShardOptions ShardOptions::from_env(ShardOptions defaults) {
   if (auto v = env_size("DGSCHED_PROCS")) defaults.procs = *v;
   if (auto v = env_string("DGSCHED_JOURNAL")) defaults.journal_path = *v;
-  if (auto v = env_string("DGSCHED_POOL")) defaults.pool_dir = *v;
   return defaults;
 }
 

@@ -159,9 +159,9 @@ struct ShardOptions {
   /// Completion-journal path (exp/journal.hpp), on either lane kind; empty =
   /// no journal (no resume).
   std::string journal_path;
-  /// mmap world-pool directory shared by the worker processes' world caches
-  /// (unused on thread lanes, which share one cache, and while
-  /// RunOptions::world_cache_bytes is 0); empty = no pool.
+  /// Read by nothing. Kept only because benchmark/trace/trace_driver.cpp
+  /// assigns it and removes the directory it names; remove with the next
+  /// benchmark change (ROADMAP item 4).
   std::string pool_dir;
   /// Test hook for the respawn path: the FIRST incarnation of worker
   /// `self_kill_worker` exits mid-chunk after `self_kill_jobs` replications
@@ -169,8 +169,8 @@ struct ShardOptions {
   std::size_t self_kill_worker = static_cast<std::size_t>(-1);
   std::size_t self_kill_jobs = 0;
 
-  /// Reads DGSCHED_PROCS (unset or 0: thread lanes), DGSCHED_JOURNAL (path)
-  /// and DGSCHED_POOL (directory). Same conventions as RunOptions::from_env.
+  /// Reads DGSCHED_PROCS (unset or 0: thread lanes) and DGSCHED_JOURNAL
+  /// (path). Same conventions as RunOptions::from_env.
   [[nodiscard]] static ShardOptions from_env(ShardOptions defaults);
   [[nodiscard]] static ShardOptions from_env() { return from_env(ShardOptions{}); }
 };
@@ -184,7 +184,7 @@ struct ShardOptions {
 ///    sharing one world cache;
 ///  * process lanes (procs > 0): a single-threaded fork/poll coordinator
 ///    (exp/shard.hpp) hands chunks to forked workers, each with a private
-///    world cache, optionally backed by the mmap pool.
+///    world cache.
 ///
 /// Either way each summary folds the moment its per-cell predecessors have
 /// committed, in ascending replication order — the exact accumulator

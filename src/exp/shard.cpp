@@ -23,7 +23,6 @@
 #include "exp/journal.hpp"
 #include "exp/pipeline.hpp"
 #include "exp/replication_summary.hpp"
-#include "grid/world_pool.hpp"
 #include "sim/workspace.hpp"
 #include "util/binary_io.hpp"
 #include "util/logging.hpp"
@@ -42,7 +41,7 @@ namespace {
 //                     | count x (cell u32, rep u32, size u32, size bytes)
 //                     where the bytes are one serialized ReplicationSummary
 //   kShutdown   C->W  (empty) — worker replies kStats and exits
-//   kStats      W->C  8 x u64 WorldCacheStats counters, busy_ns u64,
+//   kStats      W->C  7 x u64 WorldCacheStats counters, busy_ns u64,
 //                     jobs u64
 // ---------------------------------------------------------------------------
 
@@ -53,7 +52,7 @@ enum MsgType : std::uint32_t {
   kStats = 4,
 };
 
-constexpr std::size_t kStatsWords = 10;
+constexpr std::size_t kStatsWords = 9;
 /// Upper bound on adaptive chunk size (jobs per kAssign).
 constexpr std::size_t kChunkCap = 32;
 
@@ -112,15 +111,11 @@ struct MsgHeader {
 // ---------------------------------------------------------------------------
 
 [[noreturn]] void worker_main(int fd, const RunOptions& options,
-                              const std::vector<NamedConfig>& cells, const std::string& pool_dir,
-                              std::size_t kill_after_jobs) {
+                              const std::vector<NamedConfig>& cells, std::size_t kill_after_jobs) {
   try {
     std::shared_ptr<grid::WorldCache> world_cache;
     if (options.world_cache_bytes > 0) {
       world_cache = std::make_shared<grid::WorldCache>(options.world_cache_bytes);
-      if (!pool_dir.empty()) {
-        world_cache->attach_pool(std::make_shared<grid::WorldPool>(pool_dir));
-      }
     }
     sim::SimulationWorkspace workspace;
     std::size_t jobs_run = 0;
@@ -138,7 +133,6 @@ struct MsgHeader {
         util::put_pod(wire, stats.hits);
         util::put_pod(wire, stats.misses);
         util::put_pod(wire, stats.extensions);
-        util::put_pod(wire, stats.pool_hits);
         util::put_pod(wire, stats.evictions);
         util::put_pod(wire, static_cast<std::uint64_t>(stats.entries));
         util::put_pod(wire, static_cast<std::uint64_t>(stats.bytes));
@@ -242,7 +236,7 @@ std::vector<WorkerLaneStats> run_process_lanes(const RunOptions& options,
       for (const Worker& other : workers) {
         if (other.fd >= 0) ::close(other.fd);
       }
-      worker_main(sv[1], options, cells, shard.pool_dir, kill_after);
+      worker_main(sv[1], options, cells, kill_after);
     }
     ::close(sv[1]);
     workers[w].pid = pid;
@@ -391,10 +385,9 @@ std::vector<WorkerLaneStats> run_process_lanes(const RunOptions& options,
     }
   }
 
-  // Shutdown: collect every worker's cache stats (the cross-process
-  // pool_hit_rate) and execution-lane accounting, then reap. A lane whose
-  // worker was respawned reports only the surviving incarnation (a killed
-  // worker's counters die with it).
+  // Shutdown: collect every worker's cache stats and execution-lane
+  // accounting, then reap. A lane whose worker was respawned reports only
+  // the surviving incarnation (a killed worker's counters die with it).
   std::vector<WorkerLaneStats> lanes(procs);
   for (std::size_t w = 0; w < procs; ++w) {
     Worker& worker = workers[w];
@@ -407,7 +400,6 @@ std::vector<WorkerLaneStats> run_process_lanes(const RunOptions& options,
       stats.hits = reader.pod<std::uint64_t>();
       stats.misses = reader.pod<std::uint64_t>();
       stats.extensions = reader.pod<std::uint64_t>();
-      stats.pool_hits = reader.pod<std::uint64_t>();
       stats.evictions = reader.pod<std::uint64_t>();
       stats.entries = static_cast<std::size_t>(reader.pod<std::uint64_t>());
       stats.bytes = static_cast<std::size_t>(reader.pod<std::uint64_t>());

@@ -22,11 +22,8 @@
 // Why processes at all: address-space isolation (one crashed replication
 // loses a chunk, not the campaign — the coordinator re-queues it and forks
 // a replacement worker). By default workers sample their worlds live. With
-// the world cache on, the mmap world pool (grid/world_pool.hpp) lets
-// workers attach their caches to a shared pool directory, so each
-// replication's world is synthesized by exactly one process and mapped by
-// its siblings, the cross-process analogue of the thread lanes' shared
-// WorldCache.
+// the world cache on, each worker synthesizes the worlds its own jobs need
+// into its private WorldCache; nothing is shared between processes.
 //
 // A worker that dies is reaped, its outstanding chunks re-queued, and a
 // replacement forked (bounded; a deterministically-crashing replication

@@ -10,10 +10,7 @@
 // transfers stretch accordingly. capacity == 0 (default) reproduces the
 // paper's pure-delay behaviour. Each transfer returns a Transfer ticket;
 // when the requesting machine dies mid-transfer the execution engine cancels
-// the ticket, which releases the unused tail of the slot reservation (set
-// release_slots = false to reproduce the historical leak, where dead clients
-// kept their slot reserved to the end and contention was overstated under
-// churn).
+// the ticket, which releases the unused tail of the slot reservation.
 //
 // The server itself can also *fail* (CheckpointServerFaultModel): exponential
 // MTBF/MTTR outages, optional mid-transfer aborts, optional loss of all
@@ -74,12 +71,9 @@ class CheckpointServer {
   /// Slots are created as transfers first need them, from `mem` (default:
   /// global heap), so `capacity` bounds them without sizing an allocation.
   explicit CheckpointServer(rng::UniformDist transfer_time = rng::UniformDist{240.0, 720.0},
-                            std::size_t capacity = 0, bool release_slots = true,
+                            std::size_t capacity = 0,
                             std::pmr::memory_resource* mem = std::pmr::get_default_resource())
-      : transfer_time_(transfer_time),
-        capacity_(capacity),
-        release_slots_(release_slots),
-        slot_ends_(mem) {}
+      : transfer_time_(transfer_time), capacity_(capacity), slot_ends_(mem) {}
 
   /// Schedules a checkpoint save starting no earlier than `now`; the returned
   /// ticket's `completion` includes any queueing for a transfer slot.
@@ -94,20 +88,11 @@ class CheckpointServer {
     return schedule_transfer(now, transfer_time_.sample(stream));
   }
 
-  /// Compatibility shims returning just the completion time.
-  [[nodiscard]] double schedule_save(double now, rng::RandomStream& stream) {
-    return begin_save(now, stream).completion;
-  }
-  [[nodiscard]] double schedule_retrieve(double now, rng::RandomStream& stream) {
-    return begin_retrieve(now, stream).completion;
-  }
-
   /// Releases the unused tail of a transfer whose client died (or timed out)
   /// at `now`: the slot frees that much earlier for later requests. No-op
-  /// for unlimited capacity or when slot release is disabled (the documented
-  /// historical leak, kept behind the flag for golden comparison).
+  /// for unlimited capacity.
   void cancel_transfer(const Transfer& transfer, double now) {
-    if (transfer.slot == kNullSlot || !release_slots_) return;
+    if (transfer.slot == kNullSlot) return;
     const double unused = transfer.completion - std::max(now, transfer.start);
     if (unused <= 0.0) return;
     slot_ends_[transfer.slot] -= unused;
@@ -218,7 +203,6 @@ class CheckpointServer {
 
   rng::UniformDist transfer_time_;
   std::size_t capacity_;
-  bool release_slots_;
   bool up_ = true;
   int down_causes_ = 0;
   double down_since_ = 0.0;

@@ -34,8 +34,7 @@ std::string GridConfig::name() const {
 DesktopGrid::DesktopGrid(const GridConfig& config, des::Simulator& sim, std::uint64_t seed,
                          std::pmr::memory_resource* mem)
     : config_(config), sim_(sim), machines_(mem), processes_(mem),
-      checkpoint_server_(config.checkpoint_transfer, config.checkpoint_server_capacity,
-                         config.checkpoint_server_release_slots, mem),
+      checkpoint_server_(config.checkpoint_transfer, config.checkpoint_server_capacity, mem),
       available_bits_(mem) {
   DG_ASSERT(config.total_power > 0.0);
   rng::RandomStream power_stream = rng::RandomStream::derive(seed, "grid.machine_power");

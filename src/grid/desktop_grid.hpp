@@ -41,9 +41,6 @@ struct GridConfig {
   /// Concurrent transfer slots at the checkpoint server (0 = unlimited, the
   /// paper's pure-delay model).
   std::size_t checkpoint_server_capacity = 0;
-  /// Release a reserved transfer slot when its client dies mid-transfer.
-  /// Set false to reproduce the historical slot leak for golden comparison.
-  bool checkpoint_server_release_slots = true;
   /// Checkpoint-server outages (disabled by default = paper's perfectly
   /// reliable server). Recovery semantics live in sim::ExecutionEngine.
   CheckpointServerFaultModel checkpoint_server_faults{};
@@ -86,6 +83,10 @@ class DesktopGrid final : public MachineAvailabilityListener {
   void start_machines(TransitionCallback on_failure, TransitionCallback on_repair);
 
   [[nodiscard]] std::size_t size() const noexcept { return machines_.size(); }
+  /// The resource the grid's storage draws from (the constructor's `mem`).
+  [[nodiscard]] std::pmr::memory_resource* memory_resource() const noexcept {
+    return machines_.get_allocator().resource();
+  }
   [[nodiscard]] Machine& machine(std::size_t i) { return machines_[i]; }
   [[nodiscard]] const Machine& machine(std::size_t i) const { return machines_[i]; }
 

@@ -1,16 +1,31 @@
 #include "grid/outage.hpp"
 
 #include <algorithm>
-#include <vector>
+#include <utility>
 
 #include "grid/desktop_grid.hpp"
 #include "util/assert.hpp"
 
 namespace dg::grid {
 
+std::size_t victim_count(double fraction, std::size_t machines) noexcept {
+  const auto count = static_cast<std::size_t>(fraction * static_cast<double>(machines));
+  return std::clamp<std::size_t>(count, 1, machines);
+}
+
+void sample_victims(std::span<MachineId> ids, std::size_t count, rng::RandomStream& stream) {
+  const std::size_t total = ids.size();
+  DG_ASSERT(count <= total);
+  for (std::size_t i = 0; i < total; ++i) ids[i] = static_cast<MachineId>(i);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t j = i + static_cast<std::size_t>(stream.uniform_int(0, total - 1 - i));
+    std::swap(ids[i], ids[j]);
+  }
+}
+
 OutageProcess::OutageProcess(des::Simulator& sim, DesktopGrid& grid, OutageModel model,
                              rng::RandomStream stream)
-    : sim_(sim), grid_(grid), model_(model), stream_(stream) {
+    : sim_(sim), grid_(grid), model_(model), stream_(stream), ids_(grid.memory_resource()) {
   DG_ASSERT(model.mean_interarrival > 0.0);
   DG_ASSERT(model.fraction > 0.0 && model.fraction <= 1.0);
 }
@@ -19,27 +34,18 @@ void OutageProcess::start(TransitionCallback on_failure, TransitionCallback on_r
   if (!model_.enabled) return;
   on_failure_ = on_failure;
   on_repair_ = on_repair;
+  ids_.resize(grid_.size());
   sim_.schedule_after(stream_.exponential_mean(model_.mean_interarrival), [this] { strike(); });
 }
 
 void OutageProcess::strike() {
   ++outages_;
-  const std::size_t total = grid_.size();
-  std::size_t count = static_cast<std::size_t>(model_.fraction * static_cast<double>(total));
-  count = std::clamp<std::size_t>(count, 1, total);
-
-  // Sample `count` distinct machines (partial Fisher-Yates over the ids).
-  std::vector<std::size_t> ids(total);
-  for (std::size_t i = 0; i < total; ++i) ids[i] = i;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t j =
-        i + static_cast<std::size_t>(stream_.uniform_int(0, total - 1 - i));
-    std::swap(ids[i], ids[j]);
-  }
+  const std::size_t count = victim_count(model_.fraction, ids_.size());
+  sample_victims(ids_, count, stream_);
 
   const double duration = std::max(1.0, model_.duration.sample(stream_));
   for (std::size_t i = 0; i < count; ++i) {
-    Machine& machine = grid_.machine(ids[i]);
+    Machine& machine = grid_.machine(ids_[i]);
     ++machines_hit_;
     if (machine.force_down(sim_.now())) {
       if (on_failure_) on_failure_(machine);
@@ -59,7 +65,7 @@ ScheduledOutageProcess::ScheduledOutageProcess(des::Simulator& sim, DesktopGrid&
                                                std::vector<StressWindow> windows, double fraction,
                                                rng::RandomStream stream)
     : sim_(sim), grid_(grid), windows_(std::move(windows)), fraction_(fraction),
-      stream_(stream) {
+      stream_(stream), ids_(grid.memory_resource()) {
   DG_ASSERT_MSG(fraction_ > 0.0 && fraction_ <= 1.0,
                 "ScheduledOutageProcess: fraction must be in (0, 1]");
   for (std::size_t i = 0; i < windows_.size(); ++i) {
@@ -73,6 +79,7 @@ ScheduledOutageProcess::ScheduledOutageProcess(des::Simulator& sim, DesktopGrid&
 void ScheduledOutageProcess::start(TransitionCallback on_failure, TransitionCallback on_repair) {
   on_failure_ = on_failure;
   on_repair_ = on_repair;
+  ids_.resize(grid_.size());
   // One strike event per window, scheduled in window order — strikes fire in
   // ascending start time (ties resolve by this scheduling order), so victim
   // sampling consumes the stream in a deterministic sequence.
@@ -84,19 +91,9 @@ void ScheduledOutageProcess::start(TransitionCallback on_failure, TransitionCall
 void ScheduledOutageProcess::strike(std::size_t window_index) {
   ++outages_;
   const StressWindow window = windows_[window_index];
-  const std::size_t total = grid_.size();
-  std::size_t count = static_cast<std::size_t>(fraction_ * static_cast<double>(total));
-  count = std::clamp<std::size_t>(count, 1, total);
-
-  // Sample `count` distinct machines (partial Fisher-Yates over the ids),
-  // mirroring OutageProcess::strike() — but from this process's own stream.
-  ids_.resize(total);
-  for (std::size_t i = 0; i < total; ++i) ids_[i] = i;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t j =
-        i + static_cast<std::size_t>(stream_.uniform_int(0, total - 1 - i));
-    std::swap(ids_[i], ids_[j]);
-  }
+  // The same draw as OutageProcess::strike(), from this process's own stream.
+  const std::size_t count = victim_count(fraction_, ids_.size());
+  sample_victims(ids_, count, stream_);
 
   for (std::size_t i = 0; i < count; ++i) {
     Machine& machine = grid_.machine(ids_[i]);

@@ -10,6 +10,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory_resource>
+#include <span>
 #include <vector>
 
 #include "des/simulator.hpp"
@@ -51,13 +53,25 @@ struct OutageModel {
   }
 };
 
+/// Machines one outage takes down: `fraction` of `machines`, rounded down,
+/// at least one.
+[[nodiscard]] std::size_t victim_count(double fraction, std::size_t machines) noexcept;
+
+/// Draws `count` distinct victims out of machine ids 0..ids.size()-1 into
+/// ids[0, count): refills `ids` with the ids in order, then runs a partial
+/// Fisher-Yates shuffle of `count` uniform_int draws from `stream`. The live
+/// outage processes and WorldRealization::synthesize all draw through this
+/// one function, so their victims agree for the same stream state. Allocates
+/// nothing; the caller sizes `ids` to the grid.
+void sample_victims(std::span<MachineId> ids, std::size_t count, rng::RandomStream& stream);
+
 class OutageProcess {
  public:
   OutageProcess(des::Simulator& sim, DesktopGrid& grid, OutageModel model,
                 rng::RandomStream stream);
 
-  /// Schedules the first outage. Callbacks fire per machine, only on real
-  /// up/down edges.
+  /// Schedules the first outage and sizes the victim buffer. Callbacks fire
+  /// per machine, only on real up/down edges.
   void start(TransitionCallback on_failure, TransitionCallback on_repair);
 
   [[nodiscard]] std::uint64_t outages() const noexcept { return outages_; }
@@ -72,6 +86,7 @@ class OutageProcess {
   rng::RandomStream stream_;
   TransitionCallback on_failure_;
   TransitionCallback on_repair_;
+  std::pmr::vector<MachineId> ids_;  ///< sample_victims buffer, from the grid's resource.
   std::uint64_t outages_ = 0;
   std::uint64_t machines_hit_ = 0;
 };
@@ -92,8 +107,9 @@ class ScheduledOutageProcess {
                          std::vector<StressWindow> windows, double fraction,
                          rng::RandomStream stream);
 
-  /// Schedules one strike per window. Callbacks fire per machine, only on
-  /// real up/down edges. Call once, before running.
+  /// Schedules one strike per window and sizes the victim buffer. Callbacks
+  /// fire per machine, only on real up/down edges. Call once, before
+  /// running.
   void start(TransitionCallback on_failure, TransitionCallback on_repair);
 
   [[nodiscard]] std::uint64_t outages() const noexcept { return outages_; }
@@ -109,7 +125,7 @@ class ScheduledOutageProcess {
   rng::RandomStream stream_;
   TransitionCallback on_failure_;
   TransitionCallback on_repair_;
-  std::vector<std::size_t> ids_;  ///< Reused partial-Fisher-Yates buffer.
+  std::pmr::vector<MachineId> ids_;  ///< sample_victims buffer, from the grid's resource.
   std::uint64_t outages_ = 0;
   std::uint64_t machines_hit_ = 0;
 };

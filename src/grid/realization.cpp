@@ -108,20 +108,15 @@ WorldRealization WorldRealization::synthesize(const AvailabilityModel& availabil
     // strike strictly past the horizon is scheduled live but never fires —
     // recorded time-only (its victims/duration were never drawn).
     rng::RandomStream stream = rng::RandomStream::derive(seed, "grid.outages");
-    std::size_t count =
-        static_cast<std::size_t>(outages.fraction * static_cast<double>(num_machines));
-    count = std::clamp<std::size_t>(count, 1, num_machines);
+    const std::size_t count = victim_count(outages.fraction, num_machines);
     world.machines_per_outage = static_cast<std::uint32_t>(count);
+    scratch.outage_ids.resize(num_machines);
     double clock = stream.exponential_mean(outages.mean_interarrival);
     while (clock <= horizon) {
       scratch.outage_times.push_back(clock);
-      scratch.outage_ids.resize(num_machines);
-      for (std::size_t i = 0; i < num_machines; ++i) scratch.outage_ids[i] = i;
+      sample_victims(scratch.outage_ids, count, stream);
       for (std::size_t i = 0; i < count; ++i) {
-        const std::size_t j =
-            i + static_cast<std::size_t>(stream.uniform_int(0, num_machines - 1 - i));
-        std::swap(scratch.outage_ids[i], scratch.outage_ids[j]);
-        scratch.outage_machines.push_back(static_cast<std::uint32_t>(scratch.outage_ids[i]));
+        scratch.outage_machines.push_back(scratch.outage_ids[i]);
       }
       scratch.outage_durations.push_back(std::max(1.0, outages.duration.sample(stream)));
       clock += stream.exponential_mean(outages.mean_interarrival);

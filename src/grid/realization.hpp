@@ -49,7 +49,7 @@ struct SynthesisScratch {
   std::vector<double> outage_times;           ///< Outage strike times (+ dangling).
   std::vector<double> outage_durations;       ///< Per full strike.
   std::vector<std::uint32_t> outage_machines; ///< Victims, strike-major, hit order.
-  std::vector<std::size_t> outage_ids;        ///< Partial-Fisher-Yates buffer.
+  std::vector<MachineId> outage_ids;          ///< sample_victims buffer.
 };
 
 /// The policy-independent stochastic behaviour of one replication's grid:
@@ -87,8 +87,8 @@ struct WorldRealization {
   std::vector<double> outage_times;
   std::vector<double> outage_durations;
   std::vector<std::uint32_t> outage_machines;  ///< Strike-major, hit order.
-  /// Victims per strike: clamp(floor(fraction * num_machines), 1,
-  /// num_machines) — constant across strikes, so no offset table is needed.
+  /// Victims per strike: victim_count(outages.fraction, num_machines) —
+  /// constant across strikes, so no offset table is needed.
   std::uint32_t machines_per_outage = 0;
 
   /// True when the realization's sequences extend past `h`.

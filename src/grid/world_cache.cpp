@@ -4,7 +4,6 @@
 #include <bit>
 #include <type_traits>
 
-#include "grid/world_pool.hpp"
 #include "rng/splitmix64.hpp"
 #include "rng/random_stream.hpp"
 
@@ -16,12 +15,10 @@ std::uint64_t mix_double(std::uint64_t h, double value) noexcept {
   return rng::mix_seed(h, std::bit_cast<std::uint64_t>(value));
 }
 
-}  // namespace
-
-std::uint64_t WorldCache::signature(const AvailabilityModel& availability,
-                                    const CheckpointServerFaultModel& server_faults,
-                                    const OutageModel& outages,
-                                    std::size_t num_machines) noexcept {
+/// Model/machine-count signature: the stable hash that keys cache slots.
+std::uint64_t signature(const AvailabilityModel& availability,
+                        const CheckpointServerFaultModel& server_faults,
+                        const OutageModel& outages, std::size_t num_machines) noexcept {
   std::uint64_t h = rng::fnv1a64("world.realization");
   h = mix_double(h, availability.time_to_failure.shape);
   h = mix_double(h, availability.time_to_failure.scale);
@@ -60,6 +57,8 @@ std::uint64_t WorldCache::signature(const AvailabilityModel& availability,
   h = rng::mix_seed(h, num_machines);
   return h;
 }
+
+}  // namespace
 
 bool WorldCache::matches(const WorldRealization& world, const AvailabilityModel& availability,
                          const CheckpointServerFaultModel& server_faults,
@@ -113,26 +112,12 @@ std::shared_ptr<const WorldRealization> WorldCache::acquire(
   // (possibly concurrently for different keys), and a warmed scratch lets
   // repeat synthesis draw without allocations.
   static thread_local SynthesisScratch scratch;
-  std::shared_ptr<const WorldRealization> world;
-  bool from_pool = false;
-  if (pool_ != nullptr) {
-    // The pool loads a sibling's published world when one covers, else
-    // synthesizes with the same margin this cache would and publishes it.
-    WorldPool::Acquired acquired =
-        pool_->acquire(availability, server_faults, outages, num_machines, horizon,
-                       horizon * kHorizonMargin, seed, key.second, scratch);
-    world = std::move(acquired.world);
-    from_pool = acquired.from_pool;
-  } else {
-    world = std::make_shared<const WorldRealization>(
-        WorldRealization::synthesize(availability, server_faults, outages, num_machines,
-                                     horizon * kHorizonMargin, seed, scratch));
-  }
+  auto world = std::make_shared<const WorldRealization>(
+      WorldRealization::synthesize(availability, server_faults, outages, num_machines,
+                                   horizon * kHorizonMargin, seed, scratch));
 
   std::lock_guard lock(mutex_);
-  if (from_pool) {
-    ++stats_.pool_hits;
-  } else if (was_resident) {
+  if (was_resident) {
     ++stats_.extensions;
   } else {
     ++stats_.misses;

@@ -15,14 +15,6 @@
 // a sweep advances. Entries are handed out as shared_ptr, so an evicted
 // realization stays valid for runs still replaying it.
 //
-// With an mmap world pool attached (attach_pool, grid/world_pool.hpp), a
-// memory miss consults the pool's published files before synthesizing and
-// publishes what it builds — the cross-process analogue of this cache, used
-// by the sharded campaign runner so sibling worker processes pay one
-// synthesis per world between them. Pool-served requests are counted as
-// `pool_hits`, a class of their own: they are neither in-memory hits nor
-// syntheses.
-//
 // Thread-safety: acquire() is safe from concurrent runner workers. Lookup,
 // accounting, and eviction are guarded by one mutex; synthesis itself runs
 // outside it (serialized per entry), so workers needing *different* worlds
@@ -39,33 +31,25 @@
 
 namespace dg::grid {
 
-class WorldPool;
-
 struct WorldCacheStats {
   std::uint64_t hits = 0;        ///< Served from a resident realization.
-  std::uint64_t misses = 0;      ///< Synthesized fresh (absent in memory and pool).
+  std::uint64_t misses = 0;      ///< Synthesized fresh (absent in memory).
   std::uint64_t extensions = 0;  ///< Resident but too short; re-synthesized longer.
-  std::uint64_t pool_hits = 0;   ///< Loaded from the mmap pool (a sibling synthesized it).
   std::uint64_t evictions = 0;   ///< Entries dropped to stay within budget.
   std::size_t entries = 0;       ///< Resident entries at sampling time.
   std::size_t bytes = 0;         ///< Resident bytes at sampling time.
   std::size_t peak_bytes = 0;    ///< High-water resident bytes.
 
-  /// Total acquire() calls, however they were served. Pool-served requests
-  /// are their own class — counting them as misses would claim a synthesis
-  /// that never ran; not counting them would make the rates sum past 1.
-  [[nodiscard]] std::uint64_t lookups() const noexcept {
-    return hits + misses + extensions + pool_hits;
-  }
+  /// Total acquire() calls, however they were served.
+  [[nodiscard]] std::uint64_t lookups() const noexcept { return hits + misses + extensions; }
   [[nodiscard]] double hit_rate() const noexcept {
     const std::uint64_t n = lookups();
     return n > 0 ? static_cast<double>(hits) / static_cast<double>(n) : 0.0;
   }
-  /// Fraction of lookups served by another process's published world.
-  [[nodiscard]] double pool_hit_rate() const noexcept {
-    const std::uint64_t n = lookups();
-    return n > 0 ? static_cast<double>(pool_hits) / static_cast<double>(n) : 0.0;
-  }
+  /// Always 0: no world is shared between processes. Kept only because
+  /// benchmark/trace/trace_driver.cpp reports it; remove with the next
+  /// benchmark change (ROADMAP item 4).
+  [[nodiscard]] double pool_hit_rate() const noexcept { return 0.0; }
 
   /// Aggregates another snapshot (e.g. a worker process's cache) into this
   /// one. Byte gauges take the max — they describe concurrent residency, not
@@ -74,7 +58,6 @@ struct WorldCacheStats {
     hits += other.hits;
     misses += other.misses;
     extensions += other.extensions;
-    pool_hits += other.pool_hits;
     evictions += other.evictions;
     entries = entries > other.entries ? entries : other.entries;
     bytes = bytes > other.bytes ? bytes : other.bytes;
@@ -106,22 +89,8 @@ class WorldCache {
       const AvailabilityModel& availability, const CheckpointServerFaultModel& server_faults,
       const OutageModel& outages, std::size_t num_machines, double horizon, std::uint64_t seed);
 
-  /// Installs an mmap-shared world pool (grid/world_pool.hpp) behind the
-  /// in-memory cache: a memory miss consults the pool before synthesizing,
-  /// and a synthesized world is published for sibling processes. Call before
-  /// the cache is shared between threads (the pointer itself is unguarded).
-  void attach_pool(std::shared_ptr<WorldPool> pool) noexcept { pool_ = std::move(pool); }
-  [[nodiscard]] const std::shared_ptr<WorldPool>& pool() const noexcept { return pool_; }
-
   [[nodiscard]] WorldCacheStats stats() const;
   [[nodiscard]] std::size_t budget_bytes() const noexcept { return budget_bytes_; }
-
-  /// Model/machine-count signature — the stable hash that keys cache slots
-  /// and pool file names. Exposed for the pool and its tests.
-  [[nodiscard]] static std::uint64_t signature(const AvailabilityModel& availability,
-                                               const CheckpointServerFaultModel& server_faults,
-                                               const OutageModel& outages,
-                                               std::size_t num_machines) noexcept;
 
  private:
   /// (replication seed, model/machine-count signature).
@@ -143,7 +112,6 @@ class WorldCache {
   void evict_locked(const Key& keep);
 
   mutable std::mutex mutex_;
-  std::shared_ptr<WorldPool> pool_;
   std::size_t budget_bytes_;
   std::map<Key, std::shared_ptr<Slot>> slots_;
   std::uint64_t tick_ = 0;

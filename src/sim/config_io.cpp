@@ -144,17 +144,14 @@ SimulationConfig load_simulation_config(std::istream& is) {
 
   // --- [checkpoint_server] ---
   check_known_keys(ini, "checkpoint_server",
-                   {"capacity", "release_slots", "faults", "mtbf", "mttr", "abort_transfers",
-                    "lose_data", "retry_max_attempts", "retry_backoff_base",
-                    "retry_backoff_cap", "attempt_timeout"});
+                   {"capacity", "faults", "mtbf", "mttr", "abort_transfers", "lose_data",
+                    "retry_max_attempts", "retry_backoff_base", "retry_backoff_cap",
+                    "attempt_timeout"});
   if (auto v = ini.get_unsigned("checkpoint_server", "capacity")) {
     if (ini.get("grid", "checkpoint_server_capacity")) {
       fail("give checkpoint-server capacity in [grid] or [checkpoint_server], not both");
     }
     config.grid.checkpoint_server_capacity = static_cast<std::size_t>(*v);
-  }
-  if (auto v = ini.get_bool("checkpoint_server", "release_slots")) {
-    config.grid.checkpoint_server_release_slots = *v;
   }
   auto& faults = config.grid.checkpoint_server_faults;
   if (auto v = ini.get_bool("checkpoint_server", "faults")) faults.enabled = *v;
@@ -203,7 +200,9 @@ SimulationConfig load_simulation_config(std::istream& is) {
     config.workload.types = {workload::BotType{5000.0, spread}};
   }
   if (auto v = get_positive(ini, "workload", "bag_size")) config.workload.bag_size = *v;
-  if (auto v = ini.get_unsigned("workload", "num_bots")) {
+  // Bag ids are 32-bit (workload::BotId): more bags would wrap them.
+  if (auto v = ini.get_unsigned("workload", "num_bots",
+                                std::numeric_limits<workload::BotId>::max())) {
     require(*v >= 1, ini, "workload", "num_bots", ">= 1");
     config.workload.num_bots = static_cast<std::size_t>(*v);
   }
@@ -338,9 +337,6 @@ void save_simulation_config(std::ostream& os, const SimulationConfig& config) {
   if (config.grid.checkpoint_server_capacity != 0) {
     ini.set("grid", "checkpoint_server_capacity",
             std::to_string(config.grid.checkpoint_server_capacity));
-  }
-  if (!config.grid.checkpoint_server_release_slots) {
-    ini.set("checkpoint_server", "release_slots", "false");
   }
   const auto& faults = config.grid.checkpoint_server_faults;
   if (faults.enabled) {

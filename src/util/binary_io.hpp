@@ -1,14 +1,14 @@
 // Minimal byte-buffer writer/reader for same-machine binary artifacts.
 //
-// The multi-process campaign path moves three kinds of bytes around: world
-// realizations in the mmap-shared pool, replication summaries over the
-// coordinator/worker pipes, and journal records on disk. All three are
-// written and read by sibling processes of one build on one machine, so the
-// encoding is deliberately plain: fixed-width host-endian PODs, memcpy'd —
-// a double round-trips bitwise, which is what the byte-identity contract of
-// the sharded runner rests on. Nothing here is a wire format for foreign
-// machines; the enclosing files/messages carry magic + version fields so a
-// mismatched reader fails loudly instead of misparsing.
+// The multi-process campaign path moves two kinds of bytes around:
+// replication summaries over the coordinator/worker sockets, and journal
+// records on disk. Both are written and read by processes of one build on
+// one machine, so the encoding is deliberately plain: fixed-width
+// host-endian PODs, memcpy'd — a double round-trips bitwise, which is what
+// the byte-identity contract of the process lanes rests on. Nothing here is
+// a wire format for foreign machines; the enclosing files/messages carry
+// magic + version fields so a mismatched reader fails loudly instead of
+// misparsing.
 #pragma once
 
 #include <cstdint>
@@ -19,8 +19,8 @@
 
 namespace dg::util {
 
-/// FNV-1a 64-bit over a raw byte range — the checksum used by world-pool
-/// files and journal records. Chainable via the `h` parameter.
+/// FNV-1a 64-bit over a raw byte range — the checksum of journal records.
+/// Chainable via the `h` parameter.
 [[nodiscard]] inline std::uint64_t fnv1a64_bytes(const void* data, std::size_t size,
                                                  std::uint64_t h = 0xcbf29ce484222325ULL) noexcept {
   const auto* bytes = static_cast<const std::uint8_t*>(data);
@@ -39,19 +39,9 @@ void put_pod(std::vector<std::uint8_t>& out, const T& value) {
   out.insert(out.end(), bytes, bytes + sizeof(T));
 }
 
-/// Appends `count` trivially-copyable elements (no length prefix — callers
-/// write their own counts so formats stay self-describing at the right
-/// granularity).
-template <typename T>
-void put_array(std::vector<std::uint8_t>& out, const T* data, std::size_t count) {
-  static_assert(std::is_trivially_copyable_v<T>, "put_array needs a trivially copyable type");
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(data);
-  out.insert(out.end(), bytes, bytes + count * sizeof(T));
-}
-
 /// Bounds-checked reader over a byte range. Every underrun throws
-/// std::runtime_error — truncated pool files / journal tails surface as
-/// exceptions the caller turns into "treat as absent".
+/// std::runtime_error — a truncated journal tail surfaces as an exception
+/// the caller turns into "treat as absent".
 class ByteReader {
  public:
   ByteReader(const std::uint8_t* begin, const std::uint8_t* end) : cur_(begin), end_(end) {}
@@ -63,19 +53,12 @@ class ByteReader {
   [[nodiscard]] T pod() {
     static_assert(std::is_trivially_copyable_v<T>, "pod() needs a trivially copyable type");
     T value;
-    copy(&value, sizeof(T));
+    std::memcpy(&value, skip(sizeof(T)), sizeof(T));
     return value;
   }
 
-  /// Copies `count` elements into `dest` (which must have room).
-  template <typename T>
-  void array(T* dest, std::size_t count) {
-    static_assert(std::is_trivially_copyable_v<T>, "array() needs a trivially copyable type");
-    copy(dest, count * sizeof(T));
-  }
-
-  /// The current read position (e.g. to alias into an mmap'd region) —
-  /// advanced past `bytes` without copying. Throws on underrun like pod().
+  /// The current read position (e.g. to parse a nested record in place) —
+  /// advanced past `bytes` without copying. Throws on underrun.
   [[nodiscard]] const std::uint8_t* skip(std::size_t bytes) {
     if (remaining() < bytes) throw std::runtime_error("ByteReader: truncated input");
     const std::uint8_t* at = cur_;
@@ -89,13 +72,6 @@ class ByteReader {
   [[nodiscard]] bool exhausted() const noexcept { return cur_ == end_; }
 
  private:
-  void copy(void* dest, std::size_t bytes) {
-    if (remaining() < bytes) throw std::runtime_error("ByteReader: truncated input");
-    // An empty array's dest may be null, and memcpy's pointers must not be.
-    if (bytes != 0) std::memcpy(dest, cur_, bytes);
-    cur_ += bytes;
-  }
-
   const std::uint8_t* cur_;
   const std::uint8_t* end_;
 };

@@ -88,6 +88,28 @@ TEST(AllocationFree, WarmedWorkspaceIsAllocationFreeWithFailuresToo) {
   }
 }
 
+TEST(AllocationFree, WarmedWorkspaceIsAllocationFreeWithOutagesToo) {
+  // Correlated outages strike inside the loop: the victim draw must reuse a
+  // buffer sized in setup, not build one per strike.
+  SimulationConfig config = metered_config(grid::AvailabilityLevel::kHigh);
+  config.grid.outages.enabled = true;
+  config.grid.outages.mean_interarrival = 20000.0;
+  SimulationWorkspace workspace;
+  (void)run_loop_allocs(config, workspace);  // warm
+  EXPECT_EQ(run_loop_allocs(config, workspace), 0u);
+}
+
+TEST(AllocationFree, WarmedWorkspaceIsAllocationFreeUnderTheAdversaryToo) {
+  // The director's scheduled outages draw victims at each window's start,
+  // from a buffer sized in setup like the stochastic outages'.
+  SimulationConfig config = metered_config(grid::AvailabilityLevel::kHigh);
+  config.adversary.enabled = true;
+  ASSERT_TRUE(config.adversary.hit_machines);
+  SimulationWorkspace workspace;
+  (void)run_loop_allocs(config, workspace);  // warm
+  EXPECT_EQ(run_loop_allocs(config, workspace), 0u);
+}
+
 TEST(AllocationFree, WorldCacheReplayRunLoopIsAllocationFreeToo) {
   // The realization replay path: world synthesis and acquisition happen in
   // setup (before the hooks); the cursor driver's replay events must run the

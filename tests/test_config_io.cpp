@@ -185,6 +185,9 @@ TEST(ConfigIo, RejectsUnknownSection) {
 TEST(ConfigIo, RejectsUnknownKey) {
   std::istringstream in("[grid]\nheterogenity = Hom\n");  // typo
   EXPECT_THROW((void)sim::load_simulation_config(in), std::runtime_error);
+  // A removed key is unknown too.
+  std::istringstream removed("[checkpoint_server]\nrelease_slots = false\n");
+  EXPECT_THROW((void)sim::load_simulation_config(removed), std::runtime_error);
 }
 
 TEST(ConfigIo, RejectsUnknownPolicy) {
@@ -226,7 +229,6 @@ constexpr const char* kEveryKeyConfigs[] = {
     "outage_duration_hi = 200\n"
     "checkpoint_server_capacity = 7\n"
     "[checkpoint_server]\n"
-    "release_slots = false\n"
     "faults = true\n"
     "mtbf = 50000\n"
     "mttr = 900\n"
@@ -300,7 +302,6 @@ void expect_same_config(const sim::SimulationConfig& a, const sim::SimulationCon
         << a.grid.outages.duration.describe() << " vs " << b.grid.outages.duration.describe();
   }
   EXPECT_EQ(a.grid.checkpoint_server_capacity, b.grid.checkpoint_server_capacity);
-  EXPECT_EQ(a.grid.checkpoint_server_release_slots, b.grid.checkpoint_server_release_slots);
   const grid::CheckpointServerFaultModel& fa = a.grid.checkpoint_server_faults;
   const grid::CheckpointServerFaultModel& fb = b.grid.checkpoint_server_faults;
   EXPECT_EQ(fa.enabled, fb.enabled);
@@ -378,13 +379,12 @@ TEST(ConfigIo, LoadedConfigActuallyRuns) {
   EXPECT_EQ(result.bots_completed, 5u);
 }
 
-// --- [checkpoint_server]: faults, retry policy, slot release ---
+// --- [checkpoint_server]: faults, retry policy ---
 
 TEST(ConfigIo, LoadsCheckpointServerSection) {
   std::istringstream in(
       "[checkpoint_server]\n"
       "capacity = 4\n"
-      "release_slots = false\n"
       "faults = true\n"
       "mtbf = 40000\n"
       "mttr = 2000\n"
@@ -396,7 +396,6 @@ TEST(ConfigIo, LoadsCheckpointServerSection) {
       "attempt_timeout = 900\n");
   const sim::SimulationConfig config = sim::load_simulation_config(in);
   EXPECT_EQ(config.grid.checkpoint_server_capacity, 4u);
-  EXPECT_FALSE(config.grid.checkpoint_server_release_slots);
   const grid::CheckpointServerFaultModel& faults = config.grid.checkpoint_server_faults;
   EXPECT_TRUE(faults.enabled);
   EXPECT_DOUBLE_EQ(faults.mtbf, 40000.0);
@@ -411,7 +410,6 @@ TEST(ConfigIo, LoadsCheckpointServerSection) {
 TEST(ConfigIo, CheckpointServerRoundTrip) {
   std::istringstream in(
       "[checkpoint_server]\n"
-      "release_slots = false\n"
       "faults = true\n"
       "mtbf = 40000\n"
       "mttr = 2000\n"
@@ -424,8 +422,6 @@ TEST(ConfigIo, CheckpointServerRoundTrip) {
   std::stringstream buffer;
   sim::save_simulation_config(buffer, original);
   const sim::SimulationConfig loaded = sim::load_simulation_config(buffer);
-  EXPECT_EQ(loaded.grid.checkpoint_server_release_slots,
-            original.grid.checkpoint_server_release_slots);
   EXPECT_EQ(loaded.grid.checkpoint_server_faults.enabled, true);
   EXPECT_DOUBLE_EQ(loaded.grid.checkpoint_server_faults.mtbf, 40000.0);
   EXPECT_DOUBLE_EQ(loaded.grid.checkpoint_server_faults.mttr, 2000.0);
@@ -631,6 +627,21 @@ TEST(ConfigIo, RejectsBadNumbersNamingTheKey) {
       ADD_FAILURE() << "threw a non-runtime_error: " << error.what();
     }
   }
+}
+
+TEST(ConfigIo, NumBotsStaysWithinTheBagIdRange) {
+  // Bag ids are 32-bit: one bag more than they can number is refused by
+  // name instead of wrapping the ids (or, far beyond, exhausting memory).
+  std::istringstream over("[workload]\nnum_bots = 4294967296\n");
+  try {
+    (void)sim::load_simulation_config(over);
+    ADD_FAILURE() << "accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("[workload] num_bots"), std::string::npos)
+        << error.what();
+  }
+  std::istringstream at_max("[workload]\nnum_bots = 4294967295\n");
+  EXPECT_EQ(sim::load_simulation_config(at_max).workload.num_bots, 4294967295u);
 }
 
 TEST(ConfigIo, ServerCapacitySizesNoAllocation) {

@@ -11,6 +11,8 @@
 // must start the same replicas, at the same times, on the same machines as
 // the positional scans they replaced, which probe ctx.bots in arrival order
 // and never touch ctx.index. LongIdle has tests/test_longidle_reference.cpp.
+// A scripted run pins the one drain the positional scans cannot observe:
+// drain_stale_all, run by a select that finds nothing dispatchable.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,6 +31,7 @@
 #include "sched/policy.hpp"
 #include "sim/observer.hpp"
 #include "sim/simulation.hpp"
+#include "workload/bot.hpp"
 
 namespace dg::sched {
 namespace {
@@ -512,6 +515,56 @@ INSTANTIATE_TEST_SUITE_P(
                                          IndividualSchedulerKind::kWorkQueue),
                        ::testing::Values(World::kAlways, World::kLow, World::kLowServerFaults)),
     sim_name);
+
+class StaleDrainScript : public ::testing::TestWithParam<PolicyKind> {};
+
+TEST_P(StaleDrainScript, SelectWithNothingDispatchableDrainsTheStaleRequeueEntry) {
+  // Three 10-power machines and one bag of two 1000 s tasks under
+  // WorkQueue (threshold 1, failed tasks go to the requeue pool).
+  //  t  0: tasks 0 and 1 start on m0 and m1; m2 stays idle.
+  //  t 10: m0 fails; task 0 is requeued and restarts on m2 at once, which
+  //        leaves its requeue entry behind, stale.
+  //  t 20: m0's repair selects and finds nothing dispatchable, so the
+  //        select's drain_stale_all pops task 0's stale entry.
+  //  t 40, 50: m1 and m2 fail with no machine free; tasks 1 and 0 are
+  //        requeued, in that order.
+  //  t 60: m0's repair picks the requeue head: task 1. Had the stale entry
+  //        survived, it would be valid again and put task 0 first.
+  const grid::DowntimeInterval m0_first{10.0, 20.0};
+  const grid::DowntimeInterval m0_second{30.0, 60.0};
+  const grid::DowntimeInterval m1{40.0, 200.0};
+  const grid::DowntimeInterval m2{50.0, 200.0};
+  sim::SimulationConfig config;
+  config.grid = grid::GridConfig::preset(grid::Heterogeneity::kHom,
+                                         grid::AvailabilityLevel::kAlways);
+  config.grid.total_power = 30.0;
+  config.availability_trace = std::make_shared<grid::AvailabilityTrace>(
+      std::vector<grid::MachineTrace>{grid::MachineTrace{{m0_first, m0_second}},
+                                      grid::MachineTrace{{m1}}, grid::MachineTrace{{m2}}});
+  workload::BotSpec bag;
+  bag.tasks = {workload::TaskSpec{10000.0}, workload::TaskSpec{10000.0}};
+  config.trace_bots = std::make_shared<const std::vector<workload::BotSpec>>(1, bag);
+  config.policy = GetParam();
+  config.individual = IndividualSchedulerKind::kWorkQueue;
+  config.max_sim_time = 5000.0;
+
+  StartLog log;
+  const sim::SimulationResult result = sim::Simulation(config).run(&log);
+  EXPECT_EQ(result.bots_completed, 1u);
+  const std::vector<Start> expected = {
+      {0.0, 0, 0, 0}, {0.0, 0, 1, 1}, {10.0, 0, 0, 2}, {60.0, 0, 1, 0}, {200.0, 0, 0, 1}};
+  EXPECT_EQ(log.starts, expected);
+}
+
+std::string policy_name(const ::testing::TestParamInfo<PolicyKind>& info) {
+  std::string name = to_string(info.param);
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(SharingPolicies, StaleDrainScript,
+                         ::testing::Values(PolicyKind::kFcfsShare, PolicyKind::kRoundRobin),
+                         policy_name);
 
 }  // namespace
 }  // namespace dg::sched

@@ -222,10 +222,10 @@ TEST(CheckpointServer, TransferTimesInPaperRange) {
   CheckpointServer server;  // unlimited capacity: pure delay
   rng::RandomStream stream(6);
   for (int i = 0; i < 1000; ++i) {
-    const double save = server.schedule_save(1000.0, stream) - 1000.0;
+    const double save = server.begin_save(1000.0, stream).completion - 1000.0;
     EXPECT_GE(save, 240.0);
     EXPECT_LT(save, 720.0);
-    const double retrieve = server.schedule_retrieve(1000.0, stream) - 1000.0;
+    const double retrieve = server.begin_retrieve(1000.0, stream).completion - 1000.0;
     EXPECT_GE(retrieve, 240.0);
     EXPECT_LT(retrieve, 720.0);
   }
@@ -239,9 +239,9 @@ TEST(CheckpointServer, SingleSlotSerializesTransfers) {
   // Deterministic durations via a degenerate uniform range.
   CheckpointServer server(rng::UniformDist{100.0, 100.0 + 1e-12}, /*capacity=*/1);
   rng::RandomStream stream(7);
-  const double first = server.schedule_save(0.0, stream);
-  const double second = server.schedule_save(0.0, stream);
-  const double third = server.schedule_save(0.0, stream);
+  const double first = server.begin_save(0.0, stream).completion;
+  const double second = server.begin_save(0.0, stream).completion;
+  const double third = server.begin_save(0.0, stream).completion;
   EXPECT_NEAR(first, 100.0, 1e-6);
   EXPECT_NEAR(second, 200.0, 1e-6);  // queued behind the first
   EXPECT_NEAR(third, 300.0, 1e-6);
@@ -251,11 +251,11 @@ TEST(CheckpointServer, SingleSlotSerializesTransfers) {
 TEST(CheckpointServer, SlotsFreeUpOverTime) {
   CheckpointServer server(rng::UniformDist{100.0, 100.0 + 1e-12}, /*capacity=*/2);
   rng::RandomStream stream(8);
-  EXPECT_NEAR(server.schedule_save(0.0, stream), 100.0, 1e-6);
-  EXPECT_NEAR(server.schedule_save(0.0, stream), 100.0, 1e-6);   // second slot
-  EXPECT_NEAR(server.schedule_save(0.0, stream), 200.0, 1e-6);   // queued
+  EXPECT_NEAR(server.begin_save(0.0, stream).completion, 100.0, 1e-6);
+  EXPECT_NEAR(server.begin_save(0.0, stream).completion, 100.0, 1e-6);   // second slot
+  EXPECT_NEAR(server.begin_save(0.0, stream).completion, 200.0, 1e-6);   // queued
   // Much later: both slots long free, no queueing.
-  EXPECT_NEAR(server.schedule_save(1000.0, stream), 1100.0, 1e-6);
+  EXPECT_NEAR(server.begin_save(1000.0, stream).completion, 1100.0, 1e-6);
 }
 
 TEST(CheckpointServer, CancelTransferReleasesUnusedTail) {
@@ -290,21 +290,6 @@ TEST(CheckpointServer, UnlimitedCapacityHasNoSlotToRelease) {
   EXPECT_EQ(transfer.slot, CheckpointServer::kNullSlot);
   server.cancel_transfer(transfer, 10.0);
   EXPECT_EQ(server.slots_released(), 0u);
-}
-
-TEST(CheckpointServer, ReleaseDisabledReproducesHistoricalLeak) {
-  // release_slots = false: a dead client's reservation runs to its end and
-  // the next transfer queues behind it — the documented pre-fix behaviour.
-  CheckpointServer server(rng::UniformDist{100.0, 100.0}, /*capacity=*/1,
-                          /*release_slots=*/false);
-  rng::RandomStream stream(12);
-  const CheckpointServer::Transfer first = server.begin_save(0.0, stream);
-  server.cancel_transfer(first, 30.0);
-  EXPECT_EQ(server.slots_released(), 0u);
-  const CheckpointServer::Transfer second = server.begin_save(30.0, stream);
-  EXPECT_DOUBLE_EQ(second.start, 100.0);
-  EXPECT_DOUBLE_EQ(second.completion, 200.0);
-  EXPECT_DOUBLE_EQ(server.total_queueing_time(), 70.0);
 }
 
 TEST(CheckpointServer, UpDownBookkeeping) {

@@ -3,8 +3,7 @@
 // any worker count, chunk shape, worker-death schedule, or kill/resume
 // point; journal bytes must not depend on the lane kind, and a journal
 // written on one lane kind must resume on the other, while a journal naming
-// a job the campaign never runs is refused; the mmap pool must serve worlds
-// across runs; and the env knobs must parse.
+// a job the campaign never runs is refused; and the env knobs must parse.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -26,7 +25,7 @@
 namespace dg::exp {
 namespace {
 
-/// Fresh scratch directory per test (journal + pool), removed on destruction.
+/// Fresh scratch directory per test (journals), removed on destruction.
 struct ShardDir {
   explicit ShardDir(const std::string& name)
       : path((std::filesystem::temp_directory_path() /
@@ -136,9 +135,10 @@ ShardOptions lanes(std::size_t procs, std::string journal_path = {}) {
 
 TEST(ShardedRunner, BitIdenticalToThreadedRunnerAcrossProcessCounts) {
   // Byte-identical campaign output at 1, 2, and 4 workers. Thread lanes
-  // (live worlds) are the reference; world cache, pool and journal are all
-  // on, so the full transport path (mmap load + socket summaries + journal
-  // append) is what's being held to the contract.
+  // (live worlds) are the reference; per-worker world caches and the
+  // journal are on, so the full transport path (cached-world replay +
+  // socket summaries + journal append) is what's being held to the
+  // contract.
   ShardDir dir("procs");
   const std::vector<NamedConfig> cells = tiny_cells();
   const RunOptions options = tiny_options();
@@ -150,7 +150,6 @@ TEST(ShardedRunner, BitIdenticalToThreadedRunnerAcrossProcessCounts) {
     SCOPED_TRACE(procs);
     ShardOptions shard;
     shard.procs = procs;
-    shard.pool_dir = dir.file("pool");
     shard.journal_path = dir.file(("j" + std::to_string(procs) + ".journal").c_str());
     ExperimentRunner runner(cached, shard);
     expect_cells_bitwise(runner.run(cells), reference);
@@ -164,7 +163,7 @@ TEST(ShardedRunner, BitIdenticalAcrossChunkShapesAndHandOutOrders) {
   const std::vector<CellResult> reference = ExperimentRunner(options).run(cells);
 
   // Three workers without speculation: smaller adaptive chunks, a
-  // different hand-out interleaving, no pool, no journal.
+  // different hand-out interleaving, no world cache, no journal.
   {
     RunOptions o = options;
     o.speculate = 0;
@@ -172,7 +171,7 @@ TEST(ShardedRunner, BitIdenticalAcrossChunkShapesAndHandOutOrders) {
     shard.procs = 3;
     expect_cells_bitwise(ExperimentRunner(o, shard).run(cells), reference);
   }
-  // Per-worker world caches (no pool): workers replay cached worlds.
+  // Per-worker world caches: workers replay their own cached worlds.
   {
     RunOptions o = options;
     o.world_cache_bytes = grid::WorldCache::kDefaultBudgetBytes;
@@ -197,33 +196,6 @@ TEST(ShardedRunner, MultiRoundPrecisionLoopMatchesThreadedRunner) {
   ShardOptions shard;
   shard.procs = 2;
   expect_cells_bitwise(ExperimentRunner(options, shard).run(cells), reference);
-}
-
-TEST(ShardedRunner, SecondRunOverTheSamePoolLoadsInsteadOfSynthesizing) {
-  ShardDir dir("pool_warm");
-  const std::vector<NamedConfig> cells = tiny_cells();
-  RunOptions options = tiny_options();
-  options.world_cache_bytes = grid::WorldCache::kDefaultBudgetBytes;  // the pool backs the cache
-  ShardOptions shard;
-  shard.procs = 2;
-  shard.pool_dir = dir.file("pool");
-
-  ExperimentRunner cold(options, shard);
-  const std::vector<CellResult> first = cold.run(cells);
-  // The cold run synthesized every world exactly once across the fleet.
-  EXPECT_GT(cold.cache_stats().misses, 0u);
-
-  // A second fleet over the same pool directory starts with every world
-  // published: its workers' memory misses are all pool hits, zero syntheses.
-  ExperimentRunner warm(options, shard);
-  const std::vector<CellResult> second = warm.run(cells);
-  const grid::WorldCacheStats stats = warm.cache_stats();
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(stats.extensions, 0u);
-  EXPECT_GT(stats.pool_hits, 0u);
-  EXPECT_GT(stats.pool_hit_rate(), 0.0);
-  // And pool-loaded worlds replay bit-identically to synthesized ones.
-  expect_cells_bitwise(second, first);
 }
 
 TEST(ShardedRunner, KilledWorkerIsRespawnedAndResultsUnchanged) {
@@ -373,7 +345,6 @@ TEST(ShardedRunner, SpeculativeResumeFromEveryBoundaryIsByteIdentical) {
   options.target_relative_error = 0.15;
 
   ShardOptions shard = lanes(1, dir.file("reference.journal"));
-  shard.pool_dir = dir.file("pool");
   ExperimentRunner runner(options, shard);
   const std::vector<CellResult> reference = runner.run(cells);
   const std::vector<std::uint8_t> reference_journal = file_bytes(shard.journal_path);
@@ -476,11 +447,9 @@ TEST(ShardedRunner, EveryWorkerGetsWork) {
 TEST(ShardOptions, FromEnvParsesAndValidates) {
   ASSERT_EQ(setenv("DGSCHED_PROCS", "3", 1), 0);
   ASSERT_EQ(setenv("DGSCHED_JOURNAL", "/tmp/c.journal", 1), 0);
-  ASSERT_EQ(setenv("DGSCHED_POOL", "/tmp/p.worldpool", 1), 0);
   const ShardOptions options = ShardOptions::from_env();
   EXPECT_EQ(options.procs, 3u);
   EXPECT_EQ(options.journal_path, "/tmp/c.journal");
-  EXPECT_EQ(options.pool_dir, "/tmp/p.worldpool");
 
   // 0 asks for thread lanes, like leaving the variable unset.
   ASSERT_EQ(setenv("DGSCHED_PROCS", "0", 1), 0);
@@ -493,11 +462,9 @@ TEST(ShardOptions, FromEnvParsesAndValidates) {
 
   ASSERT_EQ(unsetenv("DGSCHED_PROCS"), 0);
   ASSERT_EQ(unsetenv("DGSCHED_JOURNAL"), 0);
-  ASSERT_EQ(unsetenv("DGSCHED_POOL"), 0);
   const ShardOptions defaults = ShardOptions::from_env();
   EXPECT_EQ(defaults.procs, 0u);
   EXPECT_TRUE(defaults.journal_path.empty());
-  EXPECT_TRUE(defaults.pool_dir.empty());
   EXPECT_EQ(defaults.self_kill_jobs, 0u);
 }
 
