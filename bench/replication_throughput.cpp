@@ -60,26 +60,22 @@ void fill_exec_stats(PerfRecord& record, const dg::exp::ExecutionStats& stats) {
 }
 
 /// What one timed runner call measured: the record's shared fields, plus
-/// the numbers only some records carry.
+/// the number only some records carry.
 struct TimedRun {
   PerfRecord record;
   double allocs_per_replication = 0;  ///< operator-new calls in this process
-  dg::grid::WorldCacheStats cache;
 };
 
 /// One timed runner call over (threads, procs): `threads` thread lanes when
 /// `procs` is 0, otherwise `procs` worker processes (each single-threaded).
-/// Process lanes turn the opt-in world cache on, one private cache per
-/// worker, so cache_hit_rate measures the replay of each worker's worlds
-/// across the cells sharing a seed. Results are bit-identical on either
-/// lane kind; only the clock moves.
+/// Every world is sampled live. Results are bit-identical on either lane
+/// kind; only the clock moves.
 TimedRun timed_run(const std::string& benchmark, const std::string& config,
                    const std::vector<dg::exp::NamedConfig>& cells, dg::exp::RunOptions options,
                    std::size_t threads, std::size_t procs) {
   options.threads = threads;
   dg::exp::ShardOptions shard;
   shard.procs = procs;
-  if (procs > 0) options.world_cache_bytes = dg::grid::WorldCache::kDefaultBudgetBytes;
 
   const std::uint64_t allocs_before = allocs_now();
   Stopwatch timer;
@@ -109,7 +105,6 @@ TimedRun timed_run(const std::string& benchmark, const std::string& config,
   fill_exec_stats(record, runner.exec_stats());
   run.allocs_per_replication =
       replications > 0 ? static_cast<double>(allocs) / static_cast<double>(replications) : 0.0;
-  run.cache = runner.cache_stats();
   std::printf("  %-34s %2zu %s  %8.1f reps/s  busy %5.1fs stall %5.1fs  (%.2f s)\n",
               record.benchmark.c_str(), procs == 0 ? threads : procs,
               procs == 0 ? "thr" : "prc", record.replications_per_sec, record.worker_busy_s,
@@ -183,10 +178,10 @@ int main(int argc, char** argv) {
     records.push_back(run.record);
   }
 
-  // Process-count axis: the same sweep on forked worker processes, each
-  // with a private world cache. DGSCHED_PROCS overrides the top of the
-  // ladder; the default reaches 4 even on smaller machines so the 4-vs-1
-  // scaling row always exists (oversubscribed on fewer cores).
+  // Process-count axis: the same sweep on forked worker processes.
+  // DGSCHED_PROCS overrides the top of the ladder; the default reaches 4
+  // even on smaller machines so the 4-vs-1 scaling row always exists
+  // (oversubscribed on fewer cores).
   std::vector<std::size_t> proc_counts;
   const std::size_t env_procs = dg::exp::ShardOptions::from_env().procs;
   const std::size_t top_procs =
@@ -195,10 +190,9 @@ int main(int argc, char** argv) {
   proc_counts.push_back(top_procs);
   std::cout << "sharded (multi-process) throughput: procs 1.." << top_procs << "\n";
   for (const std::size_t procs : proc_counts) {
-    TimedRun run = timed_run("replication/throughput/sharded", sweep_config + ", cost-major",
-                             cells, sweep, 1, procs);
-    run.record.cache_hit_rate = run.cache.hit_rate();
-    records.push_back(run.record);
+    records.push_back(timed_run("replication/throughput/sharded", sweep_config + ", cost-major",
+                                cells, sweep, 1, procs)
+                          .record);
   }
 
   // The multi-round precision loop (min 2, max 4, unreachable CI target, so

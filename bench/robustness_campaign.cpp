@@ -18,14 +18,14 @@
 //                              utilization): min / median / max / mean /
 //                              stddev / cv / max-over-min.
 //
-// Every output is bit-identical across DGSCHED_THREADS / DGSCHED_PROCS /
-// DGSCHED_WORLD_CACHE — CI runs the smoke grid twice under different shapes
-// and diffs the files byte for byte.
+// Every output is bit-identical across DGSCHED_THREADS / DGSCHED_PROCS, and
+// across DGSCHED_WORLD_CACHE on thread lanes — CI runs the smoke grid under
+// different shapes and diffs the files byte for byte.
 //
 // DGSCHED_PROCS=N (N > 0) runs the risk-cliff grid's lanes as N forked
-// worker processes instead of threads (exp/shard.hpp); with
-// DGSCHED_WORLD_CACHE set each worker keeps a private world cache. Process
-// lanes journal every completed replication by default, so a killed
+// worker processes instead of threads (exp/shard.hpp); they refuse
+// DGSCHED_WORLD_CACHE, which serves thread lanes only. Process lanes
+// journal every completed replication by default, so a killed
 // campaign resumes from the journal; thread lanes journal only when
 // DGSCHED_JOURNAL names a file, since every record is fsync'd. Output stays
 // byte-identical to an uninterrupted run — CI's shard-smoke job cuts a
@@ -34,16 +34,23 @@
 // outputs by default and is removed on successful completion unless
 // --keep-journal is passed.
 //
+// The output directory is created if missing. Any error — a malformed knob,
+// a refused shape, an output file that cannot be written — prints
+// "robustness_campaign: <what>" to stderr and exits with status 1, before
+// the "wrote" line.
+//
 // Usage: ./robustness_campaign [output_dir] [--keep-journal]   # default: cwd
 // Env:   DGSCHED_CAMPAIGN_GRID=smoke|full, DGSCHED_CAMPAIGN_SEEDS=N,
 //        DGSCHED_ADVERSARY=0|1, DGSCHED_BOTS=N, DGSCHED_PROCS=N,
 //        DGSCHED_JOURNAL=path, plus the usual runner knobs.
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -132,9 +139,18 @@ void write_json(std::ostream& os, const exp::CampaignOptions& campaign,
   os << "  ]\n}\n";
 }
 
-}  // namespace
+/// Writes `out_dir`/`name` through `write`, and throws naming the file if it
+/// cannot be opened or any write, flush included, failed.
+template <typename Write>
+void write_output(const std::string& out_dir, const char* name, const Write& write) {
+  const std::string path = out_dir + "/" + name;
+  std::ofstream os(path);
+  write(os);
+  os.close();
+  if (!os) throw std::runtime_error("cannot write " + path);
+}
 
-int main(int argc, char** argv) {
+int run_campaign(int argc, char** argv) {
   std::string out_dir = ".";
   bool keep_journal = false;
   for (int i = 1; i < argc; ++i) {
@@ -152,6 +168,7 @@ int main(int argc, char** argv) {
   if (shard.procs > 0 && shard.journal_path.empty()) {
     shard.journal_path = out_dir + "/robustness_campaign.journal";
   }
+  std::filesystem::create_directories(out_dir);
 
   exp::CampaignAxes axes = campaign.smoke ? exp::CampaignAxes::smoke() : exp::CampaignAxes{};
   axes.num_bots = exp::env_num_bots().value_or(axes.num_bots);
@@ -248,18 +265,12 @@ int main(int argc, char** argv) {
   }
   spread.render(std::cout);
 
-  {
-    std::ofstream os(out_dir + "/robustness_heatmap.csv");
-    write_heatmap_csv(os, rows);
-  }
-  {
-    std::ofstream os(out_dir + "/robustness_seeds.csv");
-    write_seeds_csv(os, seed_rows);
-  }
-  {
-    std::ofstream os(out_dir + "/robustness_campaign.json");
-    write_json(os, campaign, rows, seed_rows);
-  }
+  write_output(out_dir, "robustness_heatmap.csv",
+               [&](std::ostream& os) { write_heatmap_csv(os, rows); });
+  write_output(out_dir, "robustness_seeds.csv",
+               [&](std::ostream& os) { write_seeds_csv(os, seed_rows); });
+  write_output(out_dir, "robustness_campaign.json",
+               [&](std::ostream& os) { write_json(os, campaign, rows, seed_rows); });
   std::cout << "\nwrote " << out_dir << "/robustness_heatmap.csv, robustness_seeds.csv, "
             << "robustness_campaign.json\n";
 
@@ -271,4 +282,15 @@ int main(int argc, char** argv) {
     std::filesystem::remove(shard.journal_path, ec);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run_campaign(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "robustness_campaign: " << e.what() << "\n";
+    return 1;
+  }
 }

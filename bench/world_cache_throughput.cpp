@@ -117,9 +117,8 @@ std::vector<PerfRecord> availability_microbench(std::size_t reps, double horizon
     // Synthesized ONCE, replayed `reps` times — the cache's steady state.
     dg::des::Simulator sim;
     dg::grid::DesktopGrid probe(config, sim, kSeed);
-    const dg::grid::WorldRealization world = dg::grid::WorldRealization::synthesize(
-        config.availability, config.checkpoint_server_faults, config.outages, probe.size(),
-        horizon, kSeed);
+    const dg::grid::WorldRealization world =
+        dg::grid::WorldRealization::synthesize(config.availability, probe.size(), horizon, kSeed);
     dg::grid::ReplayCursors cursors;
     for (std::size_t r = 0; r < reps; ++r) {
       dg::des::Simulator replay_sim;

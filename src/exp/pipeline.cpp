@@ -38,17 +38,22 @@ PipelineState::PipelineState(const RunOptions& options, std::vector<CellResult>&
 
 void PipelineState::start() {
   if (journal_ != nullptr) {
-    // A checksummed record of a job no run of this campaign has: refuse the
-    // journal before anything folds or any record is appended.
+    // A checksummed record of a job no run of this campaign has, or a second
+    // record of one job (no run writes one): refuse the journal before
+    // anything folds or any record is appended.
     const std::size_t max_reps = std::max(options_.min_replications, options_.max_replications);
     for (const CampaignJournal::Record& record : journal_->recovered()) {
-      if (record.cell >= cells_.size() || record.replication >= max_reps) {
-        throw std::runtime_error("journal '" + journal_->path() + "' holds a record for cell " +
+      const auto refuse = [&](const char* what, const char* why) {
+        throw std::runtime_error("journal '" + journal_->path() + "' " + what + " cell " +
                                  std::to_string(record.cell) + ", replication " +
-                                 std::to_string(record.replication) +
-                                 ", which this campaign never runs");
+                                 std::to_string(record.replication) + why);
+      };
+      if (record.cell >= cells_.size() || record.replication >= max_reps) {
+        refuse("holds a record for", ", which this campaign never runs");
       }
-      recovered_set_.emplace(record.cell, record.replication);
+      if (!recovered_set_.emplace(record.cell, record.replication).second) {
+        refuse("repeats the record for", "");
+      }
     }
   }
   if (options_.min_replications == 0) {

@@ -166,6 +166,12 @@ std::vector<WorkerLaneStats> run_thread_lanes(const RunOptions& options,
 }  // namespace
 
 std::vector<CellResult> ExperimentRunner::run(const std::vector<NamedConfig>& cells) {
+  if (shard_.procs > 0 && options_.world_cache_bytes > 0) {
+    throw std::invalid_argument(
+        "ExperimentRunner: the world cache runs on thread lanes only; process lanes (procs = " +
+        std::to_string(shard_.procs) + ") refuse world_cache_bytes = " +
+        std::to_string(options_.world_cache_bytes));
+  }
   std::vector<CellResult> results = make_cell_results(cells, options_);
   exec_stats_ = ExecutionStats{};
   cache_stats_ = grid::WorldCacheStats{};
@@ -188,8 +194,7 @@ std::vector<CellResult> ExperimentRunner::run(const std::vector<NamedConfig>& ce
     exec_stats_.lanes = run_thread_lanes(options_, cells, state, journal.get(), world_cache_);
     if (world_cache_) cache_stats_ = world_cache_->stats();
   } else {
-    exec_stats_.lanes =
-        run_process_lanes(options_, shard_, cells, state, journal.get(), cache_stats_);
+    exec_stats_.lanes = run_process_lanes(options_, shard_, cells, state, journal.get());
   }
   exec_stats_.wall_s = seconds_since(wall_start);
   if (shard_.procs > 0) {

@@ -34,11 +34,13 @@ struct RunOptions {
   /// Thread lanes; 0 = max(1, hardware concurrency).
   std::size_t threads = 0;
   /// Budget (bytes) of the shared world-realization cache: each replication
-  /// seed's availability / server-fault timelines are synthesized once and
-  /// replayed in every policy cell sharing that seed (bit-identical; see
+  /// seed's machine availability timelines are synthesized once and replayed
+  /// in every policy cell sharing that seed (bit-identical; see
   /// grid/world_cache.hpp). 0 (the default) disables the cache — every
   /// replication samples its processes live, which measured no slower and
-  /// holds no worlds in memory.
+  /// holds no worlds in memory. Thread lanes only: with
+  /// ShardOptions::procs > 0, ExperimentRunner::run throws
+  /// std::invalid_argument before any worker forks.
   std::size_t world_cache_bytes = 0;
   /// Replications launched beyond each cell's justified precision frontier
   /// (0 disables). Common-random-numbers seeding makes replication (cell, k)
@@ -183,8 +185,8 @@ struct ShardOptions {
 ///    threads pull one job at a time and deliver summaries under one mutex,
 ///    sharing one world cache;
 ///  * process lanes (procs > 0): a single-threaded fork/poll coordinator
-///    (exp/shard.hpp) hands chunks to forked workers, each with a private
-///    world cache.
+///    (exp/shard.hpp) hands chunks to forked workers, which sample every
+///    world live.
 ///
 /// Either way each summary folds the moment its per-cell predecessors have
 /// committed, in ascending replication order — the exact accumulator
@@ -206,13 +208,13 @@ class ExperimentRunner {
   /// common random numbers (and share one cached world realization when the
   /// world cache is on). On thread lanes, the first exception a job throws
   /// stops every lane and is rethrown once all have joined. On process
-  /// lanes, must be called from a process where forking is safe.
+  /// lanes, must be called from a process where forking is safe, and throws
+  /// std::invalid_argument up front if RunOptions::world_cache_bytes > 0.
   [[nodiscard]] std::vector<CellResult> run(const std::vector<NamedConfig>& cells);
 
   /// World-cache statistics after the most recent run(): the shared cache's
-  /// running totals on thread lanes (it lives across run() calls), the
-  /// worker processes' caches of that run merged (WorldCacheStats::merge) on
-  /// process lanes. All zero while the cache is off.
+  /// running totals on thread lanes (it lives across run() calls). All zero
+  /// on process lanes and while the cache is off.
   [[nodiscard]] const grid::WorldCacheStats& cache_stats() const noexcept { return cache_stats_; }
 
   // The split accessors that cache_stats() replaces: the thread lanes'

@@ -14,7 +14,6 @@
 #include <cstring>
 #include <deque>
 #include <exception>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -41,8 +40,7 @@ namespace {
 //                     | count x (cell u32, rep u32, size u32, size bytes)
 //                     where the bytes are one serialized ReplicationSummary
 //   kShutdown   C->W  (empty) — worker replies kStats and exits
-//   kStats      W->C  7 x u64 WorldCacheStats counters, busy_ns u64,
-//                     jobs u64
+//   kStats      W->C  busy_ns u64 | jobs u64
 // ---------------------------------------------------------------------------
 
 enum MsgType : std::uint32_t {
@@ -52,7 +50,7 @@ enum MsgType : std::uint32_t {
   kStats = 4,
 };
 
-constexpr std::size_t kStatsWords = 9;
+constexpr std::size_t kStatsWords = 2;
 /// Upper bound on adaptive chunk size (jobs per kAssign).
 constexpr std::size_t kChunkCap = 32;
 
@@ -113,10 +111,6 @@ struct MsgHeader {
 [[noreturn]] void worker_main(int fd, const RunOptions& options,
                               const std::vector<NamedConfig>& cells, std::size_t kill_after_jobs) {
   try {
-    std::shared_ptr<grid::WorldCache> world_cache;
-    if (options.world_cache_bytes > 0) {
-      world_cache = std::make_shared<grid::WorldCache>(options.world_cache_bytes);
-    }
     sim::SimulationWorkspace workspace;
     std::size_t jobs_run = 0;
     std::uint64_t busy_ns = 0;
@@ -127,16 +121,7 @@ struct MsgHeader {
     for (;;) {
       if (!read_msg(fd, header, payload)) std::_Exit(0);  // coordinator gone
       if (header.type == kShutdown) {
-        const grid::WorldCacheStats stats =
-            world_cache != nullptr ? world_cache->stats() : grid::WorldCacheStats{};
         std::vector<std::uint8_t> wire;
-        util::put_pod(wire, stats.hits);
-        util::put_pod(wire, stats.misses);
-        util::put_pod(wire, stats.extensions);
-        util::put_pod(wire, stats.evictions);
-        util::put_pod(wire, static_cast<std::uint64_t>(stats.entries));
-        util::put_pod(wire, static_cast<std::uint64_t>(stats.bytes));
-        util::put_pod(wire, static_cast<std::uint64_t>(stats.peak_bytes));
         util::put_pod(wire, busy_ns);
         util::put_pod(wire, static_cast<std::uint64_t>(jobs_run));
         (void)send_msg(fd, kStats, wire.data(), wire.size());
@@ -159,7 +144,7 @@ struct MsgHeader {
 
         const auto job_start = std::chrono::steady_clock::now();
         const ReplicationSummary summary =
-            run_job(cells[cell].config, replication, options.base_seed, world_cache, workspace);
+            run_job(cells[cell].config, replication, options.base_seed, nullptr, workspace);
         busy_ns += static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                                   std::chrono::steady_clock::now() - job_start)
                                                   .count());
@@ -195,8 +180,7 @@ struct MsgHeader {
 std::vector<WorkerLaneStats> run_process_lanes(const RunOptions& options,
                                                const ShardOptions& shard,
                                                const std::vector<NamedConfig>& cells,
-                                               PipelineState& state, CampaignJournal* journal,
-                                               grid::WorldCacheStats& cache_stats) {
+                                               PipelineState& state, CampaignJournal* journal) {
   const std::size_t procs = shard.procs;
 
   struct Chunk {
@@ -385,9 +369,9 @@ std::vector<WorkerLaneStats> run_process_lanes(const RunOptions& options,
     }
   }
 
-  // Shutdown: collect every worker's cache stats and execution-lane
-  // accounting, then reap. A lane whose worker was respawned reports only
-  // the surviving incarnation (a killed worker's counters die with it).
+  // Shutdown: collect every worker's execution-lane accounting, then reap.
+  // A lane whose worker was respawned reports only the surviving
+  // incarnation (a killed worker's counters die with it).
   std::vector<WorkerLaneStats> lanes(procs);
   for (std::size_t w = 0; w < procs; ++w) {
     Worker& worker = workers[w];
@@ -396,15 +380,6 @@ std::vector<WorkerLaneStats> run_process_lanes(const RunOptions& options,
     if (send_msg(worker.fd, kShutdown, nullptr, 0) && read_msg(worker.fd, header, payload) &&
         header.type == kStats && payload.size() == kStatsWords * sizeof(std::uint64_t)) {
       util::ByteReader reader(payload.data(), payload.size());
-      grid::WorldCacheStats stats;
-      stats.hits = reader.pod<std::uint64_t>();
-      stats.misses = reader.pod<std::uint64_t>();
-      stats.extensions = reader.pod<std::uint64_t>();
-      stats.evictions = reader.pod<std::uint64_t>();
-      stats.entries = static_cast<std::size_t>(reader.pod<std::uint64_t>());
-      stats.bytes = static_cast<std::size_t>(reader.pod<std::uint64_t>());
-      stats.peak_bytes = static_cast<std::size_t>(reader.pod<std::uint64_t>());
-      cache_stats.merge(stats);
       lanes[w].busy_s = static_cast<double>(reader.pod<std::uint64_t>()) * 1e-9;
       lanes[w].jobs = reader.pod<std::uint64_t>();
     }

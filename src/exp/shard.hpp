@@ -5,10 +5,9 @@
 // PipelineState (exp/pipeline.hpp) that thread lanes pop, but hands them out
 // as cost-major chunks to N forked workers over per-worker UNIX socket
 // pairs. Each worker runs its jobs through the shared job body (run_job)
-// with a private SimulationWorkspace (and, when
-// RunOptions::world_cache_bytes > 0, a private WorldCache), and ships the
-// summaries back; the coordinator feeds them through the pipeline's ordered
-// per-cell commit — the exact fold sequence of thread lanes — so the merged
+// with a private SimulationWorkspace, sampling every world live, and ships
+// the summaries back; the coordinator feeds them through the pipeline's
+// ordered per-cell commit — the exact fold sequence of thread lanes — so the merged
 // CellResults are bit-identical for ANY worker count, chunk shape,
 // speculation window, worker-death schedule, or kill/resume point. Chunks
 // are double-buffered per worker (a new chunk is assigned while the
@@ -21,9 +20,9 @@
 //
 // Why processes at all: address-space isolation (one crashed replication
 // loses a chunk, not the campaign — the coordinator re-queues it and forks
-// a replacement worker). By default workers sample their worlds live. With
-// the world cache on, each worker synthesizes the worlds its own jobs need
-// into its private WorldCache; nothing is shared between processes.
+// a replacement worker). Workers keep no world cache: a private cache per
+// worker ran the campaign slower than live sampling, so ExperimentRunner
+// refuses RunOptions::world_cache_bytes > 0 on these lanes.
 //
 // A worker that dies is reaped, its outstanding chunks re-queued, and a
 // replacement forked (bounded; a deterministically-crashing replication
@@ -48,11 +47,10 @@ class PipelineState;
 /// Runs `state` to completion on shard.procs forked worker processes, then
 /// shuts them down. Returns one WorkerLaneStats per worker with busy_s and
 /// jobs set (a respawned worker reports its surviving incarnation only; the
-/// caller derives stall_s) and merges the workers' world-cache statistics
-/// into `cache_stats`. `journal` may be null.
+/// caller derives stall_s). `journal` may be null.
 [[nodiscard]] std::vector<WorkerLaneStats> run_process_lanes(
     const RunOptions& options, const ShardOptions& shard, const std::vector<NamedConfig>& cells,
-    PipelineState& state, CampaignJournal* journal, grid::WorldCacheStats& cache_stats);
+    PipelineState& state, CampaignJournal* journal);
 
 /// The process-lane runner's old name. Kept only because
 /// benchmark/trace/trace_driver.cpp names it; remove with the next

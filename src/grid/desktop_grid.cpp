@@ -102,14 +102,10 @@ MachineId DesktopGrid::next_available(MachineId after) const noexcept {
 }
 
 void DesktopGrid::start(TransitionCallback on_failure, TransitionCallback on_repair) {
-  start_machines(on_failure, on_repair);
-  start_outages(on_failure, on_repair);
-}
-
-void DesktopGrid::start_machines(TransitionCallback on_failure, TransitionCallback on_repair) {
   for (AvailabilityProcess& process : processes_) {
     process.start(on_failure, on_repair);
   }
+  start_outages(on_failure, on_repair);
 }
 
 void DesktopGrid::start_outages(TransitionCallback on_failure, TransitionCallback on_repair) {

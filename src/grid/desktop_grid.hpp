@@ -77,11 +77,6 @@ class DesktopGrid final : public MachineAvailabilityListener {
   /// grid::RealizedAvailabilityDriver) instead of the live processes.
   void start_outages(TransitionCallback on_failure, TransitionCallback on_repair);
 
-  /// Starts only the per-machine availability processes — for runs whose
-  /// correlated outages are replayed by a grid::RealizedOutageDriver instead
-  /// of the live OutageProcess. start() == start_machines() + start_outages().
-  void start_machines(TransitionCallback on_failure, TransitionCallback on_repair);
-
   [[nodiscard]] std::size_t size() const noexcept { return machines_.size(); }
   /// The resource the grid's storage draws from (the constructor's `mem`).
   [[nodiscard]] std::pmr::memory_resource* memory_resource() const noexcept {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <type_traits>
 
 #include "rng/splitmix64.hpp"
 #include "rng/random_stream.hpp"
@@ -16,9 +15,7 @@ std::uint64_t mix_double(std::uint64_t h, double value) noexcept {
 }
 
 /// Model/machine-count signature: the stable hash that keys cache slots.
-std::uint64_t signature(const AvailabilityModel& availability,
-                        const CheckpointServerFaultModel& server_faults,
-                        const OutageModel& outages, std::size_t num_machines) noexcept {
+std::uint64_t signature(const AvailabilityModel& availability, std::size_t num_machines) noexcept {
   std::uint64_t h = rng::fnv1a64("world.realization");
   h = mix_double(h, availability.time_to_failure.shape);
   h = mix_double(h, availability.time_to_failure.scale);
@@ -27,33 +24,6 @@ std::uint64_t signature(const AvailabilityModel& availability,
   h = mix_double(h, availability.time_to_repair.lo);
   h = mix_double(h, availability.time_to_repair.hi);
   h = rng::mix_seed(h, availability.failures_enabled ? 1 : 0);
-  h = rng::mix_seed(h, server_faults.enabled ? 1 : 0);
-  h = mix_double(h, server_faults.mtbf);
-  h = mix_double(h, server_faults.mttr);
-  h = rng::mix_seed(h, outages.enabled ? 1 : 0);
-  h = mix_double(h, outages.mean_interarrival);
-  h = mix_double(h, outages.fraction);
-  h = rng::mix_seed(h, outages.duration.type_index());
-  outages.duration.visit([&h](const auto& d) {
-    using D = std::decay_t<decltype(d)>;
-    if constexpr (std::is_same_v<D, rng::UniformDist>) {
-      h = mix_double(h, d.lo);
-      h = mix_double(h, d.hi);
-    } else if constexpr (std::is_same_v<D, rng::ExponentialDist>) {
-      h = mix_double(h, d.mean_value);
-    } else if constexpr (std::is_same_v<D, rng::TruncatedNormalDist>) {
-      h = mix_double(h, d.mu);
-      h = mix_double(h, d.sigma);
-      h = mix_double(h, d.lo);
-      h = mix_double(h, d.hi);
-    } else if constexpr (std::is_same_v<D, rng::WeibullDist>) {
-      h = mix_double(h, d.shape);
-      h = mix_double(h, d.scale);
-    } else {
-      static_assert(std::is_same_v<D, rng::ConstantDist>);
-      h = mix_double(h, d.value);
-    }
-  });
   h = rng::mix_seed(h, num_machines);
   return h;
 }
@@ -61,8 +31,7 @@ std::uint64_t signature(const AvailabilityModel& availability,
 }  // namespace
 
 bool WorldCache::matches(const WorldRealization& world, const AvailabilityModel& availability,
-                         const CheckpointServerFaultModel& server_faults,
-                         const OutageModel& outages, std::size_t num_machines) noexcept {
+                         std::size_t num_machines) noexcept {
   return world.num_machines == num_machines &&
          world.availability.failures_enabled == availability.failures_enabled &&
          world.availability.time_to_failure.shape == availability.time_to_failure.shape &&
@@ -70,20 +39,13 @@ bool WorldCache::matches(const WorldRealization& world, const AvailabilityModel&
          world.availability.time_to_repair.mu == availability.time_to_repair.mu &&
          world.availability.time_to_repair.sigma == availability.time_to_repair.sigma &&
          world.availability.time_to_repair.lo == availability.time_to_repair.lo &&
-         world.availability.time_to_repair.hi == availability.time_to_repair.hi &&
-         world.server_faults.enabled == server_faults.enabled &&
-         world.server_faults.mtbf == server_faults.mtbf &&
-         world.server_faults.mttr == server_faults.mttr &&
-         world.outages.enabled == outages.enabled &&
-         world.outages.mean_interarrival == outages.mean_interarrival &&
-         world.outages.fraction == outages.fraction &&
-         world.outages.duration == outages.duration;
+         world.availability.time_to_repair.hi == availability.time_to_repair.hi;
 }
 
-std::shared_ptr<const WorldRealization> WorldCache::acquire(
-    const AvailabilityModel& availability, const CheckpointServerFaultModel& server_faults,
-    const OutageModel& outages, std::size_t num_machines, double horizon, std::uint64_t seed) {
-  const Key key{seed, signature(availability, server_faults, outages, num_machines)};
+std::shared_ptr<const WorldRealization> WorldCache::acquire(const AvailabilityModel& availability,
+                                                            std::size_t num_machines,
+                                                            double horizon, std::uint64_t seed) {
+  const Key key{seed, signature(availability, num_machines)};
 
   std::shared_ptr<Slot> slot;
   {
@@ -101,7 +63,7 @@ std::shared_ptr<const WorldRealization> WorldCache::acquire(
   {
     std::lock_guard lock(mutex_);
     if (slot->world != nullptr && slot->world->covers(horizon) &&
-        matches(*slot->world, availability, server_faults, outages, num_machines)) {
+        matches(*slot->world, availability, num_machines)) {
       ++stats_.hits;
       return slot->world;
     }
@@ -113,8 +75,8 @@ std::shared_ptr<const WorldRealization> WorldCache::acquire(
   // repeat synthesis draw without allocations.
   static thread_local SynthesisScratch scratch;
   auto world = std::make_shared<const WorldRealization>(
-      WorldRealization::synthesize(availability, server_faults, outages, num_machines,
-                                   horizon * kHorizonMargin, seed, scratch));
+      WorldRealization::synthesize(availability, num_machines, horizon * kHorizonMargin, seed,
+                                   scratch));
 
   std::lock_guard lock(mutex_);
   if (was_resident) {

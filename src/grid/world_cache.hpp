@@ -2,12 +2,13 @@
 //
 // exp::ExperimentRunner compares policies under common random numbers: every
 // policy cell of a figure panel re-runs the same replication seeds, so the
-// grid behaviour (machine availability + checkpoint-server faults +
-// correlated outages) of one replication is recomputed once per cell. This cache synthesizes each
-// replication's WorldRealization once — keyed by (seed, models, machine
-// count) — and hands the same immutable realization to every cell sharing
-// it; cells replay it through the cursor drivers in grid/realization.hpp,
-// bit-identically to the live processes.
+// machine availability of one replication is recomputed once per cell. This
+// cache synthesizes each replication's WorldRealization once — keyed by
+// (seed, availability model, machine count) — and hands the same immutable
+// realization to every cell sharing it; cells replay it through the cursor
+// driver in grid/realization.hpp, bit-identically to the live processes.
+// Only thread lanes share a cache: process lanes refuse it (see
+// exp::RunOptions::world_cache_bytes).
 //
 // Memory is bounded by a byte budget (DGSCHED_WORLD_CACHE): when the resident
 // realizations exceed it, least-recently-used entries are evicted — since the
@@ -50,19 +51,6 @@ struct WorldCacheStats {
   /// benchmark/trace/trace_driver.cpp reports it; remove with the next
   /// benchmark change (ROADMAP item 4).
   [[nodiscard]] double pool_hit_rate() const noexcept { return 0.0; }
-
-  /// Aggregates another snapshot (e.g. a worker process's cache) into this
-  /// one. Byte gauges take the max — they describe concurrent residency, not
-  /// a sum over time.
-  void merge(const WorldCacheStats& other) noexcept {
-    hits += other.hits;
-    misses += other.misses;
-    extensions += other.extensions;
-    evictions += other.evictions;
-    entries = entries > other.entries ? entries : other.entries;
-    bytes = bytes > other.bytes ? bytes : other.bytes;
-    peak_bytes = peak_bytes > other.peak_bytes ? peak_bytes : other.peak_bytes;
-  }
 };
 
 class WorldCache {
@@ -81,13 +69,13 @@ class WorldCache {
   WorldCache(const WorldCache&) = delete;
   WorldCache& operator=(const WorldCache&) = delete;
 
-  /// A realization of (models, machine count, seed) covering at least
+  /// A realization of (model, machine count, seed) covering at least
   /// [0, horizon]. Served from cache when resident; synthesized (with
   /// kHorizonMargin headroom) and cached otherwise. The returned realization
   /// is immutable and remains valid after eviction.
   [[nodiscard]] std::shared_ptr<const WorldRealization> acquire(
-      const AvailabilityModel& availability, const CheckpointServerFaultModel& server_faults,
-      const OutageModel& outages, std::size_t num_machines, double horizon, std::uint64_t seed);
+      const AvailabilityModel& availability, std::size_t num_machines, double horizon,
+      std::uint64_t seed);
 
   [[nodiscard]] WorldCacheStats stats() const;
   [[nodiscard]] std::size_t budget_bytes() const noexcept { return budget_bytes_; }
@@ -105,8 +93,6 @@ class WorldCache {
 
   [[nodiscard]] static bool matches(const WorldRealization& world,
                                     const AvailabilityModel& availability,
-                                    const CheckpointServerFaultModel& server_faults,
-                                    const OutageModel& outages,
                                     std::size_t num_machines) noexcept;
   /// Drops LRU entries (never `keep`) until within budget. Requires mutex_.
   void evict_locked(const Key& keep);

@@ -40,9 +40,9 @@
 // every pop is paid for by an earlier push.
 //
 // Each set is a bitmap over bag id, so every query is a find-first-set from
-// a position and iteration order is bag-id order (arrival order wherever ids
-// are handed out in arrival order, as the workload generator and the
-// examples do); a slot table maps an id back to its bag. The tables grow in
+// a position and iteration order is bag-id order, which is arrival order (a
+// bag's id is its arrival index; sim::Simulation rejects trace bags numbered
+// otherwise); a slot table maps an id back to its bag. The tables grow in
 // register_bot, one id at a time (bags may arrive on the fly), or up front
 // through reserve().
 #pragma once

@@ -135,13 +135,18 @@ const SimulationResult& Simulation::run(SimulationWorkspace& workspace,
   std::vector<workload::BotSpec>& specs = workspace.specs();
   if (config_.trace_bots != nullptr) {
     specs = *config_.trace_bots;
-    // The scheduler's dispatch index is a table over bag id, sized by the
-    // bag count below; ids may come in any order.
-    for (const workload::BotSpec& spec : specs) {
-      if (spec.id >= specs.size()) {
-        throw std::invalid_argument("Simulation: trace bag id " + std::to_string(spec.id) +
-                                    " is not below the bag count " +
-                                    std::to_string(specs.size()));
+    // A bag's id is its arrival index: the dispatch index and the policies'
+    // tie-breaks order bags by id, so any other numbering would serve a
+    // later arrival first. load_workload_csv numbers bags this way.
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      if (specs[i].id != i) {
+        throw std::invalid_argument("Simulation: trace bag " + std::to_string(i) + " has id " +
+                                    std::to_string(specs[i].id) +
+                                    "; ids must be the arrival indices 0..n-1 in vector order");
+      }
+      if (i > 0 && specs[i].arrival_time < specs[i - 1].arrival_time) {
+        throw std::invalid_argument("Simulation: trace bag " + std::to_string(i) +
+                                    " arrives before bag " + std::to_string(i - 1));
       }
     }
   } else if (config_.adversary.enabled && config_.adversary.burst_intensity > 1.0) {
@@ -176,16 +181,14 @@ const SimulationResult& Simulation::run(SimulationWorkspace& workspace,
   }
 
   // --- world realization ---
-  // With a cache installed, the availability / server-fault timelines are
-  // synthesized once per (models, machine count, seed) and replayed below —
+  // With a cache installed, the machine availability timelines are
+  // synthesized once per (model, machine count, seed) and replayed below —
   // bit-identical to the live processes (see grid/realization.hpp).
   std::shared_ptr<const grid::WorldRealization> world;
   if (config_.world_cache != nullptr && !trace_driven_grid &&
-      (grid_config.availability.failures_enabled ||
-       config_.grid.checkpoint_server_faults.enabled || grid_config.outages.enabled)) {
-    world = config_.world_cache->acquire(grid_config.availability,
-                                         config_.grid.checkpoint_server_faults,
-                                         grid_config.outages, grid.size(), horizon, config_.seed);
+      grid_config.availability.failures_enabled) {
+    world = config_.world_cache->acquire(grid_config.availability, grid.size(), horizon,
+                                         config_.seed);
   }
 
   // --- tail-metrics columns ---
@@ -236,7 +239,6 @@ const SimulationResult& Simulation::run(SimulationWorkspace& workspace,
     engine_config.failable_server = true;
     engine_config.server_faults = config_.grid.checkpoint_server_faults;
     engine_config.retry = config_.checkpoint_retry;
-    engine_config.world = world;  // null = live fault process
   }
   if (config_.adversary.enabled && config_.adversary.hit_server) {
     // Forced server downtime over every stress window; composes with the
@@ -251,7 +253,6 @@ const SimulationResult& Simulation::run(SimulationWorkspace& workspace,
 
   std::unique_ptr<grid::TraceAvailabilityDriver> trace_driver;
   std::optional<grid::RealizedAvailabilityDriver> realized_driver;
-  std::optional<grid::RealizedOutageDriver> realized_outages;
   std::optional<grid::ScheduledOutageProcess> adversary_outages;
   const grid::TransitionCallback on_failure = [&engine](grid::Machine& machine) {
     engine.on_machine_failure(machine);
@@ -266,24 +267,12 @@ const SimulationResult& Simulation::run(SimulationWorkspace& workspace,
     grid.start(nullptr, nullptr);  // processes disabled; keeps uptime stats coherent
   } else if (world != nullptr) {
     // Replay the cached realization: same first-failure scheduling order as
-    // grid.start(), same lazy one-event-per-machine pattern thereafter. When
-    // the availability model has failures disabled (server-faults- or
-    // outage-only worlds) the live processes are no-ops, so starting them
-    // matches the recorded (empty) machine timelines.
-    if (grid_config.availability.failures_enabled) {
-      realized_driver.emplace(sim, grid, *world, workspace.replay_cursors());
-      realized_driver->start(on_failure, on_repair);
-    } else {
-      grid.start_machines(on_failure, on_repair);
-    }
-    if (world->outages.enabled) {
-      // Outage strikes come from the realization too (same "grid.outages"
-      // stream consumption as the live process, cache-on == cache-off).
-      realized_outages.emplace(sim, grid, *world);
-      realized_outages->start(on_failure, on_repair);
-    } else {
-      grid.start_outages(on_failure, on_repair);
-    }
+    // grid.start(), same lazy one-event-per-machine pattern thereafter. The
+    // outage process then starts live, exactly where grid.start() would
+    // start it, so cache-on == cache-off.
+    realized_driver.emplace(sim, grid, *world, workspace.replay_cursors());
+    realized_driver->start(on_failure, on_repair);
+    grid.start_outages(on_failure, on_repair);
   } else {
     grid.start(on_failure, on_repair);
   }

@@ -58,7 +58,9 @@ struct SimulationConfig {
   std::size_t warmup_bots = 0;
 
   /// Replay this submission stream instead of sampling from `workload`
-  /// (which then only matters for reporting). See workload/trace.hpp.
+  /// (which then only matters for reporting). Bag i must have id i and
+  /// arrivals must not decrease; run() throws std::invalid_argument naming
+  /// the first bag that breaks this. See workload/trace.hpp.
   std::shared_ptr<const std::vector<workload::BotSpec>> trace_bots;
   /// Replay machine availability from this trace instead of the stochastic
   /// Weibull/normal processes. `grid.availability` should still describe the
@@ -66,14 +68,16 @@ struct SimulationConfig {
   /// math. See grid/trace.hpp.
   std::shared_ptr<const grid::AvailabilityTrace> availability_trace;
 
-  /// Shared world-realization cache: the run acquires its (availability +
-  /// checkpoint-server fault + correlated-outage) timelines — synthesized once per (models,
-  /// machine count, seed) — and replays them through the cursor drivers of
+  /// Shared world-realization cache: the run acquires its machine
+  /// availability timelines — synthesized once per (model, machine count,
+  /// seed) — and replays them through the cursor driver of
   /// grid/realization.hpp instead of sampling the live processes.
+  /// Checkpoint-server faults and correlated outages always run live.
   /// Bit-identical to the live path (same streams, same draw order, same
   /// event schedule); exp::ExperimentRunner installs its cache here so every
   /// policy cell of a replication shares one realization. Null (the default)
-  /// = live processes. Ignored when `availability_trace` is set.
+  /// = live processes. Ignored when `availability_trace` is set or the
+  /// availability model has failures disabled.
   std::shared_ptr<grid::WorldCache> world_cache;
 
   /// Sampling period of the queue monitor (active bags / busy machines time

@@ -70,8 +70,10 @@ std::vector<BotSpec> load_workload_csv(std::istream& is) {
   std::vector<BotSpec> result;
   result.reserve(bots.size());
   for (auto& entry : bots) result.push_back(std::move(entry.second));
-  std::sort(result.begin(), result.end(),
-            [](const BotSpec& a, const BotSpec& b) { return a.arrival_time < b.arrival_time; });
+  std::sort(result.begin(), result.end(), [](const BotSpec& a, const BotSpec& b) {
+    return a.arrival_time != b.arrival_time ? a.arrival_time < b.arrival_time : a.id < b.id;
+  });
+  for (std::size_t i = 0; i < result.size(); ++i) result[i].id = static_cast<BotId>(i);
   return result;
 }
 

@@ -19,7 +19,9 @@ namespace dg::workload {
 void save_workload_csv(std::ostream& os, const std::vector<BotSpec>& bots);
 
 /// Parses a workload trace. Bags are returned in arrival order (rows need not
-/// be). Throws std::runtime_error naming the line on malformed input: a bad
+/// be; equal arrivals keep the file's bag-id order) and renumbered 0..n-1 in
+/// that order, so a bag's id is its arrival index, as sim::Simulation
+/// requires. Throws std::runtime_error naming the line on malformed input: a bad
 /// header, a missing field, an id that is not plain digits or outside its
 /// type's range, a task index more than one past the bag's highest so far,
 /// a negative or non-finite arrival, a non-finite granularity, or work that

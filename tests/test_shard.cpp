@@ -3,7 +3,8 @@
 // any worker count, chunk shape, worker-death schedule, or kill/resume
 // point; journal bytes must not depend on the lane kind, and a journal
 // written on one lane kind must resume on the other, while a journal naming
-// a job the campaign never runs is refused; and the env knobs must parse.
+// a job the campaign never runs, or naming one job twice, is refused;
+// process lanes refuse the world cache; and the env knobs must parse.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -135,23 +136,20 @@ ShardOptions lanes(std::size_t procs, std::string journal_path = {}) {
 
 TEST(ShardedRunner, BitIdenticalToThreadedRunnerAcrossProcessCounts) {
   // Byte-identical campaign output at 1, 2, and 4 workers. Thread lanes
-  // (live worlds) are the reference; per-worker world caches and the
-  // journal are on, so the full transport path (cached-world replay +
-  // socket summaries + journal append) is what's being held to the
+  // are the reference; the journal is on, so the full transport path
+  // (socket summaries + journal append) is what's being held to the
   // contract.
   ShardDir dir("procs");
   const std::vector<NamedConfig> cells = tiny_cells();
   const RunOptions options = tiny_options();
   const std::vector<CellResult> reference = ExperimentRunner(options).run(cells);
-  RunOptions cached = options;
-  cached.world_cache_bytes = grid::WorldCache::kDefaultBudgetBytes;
 
   for (const std::size_t procs : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     SCOPED_TRACE(procs);
     ShardOptions shard;
     shard.procs = procs;
     shard.journal_path = dir.file(("j" + std::to_string(procs) + ".journal").c_str());
-    ExperimentRunner runner(cached, shard);
+    ExperimentRunner runner(options, shard);
     expect_cells_bitwise(runner.run(cells), reference);
     EXPECT_EQ(runner.exec_stats().recovered, 0u);
   }
@@ -171,13 +169,16 @@ TEST(ShardedRunner, BitIdenticalAcrossChunkShapesAndHandOutOrders) {
     shard.procs = 3;
     expect_cells_bitwise(ExperimentRunner(o, shard).run(cells), reference);
   }
-  // Per-worker world caches: workers replay their own cached worlds.
+  // The world cache runs on thread lanes only: process lanes refuse it
+  // before the run opens its journal or forks a worker.
   {
+    ShardDir dir("refused_cache");
     RunOptions o = options;
     o.world_cache_bytes = grid::WorldCache::kDefaultBudgetBytes;
-    ShardOptions shard;
-    shard.procs = 2;
-    expect_cells_bitwise(ExperimentRunner(o, shard).run(cells), reference);
+    ExperimentRunner runner(o, lanes(2, dir.file("refused.journal")));
+    EXPECT_THROW((void)runner.run(cells), std::invalid_argument);
+    EXPECT_FALSE(std::filesystem::exists(dir.file("refused.journal")));
+    EXPECT_TRUE(runner.exec_stats().lanes.empty());
   }
 }
 
@@ -403,6 +404,41 @@ TEST(ShardedRunner, JournalRecordOfAJobTheCampaignNeverRunsIsRefused) {
       EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
     }
     EXPECT_EQ(file_bytes(path), before);
+  }
+}
+
+TEST(ShardedRunner, JournalThatRepeatsARecordIsRefused) {
+  // A run writes each (cell, replication) record once. A journal cut after
+  // its third record with that record appended again is no canonical
+  // prefix: run() must throw naming the journal and the job on either lane
+  // kind, before it folds or appends anything.
+  ShardDir dir("repeat");
+  const std::vector<NamedConfig> cells = tiny_cells();
+  RunOptions options = tiny_options();
+  options.threads = 1;
+  const std::string path = dir.file("repeat.journal");
+  (void)ExperimentRunner(options, lanes(0, path)).run(cells);
+  const std::vector<std::uint8_t> journal = file_bytes(path);
+  const std::vector<std::size_t> boundaries = record_boundaries(journal);
+  ASSERT_EQ(boundaries.back(), journal.size());
+  ASSERT_EQ(boundaries.size(), 7u);  // header + 2 cells x 3 replications
+  std::vector<std::uint8_t> repeated(journal.begin(), journal.begin() + boundaries[3]);
+  repeated.insert(repeated.end(), journal.begin() + boundaries[2],
+                  journal.begin() + boundaries[3]);
+
+  for (const std::size_t procs : {std::size_t{0}, std::size_t{2}}) {
+    SCOPED_TRACE(procs);
+    write_prefix(path, repeated, repeated.size());
+    try {
+      (void)ExperimentRunner(options, lanes(procs, path)).run(cells);
+      ADD_FAILURE() << "the journal was accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(path), std::string::npos) << what;
+      EXPECT_NE(what.find("repeats the record for cell 0, replication 2"), std::string::npos)
+          << what;
+    }
+    EXPECT_EQ(file_bytes(path), repeated);
   }
 }
 

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "grid/realization.hpp"
@@ -82,8 +83,8 @@ TEST(AvailabilityTrace, WorldRealizationTraceViewRoundTripsBitExact) {
   // The cache's realization-to-trace view feeds the same CSV path.
   const grid::GridConfig config =
       grid::GridConfig::preset(grid::Heterogeneity::kHom, grid::AvailabilityLevel::kLow);
-  const grid::WorldRealization world = grid::WorldRealization::synthesize(
-      config.availability, config.checkpoint_server_faults, config.outages, 12, 1e5, 77);
+  const grid::WorldRealization world =
+      grid::WorldRealization::synthesize(config.availability, 12, 1e5, 77);
   expect_csv_round_trip_bit_exact(world.to_trace());
 }
 
@@ -299,32 +300,74 @@ TEST(TraceSimulation, ReplaysIdenticallyAcrossPolicies) {
   EXPECT_NEAR(a_rate / c_rate, 1.0, 0.2);
 }
 
-TEST(TraceSimulation, BagIdsMayComeInAnyOrderBelowTheBagCount) {
-  // The scheduler's dispatch index is a table over bag id, sized for the
-  // bag count before the run: ids need not follow arrival order, but an id
-  // at or past the count is rejected up front instead of sizing the table.
+TEST(TraceSimulation, BagIdsMustBeArrivalIndices) {
+  // The dispatch index and the policies' tie-breaks order bags by id, so a
+  // bag's id must be its arrival index. Reversed or sparse ids, and
+  // arrivals out of vector order, are rejected up front.
   const grid::GridConfig grid_config =
       grid::GridConfig::preset(grid::Heterogeneity::kHom, grid::AvailabilityLevel::kHigh);
   const workload::WorkloadConfig workload_config =
       sim::make_paper_workload(grid_config, 25000.0, workload::Intensity::kLow, 6);
   workload::WorkloadGenerator generator(workload_config, rng::RandomStream(5));
-  auto bots = std::make_shared<std::vector<workload::BotSpec>>(generator.generate());
-  for (std::size_t i = 0; i < bots->size(); ++i) {
-    (*bots)[i].id = static_cast<workload::BotId>(bots->size() - 1 - i);
-  }
+  const auto bots = std::make_shared<std::vector<workload::BotSpec>>(generator.generate());
   sim::SimulationConfig config;
   config.grid = grid_config;
   config.workload = workload_config;
   config.trace_bots = bots;
   config.policy = sched::PolicyKind::kRoundRobin;
   config.seed = 3;
-  const sim::SimulationResult result = sim::Simulation(config).run();
-  EXPECT_EQ(result.bots_completed, bots->size());
+  EXPECT_EQ(sim::Simulation(config).run().bots_completed, bots->size());
 
-  auto sparse = std::make_shared<std::vector<workload::BotSpec>>(*bots);
-  sparse->front().id = 1000000;
-  config.trace_bots = sparse;
-  EXPECT_THROW((void)sim::Simulation(config).run(), std::invalid_argument);
+  const auto rejected = [&config](std::vector<workload::BotSpec> specs) {
+    config.trace_bots = std::make_shared<std::vector<workload::BotSpec>>(std::move(specs));
+    EXPECT_THROW((void)sim::Simulation(config).run(), std::invalid_argument);
+  };
+  std::vector<workload::BotSpec> reversed = *bots;
+  for (std::size_t i = 0; i < reversed.size(); ++i) {
+    reversed[i].id = static_cast<workload::BotId>(reversed.size() - 1 - i);
+  }
+  rejected(reversed);
+  std::vector<workload::BotSpec> sparse = *bots;
+  sparse.back().id = 1000000;
+  rejected(sparse);
+  std::vector<workload::BotSpec> out_of_order = *bots;
+  std::swap(out_of_order[1].arrival_time, out_of_order[2].arrival_time);
+  rejected(out_of_order);
+}
+
+TEST(TraceSimulation, FcfsShareServesACsvTraceInArrivalOrder) {
+  // File bag 1 arrives first. Loading renumbers the bags by arrival, so
+  // FCFS-Share gives both machines to the first arrival until it has no
+  // task left: four 1000 s tasks on two machines finish it at 2000, and the
+  // second bag then runs until 4000. Numbered by file id, the machines freed
+  // at 1000 went to the later bag instead.
+  std::string rows = "bot,arrival,granularity,task,work\n";
+  for (const char* bag : {"1,0", "0,1"}) {
+    for (int task = 0; task < 4; ++task) {
+      rows += std::string(bag) + ",10000," + std::to_string(task) + ",10000\n";
+    }
+  }
+  std::istringstream csv(rows);
+  const auto bots =
+      std::make_shared<std::vector<workload::BotSpec>>(workload::load_workload_csv(csv));
+  ASSERT_EQ(bots->size(), 2u);
+  EXPECT_EQ((*bots)[0].id, 0u);
+  EXPECT_EQ((*bots)[0].arrival_time, 0.0);
+  EXPECT_EQ((*bots)[1].id, 1u);
+  EXPECT_EQ((*bots)[1].arrival_time, 1.0);
+
+  sim::SimulationConfig config;
+  config.grid = grid::GridConfig::preset(grid::Heterogeneity::kHom,
+                                         grid::AvailabilityLevel::kAlways);
+  config.grid.total_power = 20.0;  // two machines of power 10
+  config.trace_bots = bots;
+  config.policy = sched::PolicyKind::kFcfsShare;
+  config.individual = sched::IndividualSchedulerKind::kWorkQueue;
+  const sim::SimulationResult result = sim::Simulation(config).run();
+  ASSERT_EQ(result.bots.size(), 2u);
+  EXPECT_EQ(result.bots[0].arrival_time, 0.0);
+  EXPECT_EQ(result.bots[0].completion_time, 2000.0);
+  EXPECT_EQ(result.bots[1].completion_time, 4000.0);
 }
 
 TEST(TraceSimulation, CompletesAndUsesCheckpointing) {

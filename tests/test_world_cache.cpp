@@ -3,8 +3,9 @@
 // The load-bearing property is bit-identity: a run that replays a cached
 // WorldRealization must be indistinguishable — per-bag records, aggregate
 // stats, kernel and scheduler counters, fault counters, serialized output —
-// from the same run sampling its availability and server-fault processes
-// live. The tests here check that at three levels (driver timeline, full
+// from the same run sampling its machine availability processes live, with
+// checkpoint-server faults and correlated outages running live beside the
+// replay. The tests here check that at three levels (driver timeline, full
 // simulation, experiment runner), plus the cache's accounting and eviction
 // behaviour and the DGSCHED_WORLD_CACHE override.
 #include <gtest/gtest.h>
@@ -70,7 +71,7 @@ TEST(WorldRealization, ReplayDriverMatchesLiveProcessTimeline) {
   des::Simulator replay_sim;
   grid::DesktopGrid replay_grid(config, replay_sim, kSeed);
   const grid::WorldRealization world = grid::WorldRealization::synthesize(
-      config.availability, config.checkpoint_server_faults, config.outages, replay_grid.size(), kHorizon, kSeed);
+      config.availability, replay_grid.size(), kHorizon, kSeed);
   grid::ReplayCursors cursors;
   grid::RealizedAvailabilityDriver driver(replay_sim, replay_grid, world, cursors);
   EdgeRecorder replay;
@@ -104,7 +105,7 @@ TEST(WorldRealization, RecordsToFirstTransitionPastHorizon) {
   const grid::GridConfig config = small_grid(grid::AvailabilityLevel::kMed);
   constexpr double kHorizon = 100000.0;
   const grid::WorldRealization world = grid::WorldRealization::synthesize(
-      config.availability, config.checkpoint_server_faults, config.outages, 20, kHorizon, 11);
+      config.availability, 20, kHorizon, 11);
   ASSERT_EQ(world.machine_offsets.size(), 21u);
   EXPECT_TRUE(world.covers(kHorizon));
   for (std::size_t m = 0; m < 20; ++m) {
@@ -127,9 +128,9 @@ TEST(WorldRealization, RecordsToFirstTransitionPastHorizon) {
 TEST(WorldRealization, LongerHorizonIsBitwisePrefixExtension) {
   const grid::GridConfig config = small_grid(grid::AvailabilityLevel::kLow);
   const grid::WorldRealization shorter = grid::WorldRealization::synthesize(
-      config.availability, config.checkpoint_server_faults, config.outages, 20, 50000.0, 5);
+      config.availability, 20, 50000.0, 5);
   const grid::WorldRealization longer = grid::WorldRealization::synthesize(
-      config.availability, config.checkpoint_server_faults, config.outages, 20, 200000.0, 5);
+      config.availability, 20, 200000.0, 5);
   for (std::size_t m = 0; m < 20; ++m) {
     SCOPED_TRACE(m);
     const std::uint32_t s_begin = shorter.machine_offsets[m];
@@ -145,10 +146,8 @@ TEST(WorldRealization, LongerHorizonIsBitwisePrefixExtension) {
 
 TEST(WorldRealization, DisabledFailuresYieldEmptyTimelines) {
   const grid::WorldRealization world = grid::WorldRealization::synthesize(
-      grid::AvailabilityModel::for_level(grid::AvailabilityLevel::kAlways),
-      grid::CheckpointServerFaultModel{}, grid::OutageModel{}, 10, 1e6, 3);
+      grid::AvailabilityModel::for_level(grid::AvailabilityLevel::kAlways), 10, 1e6, 3);
   EXPECT_TRUE(world.machine_transitions.empty());
-  EXPECT_TRUE(world.server_transitions.empty());
   ASSERT_EQ(world.machine_offsets.size(), 11u);
   for (const std::uint32_t offset : world.machine_offsets) EXPECT_EQ(offset, 0u);
 
@@ -164,7 +163,7 @@ TEST(WorldRealization, DisabledFailuresYieldEmptyTimelines) {
 TEST(WorldRealization, ToTraceKeepsCompletePairsOnly) {
   const grid::GridConfig config = small_grid(grid::AvailabilityLevel::kMed);
   const grid::WorldRealization world = grid::WorldRealization::synthesize(
-      config.availability, config.checkpoint_server_faults, config.outages, 8, 80000.0, 21);
+      config.availability, 8, 80000.0, 21);
   const grid::AvailabilityTrace trace = world.to_trace();
   ASSERT_EQ(trace.num_machines(), 8u);
   for (std::size_t m = 0; m < 8; ++m) {
@@ -256,7 +255,10 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(sched::PolicyKind::kLongIdle, grid::AvailabilityLevel::kMed, 5000.0),
         std::make_tuple(sched::PolicyKind::kFcfsExcl, grid::AvailabilityLevel::kLow, 125000.0)));
 
-TEST(WorldCacheBitIdentity, CoversCheckpointServerFaultReplay) {
+TEST(WorldCacheBitIdentity, LiveServerFaultsBesideAvailabilityReplay) {
+  // The server's fault process runs live on its own stream, started by the
+  // engine where a cache-off run starts it, while machine availability is
+  // replayed from the cache.
   sim::SimulationConfig config =
       cached_matrix_config(sched::PolicyKind::kFcfsShare, grid::AvailabilityLevel::kMed, 25000.0);
   config.grid.checkpoint_server_faults.enabled = true;
@@ -269,6 +271,17 @@ TEST(WorldCacheBitIdentity, CoversCheckpointServerFaultReplay) {
   config.world_cache = std::make_shared<grid::WorldCache>();
   const sim::SimulationResult cached = sim::Simulation(config).run();
   expect_bit_identical(live, cached);
+  EXPECT_EQ(config.world_cache->stats().misses, 1u);  // availability was replayed
+
+  // With machine failures disabled there is no availability to replay: the
+  // run never consults the cache and samples its server faults live.
+  config.grid.availability = grid::AvailabilityModel::for_level(grid::AvailabilityLevel::kAlways);
+  config.world_cache = nullptr;
+  const sim::SimulationResult reliable = sim::Simulation(config).run();
+  ASSERT_GT(reliable.faults.server_outages, 0u);
+  config.world_cache = std::make_shared<grid::WorldCache>();
+  expect_bit_identical(reliable, sim::Simulation(config).run());
+  EXPECT_EQ(config.world_cache->stats().lookups(), 0u);
 }
 
 TEST(WorldCacheBitIdentity, WorkspaceRunsReplayIdentically) {
@@ -292,25 +305,20 @@ TEST(WorldCacheBitIdentity, WorkspaceRunsReplayIdentically) {
 TEST(WorldCache, CountsHitsMissesAndExtensions) {
   const grid::GridConfig config = small_grid(grid::AvailabilityLevel::kLow);
   grid::WorldCache cache;
-  const auto first =
-      cache.acquire(config.availability, config.checkpoint_server_faults, config.outages, 20, 1000.0, 1);
+  const auto first = cache.acquire(config.availability, 20, 1000.0, 1);
   ASSERT_NE(first, nullptr);
   EXPECT_TRUE(first->covers(1000.0));
   // Same key, same horizon: resident.
-  const auto again =
-      cache.acquire(config.availability, config.checkpoint_server_faults, config.outages, 20, 1000.0, 1);
+  const auto again = cache.acquire(config.availability, 20, 1000.0, 1);
   EXPECT_EQ(again.get(), first.get());
   // Same key, horizon within the synthesis margin: still resident.
-  const auto margin =
-      cache.acquire(config.availability, config.checkpoint_server_faults, config.outages, 20, 1200.0, 1);
+  const auto margin = cache.acquire(config.availability, 20, 1200.0, 1);
   EXPECT_EQ(margin.get(), first.get());
   // Different seed: independent world.
-  const auto other =
-      cache.acquire(config.availability, config.checkpoint_server_faults, config.outages, 20, 1000.0, 2);
+  const auto other = cache.acquire(config.availability, 20, 1000.0, 2);
   EXPECT_NE(other.get(), first.get());
   // Same key, horizon past the resident realization: re-synthesized longer.
-  const auto extended =
-      cache.acquire(config.availability, config.checkpoint_server_faults, config.outages, 20, 50000.0, 1);
+  const auto extended = cache.acquire(config.availability, 20, 50000.0, 1);
   EXPECT_NE(extended.get(), first.get());
   EXPECT_TRUE(extended->covers(50000.0));
 
@@ -328,12 +336,9 @@ TEST(WorldCache, ModelChangeMissesInsteadOfAliasing) {
   grid::WorldCache cache;
   const grid::GridConfig low = small_grid(grid::AvailabilityLevel::kLow);
   const grid::GridConfig med = small_grid(grid::AvailabilityLevel::kMed);
-  const auto a =
-      cache.acquire(low.availability, low.checkpoint_server_faults, low.outages, 20, 1000.0, 1);
-  const auto b =
-      cache.acquire(med.availability, med.checkpoint_server_faults, med.outages, 20, 1000.0, 1);
-  const auto c =
-      cache.acquire(low.availability, low.checkpoint_server_faults, low.outages, 10, 1000.0, 1);
+  const auto a = cache.acquire(low.availability, 20, 1000.0, 1);
+  const auto b = cache.acquire(med.availability, 20, 1000.0, 1);
+  const auto c = cache.acquire(low.availability, 10, 1000.0, 1);
   EXPECT_NE(a.get(), b.get());
   EXPECT_NE(a.get(), c.get());
   EXPECT_EQ(cache.stats().misses, 3u);
@@ -345,19 +350,16 @@ TEST(WorldCache, EvictsLeastRecentlyUsedWithinBudget) {
   // Budget sized to hold roughly one long realization, so a second seed
   // forces the first out.
   const grid::WorldRealization probe = grid::WorldRealization::synthesize(
-      config.availability, config.checkpoint_server_faults, config.outages, 20, 1e6, 1);
+      config.availability, 20, 1e6, 1);
   grid::WorldCache cache(probe.byte_size() + probe.byte_size() / 2);
 
-  const auto first =
-      cache.acquire(config.availability, config.checkpoint_server_faults, config.outages, 20, 1e6, 1);
-  const auto second =
-      cache.acquire(config.availability, config.checkpoint_server_faults, config.outages, 20, 1e6, 2);
+  const auto first = cache.acquire(config.availability, 20, 1e6, 1);
+  const auto second = cache.acquire(config.availability, 20, 1e6, 2);
   const grid::WorldCacheStats stats = cache.stats();
   EXPECT_GE(stats.evictions, 1u);
   EXPECT_LE(stats.bytes, cache.budget_bytes());
   // The just-built world is the one kept...
-  const auto second_again =
-      cache.acquire(config.availability, config.checkpoint_server_faults, config.outages, 20, 1e6, 2);
+  const auto second_again = cache.acquire(config.availability, 20, 1e6, 2);
   EXPECT_EQ(second_again.get(), second.get());
   EXPECT_EQ(cache.stats().hits, 1u);
   // ...and the evicted realization stays valid through its shared_ptr.
@@ -370,11 +372,9 @@ TEST(WorldCache, OversizedSingleWorldStaysResident) {
   // the current world — the cache never evicts its only entry.
   const grid::GridConfig config = small_grid(grid::AvailabilityLevel::kLow);
   grid::WorldCache cache(1);
-  const auto world =
-      cache.acquire(config.availability, config.checkpoint_server_faults, config.outages, 20, 1e5, 1);
+  const auto world = cache.acquire(config.availability, 20, 1e5, 1);
   ASSERT_NE(world, nullptr);
-  const auto again =
-      cache.acquire(config.availability, config.checkpoint_server_faults, config.outages, 20, 1e5, 1);
+  const auto again = cache.acquire(config.availability, 20, 1e5, 1);
   EXPECT_EQ(again.get(), world.get());
   EXPECT_EQ(cache.stats().entries, 1u);
 }
@@ -453,15 +453,12 @@ TEST(WorldCacheTinyBudget, ExtensionPastHorizonWhileOverBudget) {
   // the replacement must cover the new horizon) instead of thrashing.
   const grid::GridConfig config = small_grid(grid::AvailabilityLevel::kLow);
   grid::WorldCache cache(1);
-  const auto short_world =
-      cache.acquire(config.availability, config.checkpoint_server_faults, config.outages, 20, 1e4, 1);
-  const auto long_world =
-      cache.acquire(config.availability, config.checkpoint_server_faults, config.outages, 20, 1e6, 1);
+  const auto short_world = cache.acquire(config.availability, 20, 1e4, 1);
+  const auto long_world = cache.acquire(config.availability, 20, 1e6, 1);
   EXPECT_NE(long_world.get(), short_world.get());
   EXPECT_TRUE(long_world->covers(1e6));
   // The longer world replaced the short one under the same key.
-  const auto again =
-      cache.acquire(config.availability, config.checkpoint_server_faults, config.outages, 20, 1e6, 1);
+  const auto again = cache.acquire(config.availability, 20, 1e6, 1);
   EXPECT_EQ(again.get(), long_world.get());
   const grid::WorldCacheStats stats = cache.stats();
   EXPECT_EQ(stats.misses, 1u);
@@ -484,7 +481,7 @@ TEST(WorldCacheTinyBudget, ChurnThroughManySeedsStaysWithinOneEntry) {
   std::vector<std::shared_ptr<const grid::WorldRealization>> held;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     held.push_back(
-        cache.acquire(config.availability, config.checkpoint_server_faults, config.outages, 20, 1e5, seed));
+        cache.acquire(config.availability, 20, 1e5, seed));
   }
   const grid::WorldCacheStats stats = cache.stats();
   EXPECT_EQ(stats.misses, 6u);
@@ -497,8 +494,7 @@ TEST(WorldCacheTinyBudget, ChurnThroughManySeedsStaysWithinOneEntry) {
     EXPECT_FALSE(world->machine_transitions.empty());
   }
   // Re-acquiring an evicted seed is a fresh miss, not a stale alias.
-  const auto again =
-      cache.acquire(config.availability, config.checkpoint_server_faults, config.outages, 20, 1e5, 1);
+  const auto again = cache.acquire(config.availability, 20, 1e5, 1);
   EXPECT_EQ(cache.stats().misses, 7u);
   EXPECT_EQ(again->machine_transitions, held.front()->machine_transitions);
 }
@@ -550,10 +546,6 @@ TEST(WorldRealization, BatchedSynthesisMatchesNaiveReference) {
   // the timelines of the obvious one-pass push_back implementation it
   // replaced — same streams, same draw order, same values.
   const grid::GridConfig config = small_grid(grid::AvailabilityLevel::kLow);
-  grid::CheckpointServerFaultModel faults;
-  faults.enabled = true;
-  faults.mtbf = 8000.0;
-  faults.mttr = 4000.0;
   constexpr double kHorizon = 200000.0;
   constexpr std::uint64_t kSeed = 424242;
   constexpr std::size_t kMachines = 20;
@@ -572,16 +564,6 @@ TEST(WorldRealization, BatchedSynthesisMatchesNaiveReference) {
     }
     ref_offsets.push_back(static_cast<std::uint32_t>(ref_transitions.size()));
   }
-  std::vector<double> ref_server;
-  {
-    rng::RandomStream stream = rng::RandomStream::derive(kSeed, "ckpt_server.faults");
-    double clock = 0.0;
-    for (std::size_t k = 0;; ++k) {
-      clock += stream.exponential_mean(k % 2 == 0 ? faults.mtbf : faults.mttr);
-      ref_server.push_back(clock);
-      if (clock > kHorizon) break;
-    }
-  }
 
   // Run synthesize twice through one scratch: the second call exercises the
   // warmed-buffer path (clear + refill) and must be identical too.
@@ -589,20 +571,19 @@ TEST(WorldRealization, BatchedSynthesisMatchesNaiveReference) {
   for (int round = 0; round < 2; ++round) {
     SCOPED_TRACE(round);
     const grid::WorldRealization world = grid::WorldRealization::synthesize(
-        config.availability, faults, grid::OutageModel{}, kMachines, kHorizon, kSeed, scratch);
+        config.availability, kMachines, kHorizon, kSeed, scratch);
     EXPECT_EQ(world.machine_transitions, ref_transitions);
     EXPECT_EQ(world.machine_offsets, ref_offsets);
-    EXPECT_EQ(world.server_transitions, ref_server);
   }
 
   // And the scratch-free overload (fresh scratch per call) agrees as well.
-  const grid::WorldRealization world = grid::WorldRealization::synthesize(
-      config.availability, faults, grid::OutageModel{}, kMachines, kHorizon, kSeed);
+  const grid::WorldRealization world =
+      grid::WorldRealization::synthesize(config.availability, kMachines, kHorizon, kSeed);
   EXPECT_EQ(world.machine_transitions, ref_transitions);
-  EXPECT_EQ(world.server_transitions, ref_server);
+  EXPECT_EQ(world.machine_offsets, ref_offsets);
 }
 
-// --- correlated-outage recording and replay (PR 8) ---
+// --- live correlated outages beside the replay ---
 
 grid::OutageModel test_outages() {
   grid::OutageModel outages;
@@ -613,79 +594,10 @@ grid::OutageModel test_outages() {
   return outages;
 }
 
-TEST(WorldRealization, OutageTimelineShape) {
-  const grid::GridConfig config = small_grid(grid::AvailabilityLevel::kMed);
-  constexpr double kHorizon = 300000.0;
-  const grid::WorldRealization world = grid::WorldRealization::synthesize(
-      config.availability, config.checkpoint_server_faults, test_outages(), 20, kHorizon, 17);
-  // Full strikes plus exactly one dangling past-horizon strike time.
-  ASSERT_GE(world.outage_times.size(), 2u);
-  ASSERT_EQ(world.outage_times.size(), world.outage_durations.size() + 1);
-  EXPECT_EQ(world.machines_per_outage, 6u);  // floor(0.3 * 20)
-  ASSERT_EQ(world.outage_machines.size(),
-            world.outage_durations.size() * world.machines_per_outage);
-  for (std::size_t k = 1; k < world.outage_times.size(); ++k) {
-    EXPECT_LT(world.outage_times[k - 1], world.outage_times[k]);
-  }
-  EXPECT_LE(world.outage_times[world.outage_times.size() - 2], kHorizon);
-  EXPECT_GT(world.outage_times.back(), kHorizon);
-  for (const std::uint32_t victim : world.outage_machines) EXPECT_LT(victim, 20u);
-  for (const double duration : world.outage_durations) EXPECT_GE(duration, 1.0);
-}
-
-TEST(WorldRealization, OutageReplayMatchesLiveProcessTimeline) {
-  constexpr std::uint64_t kSeed = 5150;
-  constexpr double kHorizon = 300000.0;
-  grid::GridConfig config = small_grid(grid::AvailabilityLevel::kLow);
-  config.outages = test_outages();
-
-  // Live: stochastic availability processes + stochastic OutageProcess,
-  // composed through the machines' down-cause counting.
-  des::Simulator live_sim;
-  grid::DesktopGrid live_grid(config, live_sim, kSeed);
-  EdgeRecorder live;
-  live.sim = &live_sim;
-  live_grid.start([&live](grid::Machine& machine) { live.on_failure(machine); },
-                  [&live](grid::Machine& machine) { live.on_repair(machine); });
-  live_sim.run_until(kHorizon);
-
-  // Replay: both drivers off one synthesized realization.
-  des::Simulator replay_sim;
-  grid::DesktopGrid replay_grid(config, replay_sim, kSeed);
-  const grid::WorldRealization world = grid::WorldRealization::synthesize(
-      config.availability, config.checkpoint_server_faults, config.outages, replay_grid.size(),
-      kHorizon, kSeed);
-  grid::ReplayCursors cursors;
-  grid::RealizedAvailabilityDriver driver(replay_sim, replay_grid, world, cursors);
-  grid::RealizedOutageDriver outage_driver(replay_sim, replay_grid, world);
-  EdgeRecorder replay;
-  replay.sim = &replay_sim;
-  driver.start([&replay](grid::Machine& machine) { replay.on_failure(machine); },
-               [&replay](grid::Machine& machine) { replay.on_repair(machine); });
-  outage_driver.start([&replay](grid::Machine& machine) { replay.on_failure(machine); },
-                      [&replay](grid::Machine& machine) { replay.on_repair(machine); });
-  replay_sim.run_until(kHorizon);
-
-  ASSERT_GT(live_grid.outage_process().outages(), 2u);  // the outage path actually ran
-  EXPECT_EQ(outage_driver.outages(), live_grid.outage_process().outages());
-  EXPECT_EQ(outage_driver.machines_hit(), live_grid.outage_process().machines_hit());
-  ASSERT_EQ(replay.edges.size(), live.edges.size());
-  for (std::size_t i = 0; i < live.edges.size(); ++i) {
-    SCOPED_TRACE(i);
-    EXPECT_EQ(std::get<0>(replay.edges[i]), std::get<0>(live.edges[i]));  // bitwise time
-    EXPECT_EQ(std::get<1>(replay.edges[i]), std::get<1>(live.edges[i]));
-    EXPECT_EQ(std::get<2>(replay.edges[i]), std::get<2>(live.edges[i]));
-  }
-  EXPECT_EQ(replay_sim.stats().events_scheduled, live_sim.stats().events_scheduled);
-  EXPECT_EQ(replay_sim.stats().events_fired, live_sim.stats().events_fired);
-  for (std::size_t m = 0; m < live_grid.size(); ++m) {
-    EXPECT_EQ(replay_grid.machine(m).up(), live_grid.machine(m).up());
-  }
-}
-
-TEST(WorldCacheBitIdentity, CoversCorrelatedOutageReplay) {
-  // Satellite 1: an outage-enabled cell is bit-identical cache-on vs
-  // cache-off, closing the world-cache/outage gap.
+TEST(WorldCacheBitIdentity, LiveOutagesBesideAvailabilityReplay) {
+  // The correlated-outage process runs live on its own stream, started
+  // right after the replayed machines where grid.start() would start it, so
+  // an outage-enabled cell is bit-identical cache-on vs cache-off.
   sim::SimulationConfig config =
       cached_matrix_config(sched::PolicyKind::kRoundRobin, grid::AvailabilityLevel::kMed, 25000.0);
   config.grid.outages = test_outages();
@@ -700,27 +612,6 @@ TEST(WorldCacheBitIdentity, CoversCorrelatedOutageReplay) {
   expect_bit_identical(live, warm);
   EXPECT_EQ(config.world_cache->stats().misses, 1u);
   EXPECT_EQ(config.world_cache->stats().hits, 1u);
-}
-
-TEST(WorldCache, SignatureDistinguishesOutageModels) {
-  const grid::GridConfig config = small_grid(grid::AvailabilityLevel::kLow);
-  grid::WorldCache cache;
-  grid::OutageModel outages = test_outages();
-  const auto plain =
-      cache.acquire(config.availability, config.checkpoint_server_faults, grid::OutageModel{},
-                    20, 1000.0, 1);
-  const auto stressed =
-      cache.acquire(config.availability, config.checkpoint_server_faults, outages, 20, 1000.0, 1);
-  EXPECT_NE(plain.get(), stressed.get());
-  EXPECT_TRUE(plain->outage_times.empty());
-  EXPECT_FALSE(stressed->outage_times.empty());
-  // A different duration distribution is a different world, not an alias.
-  outages.duration = rng::ExponentialDist{4000.0};
-  const auto exponential =
-      cache.acquire(config.availability, config.checkpoint_server_faults, outages, 20, 1000.0, 1);
-  EXPECT_NE(exponential.get(), stressed.get());
-  EXPECT_EQ(cache.stats().misses, 3u);
-  EXPECT_EQ(cache.stats().hits, 0u);
 }
 
 TEST(RunOptions, WorldCacheEnvOverride) {
