@@ -16,7 +16,7 @@ expect_error() {
   label=$1
   shift
   env DGSCHED_CAMPAIGN_GRID=smoke DGSCHED_BOTS=8 DGSCHED_MIN_REPS=2 DGSCHED_MAX_REPS=2 \
-    DGSCHED_CAMPAIGN_SEEDS=2 DGSCHED_WORLD_CACHE=0 "$@" "$campaign" "$out" \
+    DGSCHED_CAMPAIGN_SEEDS=2 "$@" "$campaign" "$out" \
     > "$scratch/log" 2>&1
   status=$?
   if [ "$status" -ne 1 ] || grep -q "wrote " "$scratch/log" ||

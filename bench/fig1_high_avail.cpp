@@ -4,5 +4,5 @@
 #include "figure_main.hpp"
 
 int main() {
-  return dg::bench::run_figure_main(dg::exp::figure1_spec(), "fig1_high_avail.csv");
+  return dg::bench::run_figure_main(dg::exp::figure1_spec(), "fig1_high_avail");
 }

@@ -14,11 +14,15 @@
 // (replications_per_sec / threads / allocs_per_replication fields).
 //
 // Usage: ./replication_throughput [output_dir]   # default: cwd
+// Any error — a malformed DGSCHED_* knob, an output file that cannot be
+// written — prints "replication_throughput: <what>" and exits with status 1.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -68,8 +72,7 @@ struct TimedRun {
 
 /// One timed runner call over (threads, procs): `threads` thread lanes when
 /// `procs` is 0, otherwise `procs` worker processes (each single-threaded).
-/// Every world is sampled live. Results are bit-identical on either lane
-/// kind; only the clock moves.
+/// Results are bit-identical on either lane kind; only the clock moves.
 TimedRun timed_run(const std::string& benchmark, const std::string& config,
                    const std::vector<dg::exp::NamedConfig>& cells, dg::exp::RunOptions options,
                    std::size_t threads, std::size_t procs) {
@@ -143,9 +146,7 @@ PerfRecord steady_state_allocs() {
   return record;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_throughput(int argc, char** argv) {
   const std::string out_dir = argc > 1 ? argv[1] : ".";
   const std::vector<dg::exp::NamedConfig> cells = bench_cells();
   const std::size_t reps = 3;
@@ -219,6 +220,19 @@ int main(int argc, char** argv) {
   const std::string path = out_dir + "/BENCH_replications.json";
   std::ofstream os(path);
   dg::bench::write_perf_json(os, records);
+  os.close();
+  if (!os) throw std::runtime_error("cannot write " + path);
   std::cout << "wrote " << path << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run_throughput(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "replication_throughput: " << e.what() << "\n";
+    return 1;
+  }
 }

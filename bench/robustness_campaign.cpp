@@ -18,13 +18,12 @@
 //                              utilization): min / median / max / mean /
 //                              stddev / cv / max-over-min.
 //
-// Every output is bit-identical across DGSCHED_THREADS / DGSCHED_PROCS, and
-// across DGSCHED_WORLD_CACHE on thread lanes — CI runs the smoke grid under
-// different shapes and diffs the files byte for byte.
+// Every output is bit-identical across DGSCHED_THREADS / DGSCHED_PROCS — CI
+// runs the smoke grid under different shapes and diffs the files byte for
+// byte.
 //
 // DGSCHED_PROCS=N (N > 0) runs the risk-cliff grid's lanes as N forked
-// worker processes instead of threads (exp/shard.hpp); they refuse
-// DGSCHED_WORLD_CACHE, which serves thread lanes only. Process lanes
+// worker processes instead of threads (exp/shard.hpp). Process lanes
 // journal every completed replication by default, so a killed
 // campaign resumes from the journal; thread lanes journal only when
 // DGSCHED_JOURNAL names a file, since every record is fsync'd. Output stays
@@ -35,7 +34,7 @@
 // --keep-journal is passed.
 //
 // The output directory is created if missing. Any error — a malformed knob,
-// a refused shape, an output file that cannot be written — prints
+// an output file that cannot be written — prints
 // "robustness_campaign: <what>" to stderr and exits with status 1, before
 // the "wrote" line.
 //

@@ -4,5 +4,5 @@
 #include "figure_main.hpp"
 
 int main() {
-  return dg::bench::run_figure_main(dg::exp::unreported_spec(), "unreported_configs.csv");
+  return dg::bench::run_figure_main(dg::exp::unreported_spec(), "unreported_configs");
 }

@@ -14,7 +14,7 @@
 // Everything here is deterministic: cell expansion order is fixed, and both
 // the sweep and the seed-sensitivity pass run on exp::ExperimentRunner
 // (ordered per-cell commits) — results are bit-identical across
-// DGSCHED_THREADS / DGSCHED_PROCS / world-cache on-off.
+// DGSCHED_THREADS / DGSCHED_PROCS / DGSCHED_SPECULATE.
 #pragma once
 
 #include <cstdint>
@@ -127,9 +127,8 @@ struct SeedSpreadReport {
 /// as one ExperimentRunner cell of exactly num_seeds replications on
 /// options.threads thread lanes, folded in ascending seed index —
 /// bit-identical for any thread count. options.base_seed anchors the seed
-/// sequence. The runner's world cache (options.world_cache_bytes) replaces
-/// the cell's own world_cache; results are bit-identical either way. A
-/// replication that throws stops the pass and its exception is rethrown.
+/// sequence. A replication that throws stops the pass and its exception is
+/// rethrown.
 [[nodiscard]] SeedSpreadReport seed_sensitivity(const sim::SimulationConfig& config,
                                                 const RunOptions& options, std::size_t num_seeds);
 

@@ -34,7 +34,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <queue>
 #include <set>
 #include <utility>
@@ -64,16 +63,14 @@ struct PipelineJob {
 
 /// The job body every lane runs: replication `replication` of `config`,
 /// seeded mix_seed(base_seed, replication) — common random numbers across
-/// cells — replaying worlds through `world_cache` (null = live sampling,
-/// bit-identical), run through the lane's `workspace` and reduced to its
-/// summary. Kept inline: defined out of line, it ran the campaign benchmark
-/// workloads 13-17% slower on a 4-vCPU host.
-[[nodiscard]] inline ReplicationSummary run_job(
-    const sim::SimulationConfig& config, std::size_t replication, std::uint64_t base_seed,
-    const std::shared_ptr<grid::WorldCache>& world_cache, sim::SimulationWorkspace& workspace) {
+/// cells — run through the lane's `workspace` and reduced to its summary.
+/// Kept inline: defined out of line, it ran the campaign benchmark workloads
+/// 13-17% slower on a 4-vCPU host.
+[[nodiscard]] inline ReplicationSummary run_job(const sim::SimulationConfig& config,
+                                                std::size_t replication, std::uint64_t base_seed,
+                                                sim::SimulationWorkspace& workspace) {
   sim::SimulationConfig job = config;
   job.seed = rng::mix_seed(base_seed, replication);
-  job.world_cache = world_cache;
   return summarize(sim::Simulation(std::move(job)).run(workspace));
 }
 

@@ -56,7 +56,6 @@ RunOptions RunOptions::from_env(RunOptions defaults) {
   if (auto v = env_double("DGSCHED_TRE")) defaults.target_relative_error = *v;
   if (auto v = env_size("DGSCHED_THREADS")) defaults.threads = *v;
   if (auto v = env_size("DGSCHED_SEED")) defaults.base_seed = *v;
-  if (auto v = env_size("DGSCHED_WORLD_CACHE")) defaults.world_cache_bytes = *v;
   if (auto v = env_size("DGSCHED_SPECULATE")) defaults.speculate = *v;
   if (defaults.max_replications < defaults.min_replications) {
     defaults.max_replications = defaults.min_replications;
@@ -92,8 +91,7 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 /// rethrown once all have joined. Returns one WorkerLaneStats per lane.
 std::vector<WorkerLaneStats> run_thread_lanes(const RunOptions& options,
                                               const std::vector<NamedConfig>& cells,
-                                              PipelineState& state, CampaignJournal* journal,
-                                              const std::shared_ptr<grid::WorldCache>& cache) {
+                                              PipelineState& state, CampaignJournal* journal) {
   const std::size_t lane_count =
       options.threads > 0 ? options.threads
                           : std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -126,7 +124,7 @@ std::vector<WorkerLaneStats> run_thread_lanes(const RunOptions& options,
         lock.unlock();
         const auto job_start = std::chrono::steady_clock::now();
         ReplicationSummary summary =
-            run_job(cells[job.cell].config, job.replication, options.base_seed, cache, workspace);
+            run_job(cells[job.cell].config, job.replication, options.base_seed, workspace);
         local.busy_s += seconds_since(job_start);
         ++local.jobs;
         lock.lock();
@@ -166,15 +164,8 @@ std::vector<WorkerLaneStats> run_thread_lanes(const RunOptions& options,
 }  // namespace
 
 std::vector<CellResult> ExperimentRunner::run(const std::vector<NamedConfig>& cells) {
-  if (shard_.procs > 0 && options_.world_cache_bytes > 0) {
-    throw std::invalid_argument(
-        "ExperimentRunner: the world cache runs on thread lanes only; process lanes (procs = " +
-        std::to_string(shard_.procs) + ") refuse world_cache_bytes = " +
-        std::to_string(options_.world_cache_bytes));
-  }
   std::vector<CellResult> results = make_cell_results(cells, options_);
   exec_stats_ = ExecutionStats{};
-  cache_stats_ = grid::WorldCacheStats{};
   if (cells.empty()) return results;
   const auto wall_start = std::chrono::steady_clock::now();
 
@@ -191,8 +182,7 @@ std::vector<CellResult> ExperimentRunner::run(const std::vector<NamedConfig>& ce
   state.start();
 
   if (shard_.procs == 0) {
-    exec_stats_.lanes = run_thread_lanes(options_, cells, state, journal.get(), world_cache_);
-    if (world_cache_) cache_stats_ = world_cache_->stats();
+    exec_stats_.lanes = run_thread_lanes(options_, cells, state, journal.get());
   } else {
     exec_stats_.lanes = run_process_lanes(options_, shard_, cells, state, journal.get());
   }

@@ -33,14 +33,9 @@ struct RunOptions {
   std::uint64_t base_seed = 0x5eedULL;
   /// Thread lanes; 0 = max(1, hardware concurrency).
   std::size_t threads = 0;
-  /// Budget (bytes) of the shared world-realization cache: each replication
-  /// seed's machine availability timelines are synthesized once and replayed
-  /// in every policy cell sharing that seed (bit-identical; see
-  /// grid/world_cache.hpp). 0 (the default) disables the cache — every
-  /// replication samples its processes live, which measured no slower and
-  /// holds no worlds in memory. Thread lanes only: with
-  /// ShardOptions::procs > 0, ExperimentRunner::run throws
-  /// std::invalid_argument before any worker forks.
+  /// Read by nothing: every replication samples its availability live. Kept
+  /// only because benchmark/trace/trace_driver.cpp reads it; remove with the
+  /// next benchmark change (see grid/world_cache.hpp).
   std::size_t world_cache_bytes = 0;
   /// Replications launched beyond each cell's justified precision frontier
   /// (0 disables). Common-random-numbers seeding makes replication (cell, k)
@@ -49,7 +44,7 @@ struct RunOptions {
   /// wasted work for never idling at a precision check.
   std::size_t speculate = 1;
 
-  /// Reads DGSCHED_{MIN_REPS,MAX_REPS,TRE,THREADS,SEED,WORLD_CACHE,SPECULATE}
+  /// Reads DGSCHED_{MIN_REPS,MAX_REPS,TRE,THREADS,SEED,SPECULATE}
   /// overrides. Integers must be plain decimal digits and the TRE a finite
   /// number; malformed values raise std::invalid_argument naming the
   /// offending variable.
@@ -182,11 +177,9 @@ struct ShardOptions {
 /// its lanes, and accounts for them:
 ///
 ///  * thread lanes (ShardOptions::procs == 0): RunOptions::threads plain
-///    threads pull one job at a time and deliver summaries under one mutex,
-///    sharing one world cache;
+///    threads pull one job at a time and deliver summaries under one mutex;
 ///  * process lanes (procs > 0): a single-threaded fork/poll coordinator
-///    (exp/shard.hpp) hands chunks to forked workers, which sample every
-///    world live.
+///    (exp/shard.hpp) hands chunks to forked workers.
 ///
 /// Either way each summary folds the moment its per-cell predecessors have
 /// committed, in ascending replication order — the exact accumulator
@@ -196,38 +189,21 @@ struct ShardOptions {
 class ExperimentRunner {
  public:
   explicit ExperimentRunner(RunOptions options, ShardOptions shard = {})
-      : options_(options),
-        shard_(std::move(shard)),
-        world_cache_(shard_.procs == 0 && options.world_cache_bytes > 0
-                         ? std::make_shared<grid::WorldCache>(options.world_cache_bytes)
-                         : nullptr) {}
+      : options_(options), shard_(std::move(shard)) {}
 
   /// Runs every cell to its precision target; cell order is preserved.
   /// Replication `i` of every cell uses seed mix_seed(base_seed, i) —
   /// deliberately independent of the cell, so cells are compared under
-  /// common random numbers (and share one cached world realization when the
-  /// world cache is on). On thread lanes, the first exception a job throws
-  /// stops every lane and is rethrown once all have joined. On process
-  /// lanes, must be called from a process where forking is safe, and throws
-  /// std::invalid_argument up front if RunOptions::world_cache_bytes > 0.
+  /// common random numbers. On thread lanes, the first exception a job
+  /// throws stops every lane and is rethrown once all have joined. On
+  /// process lanes, must be called from a process where forking is safe.
   [[nodiscard]] std::vector<CellResult> run(const std::vector<NamedConfig>& cells);
 
-  /// World-cache statistics after the most recent run(): the shared cache's
-  /// running totals on thread lanes (it lives across run() calls). All zero
-  /// on process lanes and while the cache is off.
-  [[nodiscard]] const grid::WorldCacheStats& cache_stats() const noexcept { return cache_stats_; }
-
-  // The split accessors that cache_stats() replaces: the thread lanes'
-  // shared cache (null on process lanes or when world_cache_bytes == 0) and
-  // the old process-lane name. Kept, like the ShardedRunner alias, only
-  // because benchmark/trace/trace_driver.cpp calls them; all three go with
-  // the next benchmark change.
-  [[nodiscard]] const std::shared_ptr<grid::WorldCache>& world_cache() const noexcept {
-    return world_cache_;
-  }
-  [[nodiscard]] const grid::WorldCacheStats& worker_cache_stats() const noexcept {
-    return cache_stats_;
-  }
+  // Always null and always zero. Kept, like the ShardedRunner alias, only
+  // because benchmark/trace/trace_driver.cpp calls them; remove with the
+  // next benchmark change (see grid/world_cache.hpp).
+  [[nodiscard]] std::shared_ptr<grid::WorldCache> world_cache() const noexcept { return nullptr; }
+  [[nodiscard]] grid::WorldCacheStats worker_cache_stats() const noexcept { return {}; }
 
   /// Execution-shape accounting for the most recent run(); `recovered`
   /// counts the replications served from the journal instead of run.
@@ -236,8 +212,6 @@ class ExperimentRunner {
  private:
   RunOptions options_;
   ShardOptions shard_;
-  std::shared_ptr<grid::WorldCache> world_cache_;
-  grid::WorldCacheStats cache_stats_{};
   ExecutionStats exec_stats_;
 };
 

@@ -144,7 +144,7 @@ struct MsgHeader {
 
         const auto job_start = std::chrono::steady_clock::now();
         const ReplicationSummary summary =
-            run_job(cells[cell].config, replication, options.base_seed, nullptr, workspace);
+            run_job(cells[cell].config, replication, options.base_seed, workspace);
         busy_ns += static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                                   std::chrono::steady_clock::now() - job_start)
                                                   .count());

@@ -5,9 +5,9 @@
 // PipelineState (exp/pipeline.hpp) that thread lanes pop, but hands them out
 // as cost-major chunks to N forked workers over per-worker UNIX socket
 // pairs. Each worker runs its jobs through the shared job body (run_job)
-// with a private SimulationWorkspace, sampling every world live, and ships
-// the summaries back; the coordinator feeds them through the pipeline's
-// ordered per-cell commit — the exact fold sequence of thread lanes — so the merged
+// with a private SimulationWorkspace and ships the summaries back; the
+// coordinator feeds them through the pipeline's ordered per-cell commit —
+// the exact fold sequence of thread lanes — so the merged
 // CellResults are bit-identical for ANY worker count, chunk shape,
 // speculation window, worker-death schedule, or kill/resume point. Chunks
 // are double-buffered per worker (a new chunk is assigned while the
@@ -20,9 +20,7 @@
 //
 // Why processes at all: address-space isolation (one crashed replication
 // loses a chunk, not the campaign — the coordinator re-queues it and forks
-// a replacement worker). Workers keep no world cache: a private cache per
-// worker ran the campaign slower than live sampling, so ExperimentRunner
-// refuses RunOptions::world_cache_bytes > 0 on these lanes.
+// a replacement worker).
 //
 // A worker that dies is reaped, its outstanding chunks re-queued, and a
 // replacement forked (bounded; a deterministically-crashing replication

@@ -105,10 +105,6 @@ void DesktopGrid::start(TransitionCallback on_failure, TransitionCallback on_rep
   for (AvailabilityProcess& process : processes_) {
     process.start(on_failure, on_repair);
   }
-  start_outages(on_failure, on_repair);
-}
-
-void DesktopGrid::start_outages(TransitionCallback on_failure, TransitionCallback on_repair) {
   outages_->start(on_failure, on_repair);
 }
 

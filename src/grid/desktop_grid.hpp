@@ -72,11 +72,6 @@ class DesktopGrid final : public MachineAvailabilityListener {
   /// on each failure/repair. Call once, before running the simulation.
   void start(TransitionCallback on_failure, TransitionCallback on_repair);
 
-  /// Starts only the correlated-outage process — for runs whose per-machine
-  /// availability is replayed by an external driver (a recorded trace or a
-  /// grid::RealizedAvailabilityDriver) instead of the live processes.
-  void start_outages(TransitionCallback on_failure, TransitionCallback on_repair);
-
   [[nodiscard]] std::size_t size() const noexcept { return machines_.size(); }
   /// The resource the grid's storage draws from (the constructor's `mem`).
   [[nodiscard]] std::pmr::memory_resource* memory_resource() const noexcept {

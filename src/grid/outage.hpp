@@ -59,10 +59,9 @@ struct OutageModel {
 
 /// Draws `count` distinct victims out of machine ids 0..ids.size()-1 into
 /// ids[0, count): refills `ids` with the ids in order, then runs a partial
-/// Fisher-Yates shuffle of `count` uniform_int draws from `stream`. The live
-/// outage processes and WorldRealization::synthesize all draw through this
-/// one function, so their victims agree for the same stream state. Allocates
-/// nothing; the caller sizes `ids` to the grid.
+/// Fisher-Yates shuffle of `count` uniform_int draws from `stream`. Both
+/// outage processes draw through this one function. Allocates nothing; the
+/// caller sizes `ids` to the grid.
 void sample_victims(std::span<MachineId> ids, std::size_t count, rng::RandomStream& stream);
 
 class OutageProcess {

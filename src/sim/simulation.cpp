@@ -8,8 +8,6 @@
 #include <optional>
 #include <stdexcept>
 
-#include "grid/realization.hpp"
-
 #include "des/simulator.hpp"
 #include "grid/checkpoint_server.hpp"
 #include "sched/policies.hpp"
@@ -129,9 +127,8 @@ const SimulationResult& Simulation::run(SimulationWorkspace& workspace,
 
   // --- workload ---
   // Generated before any component schedules events (generation only draws
-  // from the "workload" stream, it schedules nothing) because the horizon —
-  // which the world-realization cache keys its synthesis length on — depends
-  // on the last arrival.
+  // from the "workload" stream, it schedules nothing), so the horizon below
+  // can depend on the last arrival.
   std::vector<workload::BotSpec>& specs = workspace.specs();
   if (config_.trace_bots != nullptr) {
     specs = *config_.trace_bots;
@@ -180,17 +177,6 @@ const SimulationResult& Simulation::run(SimulationWorkspace& workspace,
     horizon = last_arrival + 300.0 * demand_per_bot + 86400.0;
   }
 
-  // --- world realization ---
-  // With a cache installed, the machine availability timelines are
-  // synthesized once per (model, machine count, seed) and replayed below —
-  // bit-identical to the live processes (see grid/realization.hpp).
-  std::shared_ptr<const grid::WorldRealization> world;
-  if (config_.world_cache != nullptr && !trace_driven_grid &&
-      grid_config.availability.failures_enabled) {
-    world = config_.world_cache->acquire(grid_config.availability, grid.size(), horizon,
-                                         config_.seed);
-  }
-
   // --- tail-metrics columns ---
   // Completion gaps and the decayed busy fraction stream during the run; the
   // per-bag turnaround/slowdown columns are written during result assembly
@@ -212,8 +198,6 @@ const SimulationResult& Simulation::run(SimulationWorkspace& workspace,
     replication = std::make_unique<sched::StaticReplication>(threshold);
   }
   const sched::TaskOrder task_order = individual->task_order();
-  const bool resubmission_priority = individual->resubmission_priority();
-  (void)resubmission_priority;
   std::unique_ptr<sched::BagSelectionPolicy> policy =
       sched::make_policy(config_.policy, config_.seed, mem);
   if (config_.wrap_policy) policy = config_.wrap_policy(std::move(policy));
@@ -252,7 +236,6 @@ const SimulationResult& Simulation::run(SimulationWorkspace& workspace,
   if (observer != nullptr) engine.add_observer(*observer);
 
   std::unique_ptr<grid::TraceAvailabilityDriver> trace_driver;
-  std::optional<grid::RealizedAvailabilityDriver> realized_driver;
   std::optional<grid::ScheduledOutageProcess> adversary_outages;
   const grid::TransitionCallback on_failure = [&engine](grid::Machine& machine) {
     engine.on_machine_failure(machine);
@@ -265,14 +248,6 @@ const SimulationResult& Simulation::run(SimulationWorkspace& workspace,
                                                                    *config_.availability_trace);
     trace_driver->start(on_failure, on_repair);
     grid.start(nullptr, nullptr);  // processes disabled; keeps uptime stats coherent
-  } else if (world != nullptr) {
-    // Replay the cached realization: same first-failure scheduling order as
-    // grid.start(), same lazy one-event-per-machine pattern thereafter. The
-    // outage process then starts live, exactly where grid.start() would
-    // start it, so cache-on == cache-off.
-    realized_driver.emplace(sim, grid, *world, workspace.replay_cursors());
-    realized_driver->start(on_failure, on_repair);
-    grid.start_outages(on_failure, on_repair);
   } else {
     grid.start(on_failure, on_repair);
   }

@@ -68,16 +68,9 @@ struct SimulationConfig {
   /// math. See grid/trace.hpp.
   std::shared_ptr<const grid::AvailabilityTrace> availability_trace;
 
-  /// Shared world-realization cache: the run acquires its machine
-  /// availability timelines — synthesized once per (model, machine count,
-  /// seed) — and replays them through the cursor driver of
-  /// grid/realization.hpp instead of sampling the live processes.
-  /// Checkpoint-server faults and correlated outages always run live.
-  /// Bit-identical to the live path (same streams, same draw order, same
-  /// event schedule); exp::ExperimentRunner installs its cache here so every
-  /// policy cell of a replication shares one realization. Null (the default)
-  /// = live processes. Ignored when `availability_trace` is set or the
-  /// availability model has failures disabled.
+  /// Read by nothing: every run samples its availability live. Kept only
+  /// because benchmark/trace/trace_driver.cpp assigns it; remove with the
+  /// next benchmark change (see grid/world_cache.hpp).
   std::shared_ptr<grid::WorldCache> world_cache;
 
   /// Sampling period of the queue monitor (active bags / busy machines time

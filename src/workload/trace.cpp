@@ -55,17 +55,25 @@ std::vector<BotSpec> load_workload_csv(std::istream& is) {
     if (!work || *work <= 0.0) throw bad_row("non-positive or bad work");
     const auto bot_id = static_cast<BotId>(*id_field);
     BotSpec& bot = bots[bot_id];
-    // Tasks come in index order (as save_workload_csv writes them), so an
-    // index is at most one past the bag's highest so far.
+    // Tasks come in index order (as save_workload_csv writes them), so each
+    // row's index is the bag's task count so far: a repeated or skipped
+    // index is an error, never an overwrite.
     const std::uint64_t max_index =
         std::min<std::uint64_t>(bot.tasks.size(), std::numeric_limits<TaskIndex>::max());
     const auto task_index = util::parse_digits(fields[3], max_index);
-    if (!task_index) throw bad_row("bad or out-of-order task index");
-    bot.id = bot_id;
-    bot.arrival_time = *arrival;
-    bot.granularity = *granularity;
-    if (*task_index == bot.tasks.size()) bot.tasks.emplace_back();
-    bot.tasks[*task_index].work = *work;
+    if (!task_index || *task_index != bot.tasks.size()) {
+      throw bad_row("bad, repeated or out-of-order task index");
+    }
+    if (bot.tasks.empty()) {
+      bot.id = bot_id;
+      bot.arrival_time = *arrival;
+      bot.granularity = *granularity;
+    } else if (*arrival != bot.arrival_time) {
+      throw bad_row("arrival differs from the bag's first row");
+    } else if (*granularity != bot.granularity) {
+      throw bad_row("granularity differs from the bag's first row");
+    }
+    bot.tasks.emplace_back().work = *work;
   }
   std::vector<BotSpec> result;
   result.reserve(bots.size());

@@ -23,9 +23,10 @@ void save_workload_csv(std::ostream& os, const std::vector<BotSpec>& bots);
 /// that order, so a bag's id is its arrival index, as sim::Simulation
 /// requires. Throws std::runtime_error naming the line on malformed input: a bad
 /// header, a missing field, an id that is not plain digits or outside its
-/// type's range, a task index more than one past the bag's highest so far,
-/// a negative or non-finite arrival, a non-finite granularity, or work that
-/// is not finite and positive.
+/// type's range, a task index other than the bag's task count so far, an
+/// arrival or granularity other than the bag's first row's, a negative or
+/// non-finite arrival, a non-finite granularity, or work that is not finite
+/// and positive.
 [[nodiscard]] std::vector<BotSpec> load_workload_csv(std::istream& is);
 
 }  // namespace dg::workload

@@ -1,9 +1,7 @@
 // Adversarial scenario director (sim/adversary.hpp): deterministic window
 // placement, parameter validation, burst modulation of the arrival process,
-// and the bit-identity contracts — a disabled (or all-mechanisms-off)
-// adversary must leave the default path untouched, and an enabled adversary
-// must be bit-identical cache-on vs cache-off (its scheduled outages run
-// live in both paths, off their own RNG stream).
+// and the bit-identity contract — a disabled (or all-mechanisms-off)
+// adversary must leave the default path untouched.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -224,30 +222,6 @@ TEST(AdversarySimulation, DirectorActuallyStressesTheRun) {
   EXPECT_GE(stressed.faults.server_outages, 1u);
   EXPECT_GT(stressed.faults.server_downtime, 0.0);
   EXPECT_EQ(stressed.bots_completed, stressed.bots.size());
-}
-
-TEST(AdversarySimulation, WorldCacheReplayIsBitIdenticalUnderAdversary) {
-  // The recorded world carries the stochastic processes; the adversary's
-  // scheduled outages and server windows run live in both paths, so cache-on
-  // must equal cache-off bit for bit.
-  sim::SimulationConfig config = small_sim_config();
-  config.grid.checkpoint_server_faults.enabled = true;
-  config.grid.checkpoint_server_faults.mtbf = 8000.0;
-  config.grid.checkpoint_server_faults.mttr = 4000.0;
-  config.adversary.enabled = true;
-  config.adversary.num_windows = 2;
-  config.adversary.window_duration = 5000.0;
-  config.adversary.burst_intensity = 4.0;
-  config.adversary.outage_fraction = 0.3;
-
-  const sim::SimulationResult live = sim::Simulation(config).run();
-  config.world_cache = std::make_shared<grid::WorldCache>();
-  const sim::SimulationResult cold = sim::Simulation(config).run();
-  const sim::SimulationResult warm = sim::Simulation(config).run();
-  expect_same_result(live, cold);
-  expect_same_result(live, warm);
-  EXPECT_EQ(config.world_cache->stats().misses, 1u);
-  EXPECT_EQ(config.world_cache->stats().hits, 1u);
 }
 
 TEST(AdversarySimulation, RequiresPoissonArrivals) {

@@ -110,18 +110,6 @@ TEST(AllocationFree, WarmedWorkspaceIsAllocationFreeUnderTheAdversaryToo) {
   EXPECT_EQ(run_loop_allocs(config, workspace), 0u);
 }
 
-TEST(AllocationFree, WorldCacheReplayRunLoopIsAllocationFreeToo) {
-  // The realization replay path: world synthesis and acquisition happen in
-  // setup (before the hooks); the cursor driver's replay events must run the
-  // loop without heap traffic, like the live processes they replace.
-  SimulationConfig config = metered_config(grid::AvailabilityLevel::kHigh);
-  config.world_cache = std::make_shared<grid::WorldCache>();
-  SimulationWorkspace workspace;
-  (void)run_loop_allocs(config, workspace);  // warm workspace + cache
-  EXPECT_EQ(run_loop_allocs(config, workspace), 0u);
-  EXPECT_EQ(config.world_cache->stats().hits, 1u);
-}
-
 TEST(AllocationFree, InterposerActuallyCounts) {
   const std::uint64_t before = util::alloc_count().load(std::memory_order_relaxed);
   volatile int* p = new int(7);

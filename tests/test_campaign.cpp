@@ -1,7 +1,7 @@
 // Robustness campaign (exp/campaign.hpp): grid expansion, risk-cliff rows,
 // seed-sensitivity spread, and the determinism contracts — campaign rows and
 // spread statistics must be bit-identical across execution shapes (threads,
-// batching, world cache on/off).
+// speculation).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -117,9 +117,8 @@ TEST(Campaign, RiskCliffRowsComputeDegradationAgainstMildestCorner) {
 }
 
 TEST(Campaign, RowsAreBitIdenticalAcrossExecutionShapes) {
-  // Satellite 3: the same campaign folded under different thread counts,
-  // batch shapes, and world-cache settings must produce
-  // bitwise-equal heatmap rows.
+  // The same campaign folded under different thread counts and speculation
+  // windows must produce bitwise-equal heatmap rows.
   const std::vector<CampaignCell> cells = expand_campaign(tiny_axes());
   std::vector<NamedConfig> named;
   for (const CampaignCell& cell : cells) {
@@ -140,11 +139,6 @@ TEST(Campaign, RowsAreBitIdenticalAcrossExecutionShapes) {
   {
     RunOptions o = tiny_options();
     o.threads = 4;
-    shapes.push_back(o);
-  }
-  {
-    RunOptions o = tiny_options();
-    o.world_cache_bytes = grid::WorldCache::kDefaultBudgetBytes;  // cached worlds
     shapes.push_back(o);
   }
   {

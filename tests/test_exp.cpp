@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -36,9 +35,6 @@ sim::SimulationConfig tiny_config(sched::PolicyKind policy, std::size_t num_bots
 std::vector<CellResult> run_batched(const RunOptions& options,
                                     const std::vector<NamedConfig>& cells, std::size_t batch) {
   std::vector<CellResult> results = make_cell_results(cells, options);
-  const auto world_cache = options.world_cache_bytes > 0
-                               ? std::make_shared<grid::WorldCache>(options.world_cache_bytes)
-                               : nullptr;
   PipelineState state(options, results, nullptr);
   state.start();
   sim::SimulationWorkspace workspace;
@@ -50,8 +46,8 @@ std::vector<CellResult> run_batched(const RunOptions& options,
     }
     std::vector<ReplicationSummary> summaries;
     for (const PipelineJob& job : jobs) {
-      summaries.push_back(run_job(cells[job.cell].config, job.replication, options.base_seed,
-                                  world_cache, workspace));
+      summaries.push_back(
+          run_job(cells[job.cell].config, job.replication, options.base_seed, workspace));
     }
     for (std::size_t i = jobs.size(); i-- > 0;) {
       state.deliver(jobs[i].cell, jobs[i].replication, std::move(summaries[i]));
@@ -188,11 +184,11 @@ TEST(ExperimentRunner, CellTailSketchesPoolEveryMeasuredBag) {
   EXPECT_LE(cell.decayed_utilization.mean(), 1.0);
 }
 
-TEST(ExperimentRunner, MergedTailsBitIdenticalAcrossThreadsBatchAndWorldCache) {
+TEST(ExperimentRunner, MergedTailsBitIdenticalAcrossThreadsAndBatch) {
   // The fold-in-build-order contract extended to the tail sketches: exact
   // integer bucket merges make the cell-level p50/p95/p99 identical across
-  // thread counts, hand-out batch sizes, and the world cache on/off — on a
-  // volatile grid where the cache actually replays realizations.
+  // thread counts and hand-out batch sizes — on a volatile grid, where
+  // machine churn makes every replication's tails differ.
   sim::SimulationConfig volatile_config = tiny_config(sched::PolicyKind::kRoundRobin);
   volatile_config.grid =
       grid::GridConfig::preset(grid::Heterogeneity::kHom, grid::AvailabilityLevel::kLow);
@@ -204,15 +200,8 @@ TEST(ExperimentRunner, MergedTailsBitIdenticalAcrossThreadsBatchAndWorldCache) {
   struct Variant {
     std::size_t threads;
     std::size_t batch;  ///< 0: thread lanes; otherwise run_batched's batch size
-    std::size_t cache_bytes;
   };
-  const Variant variants[] = {{1, 0, 0},
-                              {2, 0, 0},
-                              {3, 0, 0},
-                              {1, 5, 0},
-                              {1, 0, grid::WorldCache::kDefaultBudgetBytes},
-                              {4, 0, grid::WorldCache::kDefaultBudgetBytes},
-                              {1, 2, grid::WorldCache::kDefaultBudgetBytes}};
+  const Variant variants[] = {{1, 0}, {2, 0}, {3, 0}, {4, 0}, {1, 5}, {1, 2}, {1, 1}};
 
   std::vector<std::vector<CellResult>> runs;
   for (const Variant& variant : variants) {
@@ -220,7 +209,6 @@ TEST(ExperimentRunner, MergedTailsBitIdenticalAcrossThreadsBatchAndWorldCache) {
     options.min_replications = 3;
     options.max_replications = 3;
     options.threads = variant.threads;
-    options.world_cache_bytes = variant.cache_bytes;
     runs.push_back(variant.batch == 0 ? ExperimentRunner(options).run(cells)
                                       : run_batched(options, cells, variant.batch));
   }
@@ -308,8 +296,8 @@ TEST(ExperimentRunner, ExecutionShapesAreBitIdentical) {
   // must be cell-for-cell bit-identical to one worker without speculation —
   // including the adaptive stop rule (max > min with a reachable precision
   // target, so cells stop at different replication counts and speculative
-  // summaries get discarded) — with the world cache on or off. Volatile
-  // grid so worlds are actually realized and replayed when the cache is on.
+  // summaries get discarded). Volatile grid, so machine churn makes the
+  // replications differ.
   sim::SimulationConfig volatile_config = tiny_config(sched::PolicyKind::kRoundRobin, 6);
   volatile_config.grid =
       grid::GridConfig::preset(grid::Heterogeneity::kHet, grid::AvailabilityLevel::kLow);
@@ -322,21 +310,18 @@ TEST(ExperimentRunner, ExecutionShapesAreBitIdentical) {
   const std::vector<NamedConfig> cells = {
       {"rr", volatile_config}, {"fcfs", stable_config}, {"li", third_config}};
 
-  // threads x speculate x cache; the first shape (1 worker, no speculation,
-  // live worlds) is the reference. Speculation 4 makes discards routine.
+  // threads x speculate; the first shape (1 worker, no speculation) is the
+  // reference. Speculation 4 makes discards routine.
   std::vector<std::vector<CellResult>> runs;
   for (const std::size_t threads : {1u, 3u, 4u}) {
     for (const std::size_t speculate : {0u, 1u, 4u}) {
-      for (const std::size_t cache_bytes : {std::size_t{0}, grid::WorldCache::kDefaultBudgetBytes}) {
-        RunOptions options;
-        options.min_replications = 2;
-        options.max_replications = 4;
-        options.target_relative_error = 0.08;
-        options.speculate = speculate;
-        options.threads = threads;
-        options.world_cache_bytes = cache_bytes;
-        runs.push_back(ExperimentRunner(options).run(cells));
-      }
+      RunOptions options;
+      options.min_replications = 2;
+      options.max_replications = 4;
+      options.target_relative_error = 0.08;
+      options.speculate = speculate;
+      options.threads = threads;
+      runs.push_back(ExperimentRunner(options).run(cells));
     }
   }
 
@@ -412,6 +397,23 @@ TEST(ExperimentRunner, ExecStatsAccountForEveryReplication) {
   EXPECT_GT(exec.wall_s, 0.0);
   EXPECT_GT(exec.busy_s(), 0.0);
   (void)results;
+}
+
+TEST(ExperimentRunner, CellEventCountsArePopulated) {
+  sim::SimulationConfig config;
+  config.grid = grid::GridConfig::preset(grid::Heterogeneity::kHet, grid::AvailabilityLevel::kHigh);
+  config.workload =
+      sim::make_paper_workload(config.grid, 25000.0, workload::Intensity::kLow, 10);
+  config.policy = sched::PolicyKind::kFcfsShare;
+  config.warmup_bots = 2;
+  RunOptions options;
+  options.min_replications = 2;
+  options.max_replications = 2;
+  options.threads = 1;
+  const std::vector<CellResult> results = ExperimentRunner(options).run({{"events", config}});
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_GT(results[0].events_executed, 0u);
+  EXPECT_EQ(results[0].replications, 2u);
 }
 
 TEST(ExperimentRunner, ZeroThreadsRunsOneLanePerHardwareThread) {

@@ -3,8 +3,8 @@
 // any worker count, chunk shape, worker-death schedule, or kill/resume
 // point; journal bytes must not depend on the lane kind, and a journal
 // written on one lane kind must resume on the other, while a journal naming
-// a job the campaign never runs, or naming one job twice, is refused;
-// process lanes refuse the world cache; and the env knobs must parse.
+// a job the campaign never runs, or naming one job twice, is refused; and
+// the env knobs must parse.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -40,9 +40,8 @@ struct ShardDir {
   std::string path;
 };
 
-/// Two small policy cells under common random numbers — the world-cache test
-/// matrix shape, small enough that a handful of sharded campaigns stays
-/// test-sized.
+/// Two small policy cells under common random numbers, small enough that a
+/// handful of sharded campaigns stays test-sized.
 std::vector<NamedConfig> tiny_cells() {
   std::vector<NamedConfig> cells;
   for (const sched::PolicyKind policy :
@@ -161,25 +160,12 @@ TEST(ShardedRunner, BitIdenticalAcrossChunkShapesAndHandOutOrders) {
   const std::vector<CellResult> reference = ExperimentRunner(options).run(cells);
 
   // Three workers without speculation: smaller adaptive chunks, a
-  // different hand-out interleaving, no world cache, no journal.
-  {
-    RunOptions o = options;
-    o.speculate = 0;
-    ShardOptions shard;
-    shard.procs = 3;
-    expect_cells_bitwise(ExperimentRunner(o, shard).run(cells), reference);
-  }
-  // The world cache runs on thread lanes only: process lanes refuse it
-  // before the run opens its journal or forks a worker.
-  {
-    ShardDir dir("refused_cache");
-    RunOptions o = options;
-    o.world_cache_bytes = grid::WorldCache::kDefaultBudgetBytes;
-    ExperimentRunner runner(o, lanes(2, dir.file("refused.journal")));
-    EXPECT_THROW((void)runner.run(cells), std::invalid_argument);
-    EXPECT_FALSE(std::filesystem::exists(dir.file("refused.journal")));
-    EXPECT_TRUE(runner.exec_stats().lanes.empty());
-  }
+  // different hand-out interleaving, no journal.
+  RunOptions o = options;
+  o.speculate = 0;
+  ShardOptions shard;
+  shard.procs = 3;
+  expect_cells_bitwise(ExperimentRunner(o, shard).run(cells), reference);
 }
 
 TEST(ShardedRunner, MultiRoundPrecisionLoopMatchesThreadedRunner) {

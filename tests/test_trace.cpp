@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "grid/realization.hpp"
 #include "grid/trace.hpp"
 #include "sim/simulation.hpp"
 #include "workload/generator.hpp"
@@ -77,15 +76,6 @@ TEST(AvailabilityTrace, CsvRoundTripIsBitExactAcrossModelsAndSeeds) {
           grid::AvailabilityModel::for_level(level), 6, 3e5, seed));
     }
   }
-}
-
-TEST(AvailabilityTrace, WorldRealizationTraceViewRoundTripsBitExact) {
-  // The cache's realization-to-trace view feeds the same CSV path.
-  const grid::GridConfig config =
-      grid::GridConfig::preset(grid::Heterogeneity::kHom, grid::AvailabilityLevel::kLow);
-  const grid::WorldRealization world =
-      grid::WorldRealization::synthesize(config.availability, 12, 1e5, 77);
-  expect_csv_round_trip_bit_exact(world.to_trace());
 }
 
 TEST(AvailabilityTrace, CsvRoundTripKeepsAlwaysUpMachines) {
@@ -230,6 +220,33 @@ TEST(WorkloadTrace, LoadRejectsTaskIndexGaps) {
 void expect_workload_rows_rejected(const std::string& rows) {
   std::istringstream bad("bot,arrival,granularity,task,work\n" + rows);
   EXPECT_THROW((void)workload::load_workload_csv(bad), std::runtime_error);
+}
+
+/// The loader's message for `rows` (after the header); empty if it loads.
+std::string workload_load_error(const std::string& rows) {
+  std::istringstream csv("bot,arrival,granularity,task,work\n" + rows);
+  try {
+    (void)workload::load_workload_csv(csv);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(WorkloadTrace, LoadRejectsRepeatedTaskIndex) {
+  // A second row for task 0 must not overwrite the first one's work.
+  EXPECT_EQ(workload_load_error("0,0,100,0,10\n0,0,100,0,20\n"),
+            "workload trace: bad, repeated or out-of-order task index at line 3");
+}
+
+TEST(WorkloadTrace, LoadRejectsRowsOfOneBagWithDifferentArrivals) {
+  EXPECT_EQ(workload_load_error("0,0,100,0,10\n0,50,100,1,30\n"),
+            "workload trace: arrival differs from the bag's first row at line 3");
+}
+
+TEST(WorkloadTrace, LoadRejectsRowsOfOneBagWithDifferentGranularities) {
+  EXPECT_EQ(workload_load_error("0,0,100,0,10\n1,5,100,0,10\n0,0,7,1,30\n"),
+            "workload trace: granularity differs from the bag's first row at line 4");
 }
 
 TEST(WorkloadTrace, LoadRejectsSignedTaskIndex) {

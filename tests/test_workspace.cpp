@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <vector>
 
 #include "des/simulator.hpp"
@@ -146,6 +147,14 @@ struct MatrixParam {
   grid::AvailabilityLevel availability;
   double granularity;
 };
+
+// Without a printer gtest writes the parameter's raw bytes, padding
+// included, into every test name ctest discovers; print the fields instead,
+// so the names are the same from build to build.
+void PrintTo(const MatrixParam& param, std::ostream* os) {
+  *os << sched::to_string(param.policy) << ' ' << grid::to_string(param.availability) << " g="
+      << param.granularity;
+}
 
 class WorkspaceReuseTest : public ::testing::TestWithParam<MatrixParam> {};
 
