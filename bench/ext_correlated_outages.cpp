@@ -11,6 +11,8 @@
 #include "exp/runner.hpp"
 #include "util/table.hpp"
 
+#include "guarded_main.hpp"
+
 namespace {
 
 dg::grid::GridConfig independent_grid() {
@@ -32,9 +34,7 @@ dg::grid::GridConfig correlated_grid() {
   return config;
 }
 
-}  // namespace
-
-int main() {
+int run() {
   using namespace dg;
   exp::RunOptions options = exp::RunOptions::from_env();
   const std::size_t num_bots = exp::env_num_bots().value_or(50);
@@ -96,3 +96,7 @@ int main() {
                "(replicas die together).\n";
   return 0;
 }
+
+}  // namespace
+
+int main() { return dg::bench::guarded_main("ext_correlated_outages", run); }

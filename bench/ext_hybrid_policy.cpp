@@ -12,7 +12,11 @@
 #include "exp/runner.hpp"
 #include "util/table.hpp"
 
-int main() {
+#include "guarded_main.hpp"
+
+namespace {
+
+int run() {
   using namespace dg;
   exp::RunOptions options = exp::RunOptions::from_env();
   const std::size_t num_bots = exp::env_num_bots().value_or(80);
@@ -73,3 +77,7 @@ int main() {
   }
   return 0;
 }
+
+}  // namespace
+
+int main() { return dg::bench::guarded_main("ext_hybrid_policy", run); }

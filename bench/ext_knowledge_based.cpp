@@ -11,7 +11,11 @@
 #include "exp/runner.hpp"
 #include "util/table.hpp"
 
-int main() {
+#include "guarded_main.hpp"
+
+namespace {
+
+int run() {
   using namespace dg;
   exp::RunOptions options = exp::RunOptions::from_env();
   const std::size_t num_bots = exp::env_num_bots().value_or(60);
@@ -94,3 +98,7 @@ int main() {
   bag_table.render(std::cout);
   return 0;
 }
+
+}  // namespace
+
+int main() { return dg::bench::guarded_main("ext_knowledge_based", run); }

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdio>
-#include <exception>
 #include <fstream>
 #include <iostream>
 #include <stdexcept>
@@ -18,6 +17,8 @@
 
 #include "exp/paper.hpp"
 #include "exp/runner.hpp"
+
+#include "guarded_main.hpp"
 
 namespace dg::bench {
 
@@ -76,12 +77,7 @@ inline int run_figure(exp::FigureSpec spec, const std::string& csv_name) {
 /// The whole main() of figure binary `name`: run_figure into `<name>.csv`,
 /// with any exception reported as "<name>: <what>" and exit status 1.
 inline int run_figure_main(exp::FigureSpec spec, const std::string& name) {
-  try {
-    return run_figure(std::move(spec), name + ".csv");
-  } catch (const std::exception& e) {
-    std::cerr << name << ": " << e.what() << "\n";
-    return 1;
-  }
+  return guarded_main(name, [&] { return run_figure(std::move(spec), name + ".csv"); });
 }
 
 }  // namespace dg::bench

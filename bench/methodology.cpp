@@ -11,7 +11,11 @@
 #include "exp/steady_state.hpp"
 #include "util/table.hpp"
 
-int main() {
+#include "guarded_main.hpp"
+
+namespace {
+
+int run() {
   using namespace dg;
   exp::RunOptions options = exp::RunOptions::from_env();
   options.max_replications = std::max<std::size_t>(options.max_replications, 8);
@@ -59,3 +63,7 @@ int main() {
   table.render(std::cout);
   return 0;
 }
+
+}  // namespace
+
+int main() { return dg::bench::guarded_main("methodology", run); }

@@ -14,7 +14,11 @@
 #include "exp/runner.hpp"
 #include "util/table.hpp"
 
-int main() {
+#include "guarded_main.hpp"
+
+namespace {
+
+int run() {
   using namespace dg;
   exp::RunOptions options = exp::RunOptions::from_env();
   const std::size_t num_bots = exp::env_num_bots().value_or(80);
@@ -77,3 +81,7 @@ int main() {
   table.render(std::cout);
   return 0;
 }
+
+}  // namespace
+
+int main() { return dg::bench::guarded_main("model_validation", run); }

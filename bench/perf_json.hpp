@@ -15,6 +15,9 @@
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #endif
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 namespace dg::bench {
 
@@ -22,7 +25,7 @@ namespace dg::bench {
 /// new meaning; a retired field is simply absent):
 /// {benchmark, events_per_sec, wall_s, peak_rss_kb, config, seed,
 ///  machines_per_dispatch, transfer_retries, replicas_degraded,
-///  replications_per_sec, threads, allocs_per_replication, procs,
+///  replications_per_sec, threads, allocs_per_replication, procs, cores,
 ///  worker_busy_s, worker_stall_s, spec_launched, spec_committed,
 ///  spec_discarded, tails: {turnaround_p50, turnaround_p95, turnaround_p99,
 ///  slowdown_p95, slowdown_p99}}.
@@ -57,6 +60,9 @@ struct PerfRecord {
   /// Sharded-runner records (exp/shard.hpp) only; zero elsewhere. Worker
   /// processes the campaign was sharded across.
   std::uint64_t procs = 0;
+  /// CPUs the measuring process could run on (its affinity mask; 0 when
+  /// unknown). Records the host shape beside the rates, which depend on it.
+  std::uint64_t cores = 0;
   /// Execution-shape accounting (exp::ExecutionStats) for the runner suites;
   /// zero elsewhere. Summed across lanes (pool workers / worker processes):
   /// busy is time executing replications, stall is time waiting for
@@ -91,6 +97,18 @@ inline std::uint64_t peak_rss_kb() {
 #else
   return static_cast<std::uint64_t>(usage.ru_maxrss);  // kilobytes on Linux
 #endif
+#else
+  return 0;
+#endif
+}
+
+/// CPUs in this process's affinity mask (0 when unavailable).
+inline std::uint64_t affinity_cores() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return 0;
+  return static_cast<std::uint64_t>(CPU_COUNT(&set));
 #else
   return 0;
 #endif
@@ -149,6 +167,7 @@ inline void write_perf_json(std::ostream& os, const std::vector<PerfRecord>& rec
     field("threads", r.threads);
     field("allocs_per_replication", r.allocs_per_replication);
     field("procs", r.procs);
+    field("cores", r.cores);
     field("worker_busy_s", r.worker_busy_s);
     field("worker_stall_s", r.worker_stall_s);
     field("spec_launched", r.spec_launched);

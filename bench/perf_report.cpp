@@ -52,6 +52,7 @@ PerfRecord best_of(const std::string& name, const std::string& config, std::uint
     }
   }
   record.peak_rss_kb = dg::bench::peak_rss_kb();
+  record.cores = dg::bench::affinity_cores();
   std::printf("  %-28s %12.0f events/s  (%.3f s)\n", record.benchmark.c_str(),
               record.events_per_sec, record.wall_s);
   return record;
@@ -157,8 +158,12 @@ std::vector<PerfRecord> run_kernel_suite() {
                             kKernelReps, [] { return kernel_cancel_heavy(200000); }));
   records.push_back(best_of("kernel/handle_churn_500k", "500k schedule+cancel, 64-live window", 0,
                             kKernelReps, [] { return kernel_handle_churn(500000); }));
-  // The same hold workload at two sustained depths. The "/heap4" suffix
-  // keeps the record names matching their committed baselines.
+  // The same hold workload at three sustained depths: 512 is the figures'
+  // own (their heaps peak at a few hundred entries), 4096 and 65536 probe
+  // deeper heaps. The "/heap4" suffix keeps the two older record names
+  // matching their committed baselines.
+  records.push_back(best_of("kernel/hold_512", "1M fires at sustained depth 512", 0,
+                            kKernelReps, [] { return kernel_deep_hold(512, 1000000); }));
   records.push_back(best_of("kernel/hold_4k/heap4",
                             "1M fires at sustained depth 4096", 0, kKernelReps,
                             [] { return kernel_deep_hold(4096, 1000000); }));

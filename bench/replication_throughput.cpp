@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <exception>
 #include <fstream>
 #include <iostream>
 #include <stdexcept>
@@ -33,6 +32,7 @@
 #include "sim/workspace.hpp"
 #include "util/alloc_interposer.hpp"
 
+#include "guarded_main.hpp"
 #include "perf_json.hpp"
 
 DG_DEFINE_ALLOC_INTERPOSER();
@@ -229,10 +229,5 @@ int run_throughput(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run_throughput(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "replication_throughput: " << e.what() << "\n";
-    return 1;
-  }
+  return dg::bench::guarded_main("replication_throughput", [&] { return run_throughput(argc, argv); });
 }

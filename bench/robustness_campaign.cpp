@@ -44,7 +44,6 @@
 //        DGSCHED_JOURNAL=path, plus the usual runner knobs.
 #include <algorithm>
 #include <cstdio>
-#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -56,6 +55,8 @@
 #include "exp/campaign.hpp"
 #include "exp/runner.hpp"
 #include "util/table.hpp"
+
+#include "guarded_main.hpp"
 
 namespace {
 
@@ -286,10 +287,5 @@ int run_campaign(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run_campaign(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "robustness_campaign: " << e.what() << "\n";
-    return 1;
-  }
+  return dg::bench::guarded_main("robustness_campaign", [&] { return run_campaign(argc, argv); });
 }

@@ -12,7 +12,11 @@
 #include "stats/online_stats.hpp"
 #include "util/table.hpp"
 
-int main() {
+#include "guarded_main.hpp"
+
+namespace {
+
+int run() {
   using namespace dg;
   const exp::RunOptions options = exp::RunOptions::from_env();
   const std::size_t num_bots = exp::env_num_bots().value_or(80);
@@ -64,3 +68,7 @@ int main() {
   table.render(std::cout);
   return 0;
 }
+
+}  // namespace
+
+int main() { return dg::bench::guarded_main("sweep_utilization", run); }

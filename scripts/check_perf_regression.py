@@ -5,6 +5,12 @@ Records are matched by (benchmark, threads, procs). The compared metric is
 replications_per_sec when a record has one, else events_per_sec; records with
 neither (e.g. pure alloc-count rows) only check allocs_per_replication.
 
+A record's `cores` (the CPUs the measuring process could run on) is not part
+of the match key: CI runners differ from the baseline host, and keying on it
+would turn every record into NEW/GONE. When a matched pair's core counts
+differ, a note is printed beside its verdict and both counts land in the
+--report JSON.
+
 Because the committed baselines were produced on a different machine than the
 CI runner, raw rates are not comparable. --calibrate names one benchmark to
 use as a speed probe: the fresh/baseline ratio on that record (clamped to
@@ -135,6 +141,12 @@ def main():
                 problems.append(
                     f"allocs/replication {fresh_allocs:.1f} > ceiling {ceiling:.1f}"
                     f" (baseline {base_allocs:.1f})")
+
+        base_cores, fresh_cores = base.get("cores", 0), new.get("cores", 0)
+        if base_cores != fresh_cores:
+            row.update({"baseline_cores": base_cores, "fresh_cores": fresh_cores})
+            print(f"  note  {label}: cores differ (baseline {base_cores or 'unrecorded'},"
+                  f" fresh {fresh_cores or 'unrecorded'})")
 
         if problems:
             row["status"] = "regression: " + "; ".join(problems)

@@ -10,6 +10,9 @@ EventHandle Simulator::schedule_at(SimTime time, Action action) {
   DG_ASSERT_MSG(std::isfinite(time), "event time must be finite");
   DG_ASSERT_MSG(time >= now_, "cannot schedule an event in the past");
   DG_ASSERT(action);
+  // -0.0 + 0.0 is +0.0: the queue orders times by bit pattern, where -0.0
+  // would sort after every positive time (des/queue_policy.hpp).
+  time += 0.0;
   std::uint32_t slot = free_head_;
   if (slot == EventHandle::kNullSlot) {
     DG_ASSERT_MSG(slots_.size() < EventHandle::kNullSlot, "event slot table exhausted");

@@ -39,6 +39,7 @@ class Simulator {
   /// Schedules `action` at absolute time `time`. Returns a handle that can
   /// cancel the event while pending.
   /// Preconditions: `time` is finite and >= now(); `action` is non-empty.
+  /// A time of -0.0 is queued as +0.0.
   EventHandle schedule_at(SimTime time, Action action);
 
   /// Schedules `action` after `delay` (>= 0) from now.

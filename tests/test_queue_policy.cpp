@@ -1,11 +1,14 @@
-// The DES event queue: FourAryHeapQueue pop order, FIFO tie-breaks, and a
-// decision-by-decision check against an independent reference ordered by
-// queue_earlier. The full-simulation golden fingerprints live in
+// The DES event queue: FourAryHeapQueue pop order, FIFO tie-breaks, the
+// 128-bit key compare against the (time, sequence) order spelled out on
+// doubles, and a decision-by-decision check against an independent reference
+// ordered the same way. The full-simulation golden fingerprints live in
 // test_kernel_equivalence.cpp; these tests hit the queue directly.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <queue>
+#include <string>
 #include <vector>
 
 #include "des/queue_policy.hpp"
@@ -29,11 +32,45 @@ std::vector<std::pair<double, std::uint64_t>> drain(FourAryHeapQueue& queue) {
   return popped;
 }
 
+/// The kernel's order spelled out on doubles — time, then sequence —
+/// independent of the key compare queue_earlier implements.
+bool spelled_out_earlier(const QueueEntry& a, const QueueEntry& b) {
+  if (a.time != b.time) return a.time < b.time;
+  return a.sequence < b.sequence;
+}
+
 /// The oracle: std::priority_queue is a max-heap, so order it by "later".
 struct Later {
-  bool operator()(const QueueEntry& a, const QueueEntry& b) const { return queue_earlier(b, a); }
+  bool operator()(const QueueEntry& a, const QueueEntry& b) const {
+    return spelled_out_earlier(b, a);
+  }
 };
 using ReferenceQueue = std::priority_queue<QueueEntry, std::vector<QueueEntry>, Later>;
+
+/// The key compare agrees with the spelled-out order on every pair drawn from
+/// the edges of the double range (zero, subnormal, smallest normal, huge) and
+/// of the sequence range (including values that fill the key's low word).
+TEST(QueueEarlier, MatchesTimeThenSequenceOrderAtTheEdges) {
+  const double times[] = {0.0,
+                          std::numeric_limits<double>::denorm_min(),
+                          std::numeric_limits<double>::min(),
+                          1.0,
+                          1e300,
+                          std::numeric_limits<double>::max()};
+  const std::uint64_t sequences[] = {0, 1, std::uint64_t{1} << 32, std::uint64_t{1} << 63,
+                                     std::numeric_limits<std::uint64_t>::max()};
+  std::vector<QueueEntry> entries;
+  for (double time : times) {
+    for (std::uint64_t sequence : sequences) entries.push_back(QueueEntry{time, sequence, 0, 0});
+  }
+  for (const QueueEntry& a : entries) {
+    for (const QueueEntry& b : entries) {
+      EXPECT_EQ(queue_earlier(a, b), spelled_out_earlier(a, b))
+          << "a = (" << a.time << ", " << a.sequence << "), b = (" << b.time << ", "
+          << b.sequence << ")";
+    }
+  }
+}
 
 TEST(FourAryHeapQueue, PopsInTimeOrder) {
   FourAryHeapQueue queue;
@@ -114,9 +151,12 @@ TEST(QueueBackendEquivalence, RandomizedHoldPatternPopsIdentically) {
   }
   // Steady-state hold: pop one, usually push a successor near the popped
   // time, occasionally a far outlier, occasionally nothing (drain).
+  // A failed ASSERT in pop_both leaves both queues unpopped, so stop at the
+  // first one instead of looping on it.
   for (int i = 0; i < 30000; ++i) {
     if (heap.empty()) break;
     pop_both();
+    if (HasFatalFailure()) return;
     const std::uint64_t roll = next_u64() % 10;
     if (roll < 7) {
       push_both(now + static_cast<double>(next_u64() % 1000) / 10.0);
@@ -125,7 +165,10 @@ TEST(QueueBackendEquivalence, RandomizedHoldPatternPopsIdentically) {
     }
   }
   // Drain the rest in lockstep.
-  while (!heap.empty()) pop_both();
+  while (!heap.empty()) {
+    pop_both();
+    if (HasFatalFailure()) return;
+  }
   EXPECT_TRUE(reference.empty());
 }
 
@@ -154,6 +197,19 @@ TEST(Simulator, CancelledEntriesAreSkippedAsStale) {
   EXPECT_EQ(fired, 100);
   EXPECT_EQ(sim.executed_events(), 100u);
   EXPECT_TRUE(sim.empty());
+}
+
+/// -0.0 equals 0.0 as a double but its bit pattern sorts after every positive
+/// time, so schedule_at must queue it as +0.0: same-time events then fire in
+/// scheduling order, and a subnormal time still fires after both.
+TEST(Simulator, NegativeZeroTimeOrdersAsZero) {
+  Simulator sim;
+  std::string fired;
+  sim.schedule_at(0.0, [&fired] { fired += 'A'; });
+  sim.schedule_at(-0.0, [&fired] { fired += 'B'; });
+  sim.schedule_at(std::numeric_limits<double>::denorm_min(), [&fired] { fired += 'C'; });
+  sim.run();
+  EXPECT_EQ(fired, "ABC");
 }
 
 }  // namespace
