@@ -229,5 +229,6 @@ int run_throughput(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return dg::bench::guarded_main("replication_throughput", [&] { return run_throughput(argc, argv); });
+  return dg::bench::guarded_main("replication_throughput",
+                                 [&] { return run_throughput(argc, argv); });
 }
